@@ -12,40 +12,82 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
-class Scalar:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+_TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(\*?i)?$")
 
-    __slots__ = ("re", "im")
+
+class Scalar:
+    """A Gaussian rational (a + b*i)/d held as three ints.
+
+    The form is normal: d > 0 and gcd(a, b, d) = 1, with zero as (0, 0, 1), so
+    equality and hashing compare the ints directly.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # both parts are in lowest terms, so over the lcm of their
+            # denominators no prime divides a, b and d at once
+            q, s = re.denominator, im.denominator
+            d = math.lcm(q, s)
+            a, b = re.numerator * (d // q), im.numerator * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _scalar(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _scalar(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == 1 and f == 1:
+            return _scalar(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        c, d = other.re, other.im
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        a, b = self.re, self.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        c, e, f = other._a, other._b, other._d
+        a, b, d = self._a, self._b, self._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _reduced(a * f, b * f, d * c)
+        # multiply through by the conjugate; the norm c^2 + e^2 is positive
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -60,26 +102,29 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self._a, -self._b, self._d)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, Scalar)
+            and self._a == other._a
+            and self._b == other._b
+            and self._d == other._d
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def one_norm(self) -> Fraction:
         """|re| + |im|, used for pivot choice and spectrum bounds."""
-        return abs(self.re) + abs(self.im)
+        return Fraction(abs(self._a) + abs(self._b), self._d)
 
     # -- text format --------------------------------------------------------
-
-    _TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(\*?i)?$")
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -100,13 +145,16 @@ class Scalar:
         re_part, im_part = Fraction(0), Fraction(0)
         seen_im = seen_re = False
         for term in terms:
-            m = Scalar._TERM.match(term)
+            m = _TERM.match(term)
             if not m:
                 raise ValueError(f"cannot parse scalar {text!r}")
             sign, mag, imark = m.groups()
             if mag is None and not imark:
                 raise ValueError(f"cannot parse scalar {text!r}")
-            val = Fraction(mag) if mag is not None else Fraction(1)
+            num, _, den = (mag or "1").partition("/")
+            if den and int(den) == 0:
+                raise ValueError(f"zero denominator in scalar {text!r}")
+            val = Fraction(int(num), int(den or 1))
             if sign == "-":
                 val = -val
             if imark:
@@ -120,13 +168,13 @@ class Scalar:
         return Scalar(re_part, im_part)
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        im_mag = str(abs(self.im))
-        sign = "-" if self.im < 0 else "+"
-        if not self.re:
-            return f"{'-' if self.im < 0 else ''}{im_mag}*i"
-        return f"{self.re}{sign}{im_mag}*i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        im_mag = _ratio_str(abs(b), d)
+        if not a:
+            return f"{'-' if b < 0 else ''}{im_mag}*i"
+        return f"{_ratio_str(a, d)}{'-' if b < 0 else '+'}{im_mag}*i"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -135,44 +183,68 @@ class Scalar:
 
     def sqrt(self) -> "Scalar | None":
         """An exact square root in Q(i), or None when none exists."""
-        a, b = self.re, self.im
         if not self:
             return ZERO
-        n = _frac_sqrt(a * a + b * b)
-        if n is None:
+        # sqrt((a + b*i)/d) = sqrt(p + q*i)/d with p + q*i = (a + b*i)*d, and
+        # Z[i] is integrally closed, so the root of p + q*i lies in Z[i]
+        d = self._d
+        p, q = self._a * d, self._b * d
+        if not q:
+            r = _isqrt_exact(abs(p))
+            if r is None:
+                return None
+            return _reduced(r, 0, d) if p > 0 else _reduced(0, r, d)
+        n = _isqrt_exact(p * p + q * q)
+        if n is None or (p + n) % 2:
             return None
-        if b == 0:
-            if a > 0:
-                x = _frac_sqrt(a)
-                return Scalar(x) if x is not None else None
-            y = _frac_sqrt(-a)
-            return Scalar(0, y) if y is not None else None
-        x = _frac_sqrt((a + n) / 2)
-        if x is None or x == 0:
+        x = _isqrt_exact((p + n) // 2)
+        if not x:
             return None
-        y = b / (2 * x)
-        root = Scalar(x, y)
+        root = _reduced(x, q // (2 * x), d)
         return root if root * root == self else None
 
 
-def _frac_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    p, q = f.numerator, f.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        return None
-    return Fraction(rp, rq)
+# the slot descriptors' setters write past the immutability guard in __setattr__
+_new = object.__new__
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+
+
+def _scalar(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d, for ints already in normal form."""
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d for d > 0, brought to normal form by one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _scalar(a, b, d)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _isqrt_exact(n: int) -> int | None:
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 MINUS_ONE = Scalar(-1)
-
-
-def half() -> Scalar:
-    return Scalar(Fraction(1, 2))
 
 
 def sign(k: int) -> Scalar:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .exactlin import (
@@ -118,6 +117,8 @@ class FockModule:
         self.base = takiff.base
         self.rd = takiff.rd
         self.c = c
+        self._half_c = c / Scalar(2)
+        self._two_c = Scalar(2) * c
         self.dual = dual_bases(self.base, self.rd)
         self.positives = self.rd.positive_roots()
         npos = len(self.positives)
@@ -219,7 +220,6 @@ class FockModule:
         kind, k = slot
         out: dict[FockIndex, Scalar] = {}
         c = self.c
-        half_c = c * Scalar(Fraction(1, 2))
         for idx, coeff in v.items():
             if kind == "F":
                 if k in self._poly_of:
@@ -271,7 +271,7 @@ class FockModule:
                 cliff = list(idx.cliff)
                 cliff[k] = 0
                 add_term(
-                    out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * Scalar(2) * c * s
+                    out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * self._two_c * s
                 )
             else:  # w, the unpaired Clifford letter: w . w = c/2
                 wi = self.n_cliff - 1
@@ -279,7 +279,7 @@ class FockModule:
                 cliff = list(idx.cliff)
                 if idx.cliff[wi]:
                     cliff[wi] = 0
-                    add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * half_c * s)
+                    add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * self._half_c * s)
                 else:
                     cliff[wi] = 1
                     add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * s)
@@ -324,7 +324,7 @@ class FockModule:
             if not br:
                 continue
             out = out + self.apply_barred(br, w)
-        return out.scale(ONE / (Scalar(2) * self.c))
+        return out.scale(ONE / self._two_c)
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
         """Action of a basis element of the extended algebra by total index."""
@@ -580,27 +580,17 @@ class FinDimModule:
 
 
 def _mat_comm(x: SparseMatrix, y: SparseMatrix, koszul: Scalar) -> SparseMatrix:
+    """xy - koszul * yx, joining each left entry only with the right entries of its row."""
     out: dict[tuple[int, int], Scalar] = {}
+    x_rows, y_rows = x.row_dicts(), y.row_dicts()
     for (r, k), s in x.entries.items():
-        for (k2, c), t in y.entries.items():
-            if k == k2:
-                add_term_mat(out, r, c, s * t)
+        for c, t in y_rows[k].items():
+            add_term(out, (r, c), s * t)
+    neg = -koszul
     for (r, k), s in y.entries.items():
-        for (k2, c), t in x.entries.items():
-            if k == k2:
-                add_term_mat(out, r, c, -koszul * s * t)
+        for c, t in x_rows[k].items():
+            add_term(out, (r, c), neg * s * t)
     return SparseMatrix(x.rows, y.cols, out)
-
-
-def add_term_mat(entries, r, c, s):
-    if not s:
-        return
-    cur = entries.get((r, c))
-    new = s if cur is None else cur + s
-    if new:
-        entries[(r, c)] = new
-    else:
-        entries.pop((r, c), None)
 
 
 def natural_module(a: SuperAlgebra, m: int, n: int) -> FinDimModule:

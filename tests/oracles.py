@@ -7,6 +7,7 @@ are produced by a second route.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 CNum = tuple[Fraction, Fraction]
@@ -40,6 +41,61 @@ def c_div(a: CNum, b: CNum) -> CNum:
 
 def c_neg(a: CNum) -> CNum:
     return (-a[0], -a[1])
+
+
+def c_conj(a: CNum) -> CNum:
+    return (a[0], -a[1])
+
+
+def c_pow(a: CNum, k: int) -> CNum:
+    if k < 0:
+        return c_div(CONE, c_pow(a, -k))
+    out = CONE
+    for _ in range(k):
+        out = c_mul(out, a)
+    return out
+
+
+def _frac_sqrt(f: Fraction) -> Fraction | None:
+    if f < 0:
+        return None
+    p, q = f.numerator, f.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp != p or rq * rq != q:
+        return None
+    return Fraction(rp, rq)
+
+
+def c_sqrt(a: CNum) -> CNum | None:
+    """The square root with positive real part (or on the positive imaginary
+    axis), or None when a has no square root in Q(i)."""
+    re, im = a
+    if a == CZERO:
+        return CZERO
+    n = _frac_sqrt(re * re + im * im)
+    if n is None:
+        return None
+    if im == 0:
+        if re > 0:
+            x = _frac_sqrt(re)
+            return None if x is None else (x, Fraction(0))
+        y = _frac_sqrt(-re)
+        return None if y is None else (Fraction(0), y)
+    x = _frac_sqrt((re + n) / 2)
+    if x is None or x == 0:
+        return None
+    return (x, im / (2 * x))
+
+
+def c_str(a: CNum) -> str:
+    """Text form "re", "im*i" or "re+im*i", with Fraction formatting of parts."""
+    re, im = a
+    if not im:
+        return str(re)
+    im_mag = str(abs(im))
+    if not re:
+        return f"{'-' if im < 0 else ''}{im_mag}*i"
+    return f"{re}{'-' if im < 0 else '+'}{im_mag}*i"
 
 
 def zeros(r: int, c: int) -> list[list[CNum]]:

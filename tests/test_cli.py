@@ -138,6 +138,17 @@ class TestVerify:
     def test_zero_level_usage_error(self, gl21_tak):
         assert run(["verify", "highest-weight", "--alg", gl21_tak, "--c", "0"]) == 2
 
+    def test_zero_denominator_is_one_error_line(self, gl21_tak, tmp_path, capsys):
+        assert run(["verify", "highest-weight", "--alg", gl21_tak, "--c", "1/0"]) == 2
+        d = load(gl21_tak)
+        d["brackets"][0]["coeff"] = "1/0"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert run(["verify", "takiff", "--alg", bad]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error: zero denominator") for line in lines)
+
     def test_missing_file(self):
         assert run(["verify", "algebra", "--alg", "/nonexistent.json"]) == 2
 

@@ -1,12 +1,27 @@
 """Scalar field axioms and exact sparse linear algebra."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ad_matrix_gl, cnum, rref_dense
+from oracles import (
+    ad_matrix_gl,
+    c_add,
+    c_conj,
+    c_div,
+    c_mul,
+    c_neg,
+    c_pow,
+    c_sqrt,
+    c_str,
+    c_sub,
+    cnum,
+    rref_dense,
+)
 from whittak.exactlin import (
     I,
     ONE,
@@ -67,6 +82,118 @@ class TestScalar:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
+
+    @pytest.mark.parametrize("text", ["1/0", "1/0*i", "-0/0", "2+1/0*i"])
+    def test_parse_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Scalar.parse(text)
+
+
+pairs = st.tuples(fracs, fracs)
+
+
+def _pair(s):
+    return (s.re, s.im)
+
+
+def _assert_normal(s):
+    """(a + b*i)/d with d > 0 and gcd(a, b, d) = 1; zero is (0, 0, 1)."""
+    assert s._d > 0
+    assert math.gcd(s._a, s._b, s._d) == 1
+
+
+class TestScalarAgainstOracle:
+    """Scalar arithmetic against the Fraction-pair functions in oracles.py."""
+
+    @pytest.mark.parametrize(
+        "op, oracle",
+        [
+            (operator.add, c_add),
+            (operator.sub, c_sub),
+            (operator.mul, c_mul),
+            (operator.truediv, c_div),
+        ],
+    )
+    @given(pairs, pairs)
+    def test_binary(self, op, oracle, x, y):
+        if op is operator.truediv and not any(y):
+            return
+        out = op(Scalar(*x), Scalar(*y))
+        _assert_normal(out)
+        assert _pair(out) == oracle(x, y)
+
+    @given(pairs)
+    def test_negation_and_conjugate(self, x):
+        s = Scalar(*x)
+        _assert_normal(s)
+        for out, want in ((-s, c_neg(x)), (s.conjugate(), c_conj(x))):
+            _assert_normal(out)
+            assert _pair(out) == want
+
+    @given(pairs, st.integers(-3, 4))
+    def test_power(self, x, k):
+        if k < 0 and not any(x):
+            return
+        out = Scalar(*x) ** k
+        _assert_normal(out)
+        assert _pair(out) == c_pow(x, k)
+
+    @given(pairs)
+    def test_sqrt(self, x):
+        square = c_mul(x, x)
+        for v in (x, square):
+            root = Scalar(*v).sqrt()
+            want = c_sqrt(v)
+            assert (None if root is None else _pair(root)) == want
+            if root is not None:
+                _assert_normal(root)
+        assert Scalar(*square).sqrt() is not None
+
+    @given(pairs)
+    def test_str_matches_fraction_pair_format(self, x):
+        assert str(Scalar(*x)) == c_str(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (0, 0),
+            (3, 0),
+            (-3, 0),
+            (Fraction(-7, 6), 0),
+            (0, 1),
+            (0, -1),
+            (0, Fraction(5, 4)),
+            (0, Fraction(-2, 3)),
+            (1, 1),
+            (Fraction(-1, 2), Fraction(-3, 4)),
+            (Fraction(2, 3), Fraction(-1, 6)),
+            (-4, Fraction(1, 9)),
+        ],
+    )
+    def test_str_cases(self, x):
+        assert str(Scalar(*x)) == c_str(cnum(*x))
+
+    def test_equal_values_hash_equal(self):
+        half = Scalar(Fraction(2, 4))
+        built = [
+            (half, ONE / Scalar(2)),
+            (half, Scalar(Fraction(3, 4)) - Scalar(Fraction(1, 4))),
+            (Scalar(Fraction(1, 2), Fraction(1, 2)), (ONE + I) / Scalar(2)),
+            (ZERO, Scalar(Fraction(5, 6)) - Scalar(Fraction(10, 12))),
+            (ONE, I * I.conjugate()),
+            (Scalar(Fraction(-1, 3)), Scalar.parse("2/6") * Scalar(-1)),
+        ]
+        for a, b in built:
+            _assert_normal(b)
+            assert a == b and hash(a) == hash(b)
+
+    @given(pairs, pairs)
+    def test_round_trip_hashes_equal(self, x, y):
+        a, b = Scalar(*x), Scalar(*y)
+        if not b:
+            return
+        back = (a * b) / b
+        assert back == a and hash(back) == hash(a)
 
 
 class TestSparseVector:
