@@ -129,6 +129,8 @@ class Scalar:
     @staticmethod
     def parse(text: str) -> "Scalar":
         """Parse "p/q" or "p/q+r/s*i" (signs optional, /1 may be omitted)."""
+        if not isinstance(text, str):
+            raise ValueError(f"scalar {text!r} is not a string")
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")

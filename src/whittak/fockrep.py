@@ -182,7 +182,8 @@ class FockModule:
         )
         return ModuleVector({idx: ONE})
 
-    def basis_indices(self, max_degree: int) -> list[FockIndex]:
+    def basis_keys(self, max_degree: int) -> list[FockIndex]:
+        """Monomials of degree <= max_degree, by degree then exponents."""
         out = []
         for grass in itertools.product((0, 1), repeat=len(self.grass_slots)):
             for cliff in itertools.product((0, 1), repeat=self.n_cliff):
@@ -366,7 +367,7 @@ def verify_relations(f: FockModule, max_degree: int) -> Report:
     commutes; checked on every basis vector up to the degree bound.
     """
     rep = Report(f"barred generator relations: {f.base.name}, c = {f.c}")
-    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_indices(max_degree)]
+    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     npos = len(f.positives)
     gens: list[tuple[str, int, SparseVector, int]] = []
     for i in range(npos):
@@ -388,84 +389,59 @@ def verify_relations(f: FockModule, max_degree: int) -> Report:
             return f.c
         return ZERO
 
-    bad = None
-    for xg in gens:
-        kx, ix, x, px = xg
-        for yg in gens:
-            ky, iy, y, py = yg
-            want = expected(xg, yg)
-            for v in vectors:
-                lhs = f.apply_barred(x, f.apply_barred(y, v)) - f.apply_barred(
-                    y, f.apply_barred(x, v)
-                ).scale(sign(px * py))
-                if lhs != v.scale(want):
-                    bad = f"[{kx}bar[{ix}], {ky}bar[{iy}]] mismatch on {next(iter(v.terms))}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("generator commutator table", bad is None, bad)
+    def failures():
+        for xg in gens:
+            kx, ix, x, px = xg
+            for yg in gens:
+                ky, iy, y, py = yg
+                want = expected(xg, yg)
+                for v in vectors:
+                    lhs = f.apply_barred(x, f.apply_barred(y, v)) - f.apply_barred(
+                        y, f.apply_barred(x, v)
+                    ).scale(sign(px * py))
+                    if lhs != v.scale(want):
+                        yield f"[{kx}bar[{ix}], {ky}bar[{iy}]] mismatch on {next(iter(v.terms))}"
+
+    rep.first_failure("generator commutator table", failures())
     return rep
 
 
 def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
     """The two lift identities, exactly, on every basis vector up to degree."""
     rep = Report(f"lift identities: {f.base.name}, c = {f.c}, degree <= {max_degree}")
-    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_indices(max_degree)]
+    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     base = f.base
-    d = base.dim
-
-    bad = None
     count = 0
-    for si in range(d):
-        s = SparseVector.unit(si)
-        ps = base.parity[si]
-        for k in range(f.dual.q):
-            u = f.dual.lower[k]
-            pu_bar = (f.dual.upper_parity[k] + 1) % 2
-            br = base.bracket(s, u)
-            sgn = sign(ps * pu_bar)
-            for v in vectors:
-                lhs = f.apply_lift(s, f.apply_barred(u, v)) - f.apply_barred(
-                    u, f.apply_lift(s, v)
-                ).scale(sgn)
-                rhs = f.apply_barred(br, v)
-                count += 1
-                if lhs != rhs:
-                    bad = f"[phi({base.labels[si]}), phi(bar u_{k})] != phi(bar[s,u_{k}])"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("commutator with barred duals", bad is None, bad)
 
-    bad = None
-    for si in range(d):
-        s = SparseVector.unit(si)
-        ps = base.parity[si]
-        for ti in range(d):
-            t = SparseVector.unit(ti)
-            pt = base.parity[ti]
-            br = base.bracket(s, t)
-            sgn = sign(ps * pt)
-            for v in vectors:
-                lhs = f.apply_lift(s, f.apply_lift(t, v)) - f.apply_lift(
-                    t, f.apply_lift(s, v)
-                ).scale(sgn)
-                rhs = f.apply_lift(br, v)
-                count += 1
-                if lhs != rhs:
-                    bad = (
-                        f"[phi({base.labels[si]}), phi({base.labels[ti]})] != phi([s,t])"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("commutator of two lifts", bad is None, bad)
+    def failures(others, act, witness):
+        # [phi(s), act(y)] = act([s, y]) for every basis s and every listed (y, parity)
+        nonlocal count
+        for si in range(base.dim):
+            s = SparseVector.unit(si)
+            for k, (y, py) in enumerate(others):
+                br = base.bracket(s, y)
+                sgn = sign(base.parity[si] * py)
+                for v in vectors:
+                    lhs = f.apply_lift(s, act(y, v)) - act(y, f.apply_lift(s, v)).scale(sgn)
+                    rhs = act(br, v)
+                    count += 1
+                    if lhs != rhs:
+                        yield witness(base.labels[si], k)
+
+    duals = [(u, (p + 1) % 2) for u, p in zip(f.dual.lower, f.dual.upper_parity)]
+    rep.first_failure(
+        "commutator with barred duals",
+        failures(
+            duals, f.apply_barred, lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])"
+        ),
+    )
+    units = [(SparseVector.unit(ti), p) for ti, p in enumerate(base.parity)]
+    rep.first_failure(
+        "commutator of two lifts",
+        failures(
+            units, f.apply_lift, lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])"
+        ),
+    )
     rep.data["identities_checked"] = count
     return rep
 
@@ -477,20 +453,22 @@ def verify_highest_weight(f: FockModule) -> Report:
     rep = Report(f"vacuum highest weight: {f.base.name}, c = {f.c}")
     vac = f.vacuum()
 
-    bad = None
-    for pos, h in enumerate(f.rd.cartan):
-        got = f.apply_lift(SparseVector.unit(h), vac)
-        if got != vac.scale(f.rho.values[pos]):
-            bad = f"H = {f.base.labels[h]} does not act by the Weyl-vector value"
-            break
-    rep.add("Cartan acts by the shifted weight", bad is None, bad)
-
-    bad = None
-    for i, r in enumerate(f.positives):
-        if f.apply_lift(f.dual.E[i], vac):
-            bad = f"positive root vector {i} does not kill the vacuum"
-            break
-    rep.add("positive root vectors kill the vacuum", bad is None, bad)
+    rep.first_failure(
+        "Cartan acts by the shifted weight",
+        (
+            f"H = {f.base.labels[h]} does not act by the Weyl-vector value"
+            for pos, h in enumerate(f.rd.cartan)
+            if f.apply_lift(SparseVector.unit(h), vac) != vac.scale(f.rho.values[pos])
+        ),
+    )
+    rep.first_failure(
+        "positive root vectors kill the vacuum",
+        (
+            f"positive root vector {i} does not kill the vacuum"
+            for i in range(len(f.positives))
+            if f.apply_lift(f.dual.E[i], vac)
+        ),
+    )
 
     zgot = f.apply_total_index(f.takiff.z_index, vac)
     rep.add("z acts by the level", zgot == vac.scale(f.c), None)
@@ -518,31 +496,29 @@ def verify_whittaker_covariance(
 
     rep = Report(f"whittaker covariance: {f.base.name}, c = {f.c}")
     vac = f.vacuum()
-    bad = None
-    for i in f.grass_slots:
-        X = f.dual.E[i]
-        val = chi_hat.get(i, ZERO)
-        if f.apply_lift(X, vac) != vac.scale(val):
-            bad = f"vacuum is not an eigenvector for even positive root {i}"
-            break
-    rep.add("vacuum eigen-equations", bad is None, bad)
+    rep.first_failure(
+        "vacuum eigen-equations",
+        (
+            f"vacuum is not an eigenvector for even positive root {i}"
+            for i in f.grass_slots
+            if f.apply_lift(f.dual.E[i], vac) != vac.scale(chi_hat.get(i, ZERO))
+        ),
+    )
 
-    bad = None
-    for i in f.grass_slots:
-        X = f.dual.E[i]
-        val = chi_hat.get(i, ZERO)
-        for ix in f.basis_indices(max_degree):
-            y = ModuleVector({ix: ONE})
-            steps = 0
-            while y and steps < nilp_bound:
-                y = f.apply_lift(X, y) - y.scale(val)
-                steps += 1
-            if y:
-                bad = f"(X - value) not nilpotent within {nilp_bound} steps at {ix}"
-                break
-        if bad:
-            break
-    rep.add("local nilpotency up to the bound", bad is None, bad)
+    def nilpotency_failures():
+        for i in f.grass_slots:
+            X = f.dual.E[i]
+            val = chi_hat.get(i, ZERO)
+            for ix in f.basis_keys(max_degree):
+                y = ModuleVector({ix: ONE})
+                steps = 0
+                while y and steps < nilp_bound:
+                    y = f.apply_lift(X, y) - y.scale(val)
+                    steps += 1
+                if y:
+                    yield f"(X - value) not nilpotent within {nilp_bound} steps at {ix}"
+
+    rep.first_failure("local nilpotency up to the bound", nilpotency_failures())
     return rep
 
 
@@ -558,24 +534,23 @@ class FinDimModule:
     def check_relations(self) -> Report:
         rep = Report("finite-dimensional module relations")
         a = self.algebra
-        bad = None
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = _mat_comm(self.actions[i], self.actions[j], sign(a.parity[i] * a.parity[j]))
-                want = SparseMatrix(self.dim, self.dim)
-                for k, s in a.bracket_basis(i, j).items():
-                    for (r, c2), v in self.actions[k].entries.items():
-                        add = want.entries.get((r, c2), ZERO) + s * v
-                        if add:
-                            want.entries[(r, c2)] = add
-                        else:
-                            want.entries.pop((r, c2), None)
-                if lhs.entries != want.entries:
-                    bad = f"bracket relation fails at ({a.labels[i]},{a.labels[j]})"
-                    break
-            if bad:
-                break
-        rep.add("action matrices satisfy the brackets", bad is None, bad)
+
+        def failures():
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    lhs = _mat_comm(self.actions[i], self.actions[j], sign(a.parity[i] * a.parity[j]))
+                    want = SparseMatrix(self.dim, self.dim)
+                    for k, s in a.bracket_basis(i, j).items():
+                        for (r, c2), v in self.actions[k].entries.items():
+                            add = want.entries.get((r, c2), ZERO) + s * v
+                            if add:
+                                want.entries[(r, c2)] = add
+                            else:
+                                want.entries.pop((r, c2), None)
+                    if lhs.entries != want.entries:
+                        yield f"bracket relation fails at ({a.labels[i]},{a.labels[j]})"
+
+        rep.first_failure("action matrices satisfy the brackets", failures())
         return rep
 
 
@@ -626,7 +601,7 @@ class TensorModule:
         return [
             (l, ix)
             for l in range(self.L.dim)
-            for ix in self.f.basis_indices(max_degree)
+            for ix in self.f.basis_keys(max_degree)
         ]
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:

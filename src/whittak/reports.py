@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -26,6 +27,15 @@ class Report:
 
     def add(self, name: str, passed: bool, witness: str | None = None):
         self.checks.append(Check(name, passed, witness))
+
+    def first_failure(self, name: str, witnesses: Iterable[str]):
+        """Record a check that passes exactly when `witnesses` yields nothing.
+
+        Only the first witness is taken, so a lazy iterable stops being
+        evaluated at the first failure.
+        """
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness)
 
     def merge(self, other: "Report", prefix: str = ""):
         for c in other.checks:

@@ -10,7 +10,7 @@ import json
 
 from .exactlin import Scalar, SparseMatrix, SparseVector
 from .superalg import Root, RootDatum, SuperAlgebra, Weight
-from .takiff import TakiffAlgebra
+from .takiff import TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
 
 
@@ -100,11 +100,14 @@ def takiff_from_dict(d: dict) -> TakiffAlgebra:
     base = algebra_from_dict(d["base_algebra"])
     rd = root_datum_from_dict(d["root_datum"])
     z = d["layout"]["z"]
-    if total.dim != 2 * base.dim + 1:
-        raise ValueError(
-            f"dimension {total.dim} is not 2*{base.dim}+1; corrupt extension file"
-        )
-    return TakiffAlgebra(base, rd, total, z)
+    # the stored extension must be the one its base algebra and root datum define
+    t, _ = build_takiff(base, rd)
+    if (total.labels, total.parity, z) != (t.total.labels, t.total.parity, t.z_index):
+        raise ValueError("the stored extension's basis or layout differs from its base algebra's")
+    for key in sorted(total.table.keys() | t.total.table.keys()):
+        if total.table.get(key) != t.total.table.get(key):
+            raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
+    return t
 
 
 def weight_to_dict(w: Weight) -> dict:

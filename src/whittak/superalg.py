@@ -23,7 +23,7 @@ from .exactlin import (
     rank,
     sign,
 )
-from .reports import Check, Report
+from .reports import Report
 
 EVEN, ODD = 0, 1
 
@@ -266,132 +266,114 @@ def build_gl(m: int, n: int) -> tuple[SuperAlgebra, RootDatum]:
 
 def verify_algebra(a: SuperAlgebra) -> Report:
     """Exact structural check: grading, anticommutativity, Jacobi, form axioms."""
-    checks = []
-    d = a.dim
+    rep = Report(f"algebra checks: {a.name}")
+    d, lab, par = a.dim, a.labels, a.parity
 
-    bad = None
-    for (i, j), v in a.table.items():
-        want = a.parity[i] ^ a.parity[j]
-        for k in v.entries:
-            if a.parity[k] != want:
-                bad = f"[{a.labels[i]},{a.labels[j]}] has a parity-{a.parity[k]} term {a.labels[k]}"
-                break
-        if bad:
-            break
-    checks.append(Check("bracket respects parity", bad is None, bad))
-
-    bad = None
-    for i in range(d):
-        for j in range(i, d):
-            lhs = a.bracket_basis(i, j)
-            rhs = a.bracket_basis(j, i).scale(-sign(a.parity[i] * a.parity[j]))
-            if lhs != rhs:
-                bad = f"[{a.labels[i]},{a.labels[j]}] != -(-1)^pq [{a.labels[j]},{a.labels[i]}]"
-                break
-        if bad:
-            break
-    checks.append(Check("super-anticommutativity", bad is None, bad))
+    rep.first_failure(
+        "bracket respects parity",
+        (
+            f"[{lab[i]},{lab[j]}] has a parity-{par[k]} term {lab[k]}"
+            for (i, j), v in a.table.items()
+            for k in v.entries
+            if par[k] != par[i] ^ par[j]
+        ),
+    )
+    rep.first_failure(
+        "super-anticommutativity",
+        (
+            f"[{lab[i]},{lab[j]}] != -(-1)^pq [{lab[j]},{lab[i]}]"
+            for i in range(d)
+            for j in range(i, d)
+            if a.bracket_basis(i, j) != a.bracket_basis(j, i).scale(-sign(par[i] * par[j]))
+        ),
+    )
 
     # With anticommutativity established, ordered triples cover all triples.
-    bad = None
-    for i in range(d):
-        ei = SparseVector.unit(i)
-        for j in range(i, d):
-            pij = sign(a.parity[i] * a.parity[j])
-            ej = SparseVector.unit(j)
-            for k in range(j, d):
-                inner = a.bracket_basis(j, k)
-                lhs = a.bracket(ei, inner) if inner else _EMPTY
-                t1 = a.bracket(a.bracket_basis(i, j), SparseVector.unit(k))
-                t2 = a.bracket(ej, a.bracket_basis(i, k)).scale(pij)
-                if lhs != t1 + t2:
-                    bad = f"Jacobi fails at ({a.labels[i]},{a.labels[j]},{a.labels[k]})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(Check("super Jacobi identity", bad is None, bad))
+    def jacobi_failures():
+        for i in range(d):
+            ei = SparseVector.unit(i)
+            for j in range(i, d):
+                pij = sign(par[i] * par[j])
+                ej = SparseVector.unit(j)
+                for k in range(j, d):
+                    inner = a.bracket_basis(j, k)
+                    lhs = a.bracket(ei, inner) if inner else _EMPTY
+                    t1 = a.bracket(a.bracket_basis(i, j), SparseVector.unit(k))
+                    t2 = a.bracket(ej, a.bracket_basis(i, k)).scale(pij)
+                    if lhs != t1 + t2:
+                        yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
+
+    rep.first_failure("super Jacobi identity", jacobi_failures())
 
     if a.form is not None:
-        bad = None
-        for (r, c), s in a.form.entries.items():
-            if a.parity[r] != a.parity[c] and s:
-                bad = f"form pairs {a.labels[r]} with {a.labels[c]} across parity"
-                break
-        checks.append(Check("form is even", bad is None, bad))
+        form = a.form
+        rep.first_failure(
+            "form is even",
+            (
+                f"form pairs {lab[r]} with {lab[c]} across parity"
+                for (r, c), s in form.entries.items()
+                if par[r] != par[c] and s
+            ),
+        )
+        rep.first_failure(
+            "form is supersymmetric",
+            (
+                f"supersymmetry fails at ({lab[i]},{lab[j]})"
+                for i in range(d)
+                for j in range(i, d)
+                if form.get(i, j) != sign(par[i] * par[j]) * form.get(j, i)
+            ),
+        )
 
-        bad = None
-        for i in range(d):
-            for j in range(i, d):
-                if a.form.get(i, j) != sign(a.parity[i] * a.parity[j]) * a.form.get(j, i):
-                    bad = f"supersymmetry fails at ({a.labels[i]},{a.labels[j]})"
-                    break
-            if bad:
-                break
-        checks.append(Check("form is supersymmetric", bad is None, bad))
+        def invariance_failures():
+            for i in range(d):
+                for j in range(d):
+                    bij = a.bracket_basis(i, j)
+                    for k in range(d):
+                        lhs = ZERO
+                        for t, s in bij.items():
+                            f = form.get(t, k)
+                            if f:
+                                lhs = lhs + s * f
+                        rhs = ZERO
+                        for t, s in a.bracket_basis(j, k).items():
+                            f = form.get(i, t)
+                            if f:
+                                rhs = rhs + f * s
+                        if lhs != rhs:
+                            yield f"invariance fails at ({lab[i]},{lab[j]},{lab[k]})"
 
-        bad = None
-        for i in range(d):
-            for j in range(d):
-                bij = a.bracket_basis(i, j)
-                for k in range(d):
-                    lhs = ZERO
-                    for t, s in bij.items():
-                        f = a.form.get(t, k)
-                        if f:
-                            lhs = lhs + s * f
-                    rhs = ZERO
-                    for t, s in a.bracket_basis(j, k).items():
-                        f = a.form.get(i, t)
-                        if f:
-                            rhs = rhs + f * s
-                    if lhs != rhs:
-                        bad = f"invariance fails at ({a.labels[i]},{a.labels[j]},{a.labels[k]})"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        checks.append(Check("form is invariant", bad is None, bad))
+        rep.first_failure("form is invariant", invariance_failures())
 
-        nondeg = rank(a.form) == d
-        checks.append(Check("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(a.form)} < {d}"))
-
-    return Report(f"algebra checks: {a.name}", checks)
+        nondeg = rank(form) == d
+        rep.add("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(form)} < {d}")
+    return rep
 
 
 def verify_root_datum(a: SuperAlgebra, rd: RootDatum) -> Report:
     """[h, x] = alpha(h) x on every root space, and spanning."""
-    checks = []
-    bad = None
-    for r in rd.roots:
-        for x in r.space:
-            xv = SparseVector.unit(x)
-            for pos, h in enumerate(rd.cartan):
-                got = a.bracket(SparseVector.unit(h), xv)
-                want = xv.scale(r.covector[pos])
-                if got != want:
-                    bad = f"[{a.labels[h]},{a.labels[x]}] != root value"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(Check("root space eigen-equations", bad is None, bad))
+    rep = Report("root datum checks")
+
+    def eigen_failures():
+        for r in rd.roots:
+            for x in r.space:
+                xv = SparseVector.unit(x)
+                for pos, h in enumerate(rd.cartan):
+                    if a.bracket(SparseVector.unit(h), xv) != xv.scale(r.covector[pos]):
+                        yield f"[{a.labels[h]},{a.labels[x]}] != root value"
+
+    rep.first_failure("root space eigen-equations", eigen_failures())
 
     covered = set(rd.cartan)
     for r in rd.roots:
         covered.update(r.space)
-    spanning = covered == set(range(a.dim))
-    checks.append(Check("cartan and root spaces span", spanning, None))
+    rep.add("cartan and root spaces span", covered == set(range(a.dim)))
 
     neg = {tuple(-v for v in rd.roots[i].covector) for i in rd.positive}
     allcov = {r.covector for r in rd.roots}
     pos_cov = {rd.roots[i].covector for i in rd.positive}
-    partition = allcov == neg | pos_cov and not (neg & pos_cov)
-    checks.append(Check("negatives are minus positives", partition, None))
-    return Report("root datum checks", checks)
+    rep.add("negatives are minus positives", allcov == neg | pos_cov and not (neg & pos_cov))
+    return rep
 
 
 def subalgebra_from_span(

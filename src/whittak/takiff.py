@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import ONE, ZERO, Scalar, SparseMatrix, SparseVector, add_term, rank, sign
-from .reports import Check, Report
+from .reports import Report
 from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, verify_algebra
 
 
@@ -155,66 +155,59 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
     rep.merge(verify_algebra(t.total))
 
     tot, n, z = t.total, t.n1, t.z_index
-    bad = None
-    for b in range(tot.dim):
-        if tot.bracket_basis(z, b) or tot.bracket_basis(b, z):
-            bad = f"[z,{tot.labels[b]}] != 0"
-            break
-    rep.add("z is central", bad is None, bad)
+    lab = tot.labels
+    rep.first_failure(
+        "z is central",
+        (
+            f"[z,{lab[b]}] != 0"
+            for b in range(tot.dim)
+            if tot.bracket_basis(z, b) or tot.bracket_basis(b, z)
+        ),
+    )
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            base_br = t.base.bracket_basis(i, j)
-            if tot.bracket_basis(i, j) != base_br:
-                bad = f"[{tot.labels[i]},{tot.labels[j]}] differs from base"
-                break
-            want = SparseVector({n + k: c for k, c in base_br.items()})
-            if tot.bracket_basis(i, n + j) != want:
-                bad = f"[{tot.labels[i]},{tot.labels[n + j]}] != bracket (x) theta"
-                break
-            want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
-            if tot.bracket_basis(n + i, n + j) != want_z:
-                bad = f"[{tot.labels[n + i]},{tot.labels[n + j]}] != form z-term"
-                break
-        if bad:
-            break
-    rep.add("generator bracket rules", bad is None, bad)
+    def generator_rule_failures():
+        for i in range(n):
+            for j in range(n):
+                base_br = t.base.bracket_basis(i, j)
+                if tot.bracket_basis(i, j) != base_br:
+                    yield f"[{lab[i]},{lab[j]}] differs from base"
+                want = SparseVector({n + k: c for k, c in base_br.items()})
+                if tot.bracket_basis(i, n + j) != want:
+                    yield f"[{lab[i]},{lab[n + j]}] != bracket (x) theta"
+                want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
+                if tot.bracket_basis(n + i, n + j) != want_z:
+                    yield f"[{lab[n + i]},{lab[n + j]}] != form z-term"
 
-    bad = None
-    for i in range(2 * n):
-        x = SparseVector.unit(i)
-        px = tot.parity[i]
-        for j in range(i, 2 * n):
-            y = SparseVector.unit(j)
-            lhs = cocycle_alpha_d(t, x, y)
-            rhs = -sign(px * tot.parity[j]) * cocycle_alpha_d(t, y, x)
-            if lhs != rhs:
-                bad = f"cocycle skewsymmetry fails at ({tot.labels[i]},{tot.labels[j]})"
-                break
-        if bad:
-            break
-    rep.add("cocycle super-skewsymmetry", bad is None, bad)
+    rep.first_failure("generator bracket rules", generator_rule_failures())
 
-    bad = None
-    for i in range(2 * n):
-        x = SparseVector.unit(i)
-        for j in range(2 * n):
-            y = SparseVector.unit(j)
-            bxy_th = tot.bracket(x, y)
-            bxy_strip = SparseVector({k: s for k, s in bxy_th.items() if k != z})
-            for w in range(2 * n):
-                wv = SparseVector.unit(w)
-                byw = tot.bracket(y, wv)
-                byw_strip = SparseVector({k: s for k, s in byw.items() if k != z})
-                if odd_form_prime(t, bxy_strip, wv) != odd_form_prime(t, x, byw_strip):
-                    bad = f"odd form invariance fails at ({tot.labels[i]},{tot.labels[j]},{tot.labels[w]})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("odd form invariance", bad is None, bad)
+    def skew_failures():
+        for i in range(2 * n):
+            x = SparseVector.unit(i)
+            px = tot.parity[i]
+            for j in range(i, 2 * n):
+                y = SparseVector.unit(j)
+                lhs = cocycle_alpha_d(t, x, y)
+                rhs = -sign(px * tot.parity[j]) * cocycle_alpha_d(t, y, x)
+                if lhs != rhs:
+                    yield f"cocycle skewsymmetry fails at ({lab[i]},{lab[j]})"
+
+    rep.first_failure("cocycle super-skewsymmetry", skew_failures())
+
+    def invariance_failures():
+        for i in range(2 * n):
+            x = SparseVector.unit(i)
+            for j in range(2 * n):
+                y = SparseVector.unit(j)
+                bxy_th = tot.bracket(x, y)
+                bxy_strip = SparseVector({k: s for k, s in bxy_th.items() if k != z})
+                for w in range(2 * n):
+                    wv = SparseVector.unit(w)
+                    byw = tot.bracket(y, wv)
+                    byw_strip = SparseVector({k: s for k, s in byw.items() if k != z})
+                    if odd_form_prime(t, bxy_strip, wv) != odd_form_prime(t, x, byw_strip):
+                        yield f"odd form invariance fails at ({lab[i]},{lab[j]},{lab[w]})"
+
+    rep.first_failure("odd form invariance", invariance_failures())
     return rep
 
 
@@ -225,27 +218,14 @@ def verify_hat_closure(t: TakiffAlgebra, hat: HatDecomposition) -> Report:
     rep.add("partition covers the basis", parts == list(range(t.total.dim)), None)
     rep.add("z sits in the Cartan part", t.z_index in set(hat.h_hat), None)
 
-    bad = None
-    for i in hat.n_hat:
-        for j in hat.n_hat:
-            br = t.total.bracket_basis(i, j)
-            if any(k not in nset for k in br.entries):
-                bad = f"[{t.total.labels[i]},{t.total.labels[j]}] leaves the radical"
-                break
-        if bad:
-            break
-    rep.add("radical is bracket-closed", bad is None, bad)
+    def leaving(left):
+        for i in left:
+            for j in hat.n_hat:
+                if any(k not in nset for k in t.total.bracket_basis(i, j).entries):
+                    yield f"[{t.total.labels[i]},{t.total.labels[j]}] leaves the radical"
 
-    bad = None
-    for h in hat.h_hat:
-        for j in hat.n_hat:
-            br = t.total.bracket_basis(h, j)
-            if any(k not in nset for k in br.entries):
-                bad = f"[{t.total.labels[h]},{t.total.labels[j]}] leaves the radical"
-                break
-        if bad:
-            break
-    rep.add("cartan part normalizes the radical", bad is None, bad)
+    rep.first_failure("radical is bracket-closed", leaving(hat.n_hat))
+    rep.first_failure("cartan part normalizes the radical", leaving(hat.h_hat))
     return rep
 
 

@@ -305,38 +305,36 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report
     mset = set(g.m_indices)
     rep = Report(f"whittaker-functor conditions: {tot.name}")
 
-    bad = None
-    for i, u in enumerate(g.u_indices):
-        br = tot.bracket(SparseVector.unit(u), g.x_duals[i])
-        in_m_minus_1 = all(k in mset and g.degrees[k] == -1 for k in br.entries)
-        if not in_m_minus_1:
-            bad = f"[u_{i}, x_{i}] is not in degree -1 of the negative part"
-            break
-        if phi.value_of(br) != ONE:
-            bad = f"phi([u_{i}, x_{i}]) = {phi.value_of(br)} != 1"
-            break
-    rep.add("diagonal pairs evaluate to one", bad is None, bad)
+    def in_m_minus_1(br):
+        return all(k in mset and g.degrees[k] == -1 for k in br.entries)
 
-    bad = None
-    for i, u in enumerate(g.u_indices):
-        for j in range(len(g.u_indices)):
-            if i == j:
-                continue
-            br = tot.bracket(SparseVector.unit(u), g.x_duals[j])
-            if br and all(k in mset and g.degrees[k] == -1 for k in br.entries):
-                if phi.value_of(br):
-                    bad = f"phi([u_{i}, x_{j}]) = {phi.value_of(br)} != 0"
-                    break
-        if bad:
-            break
-    rep.add("off-diagonal pairs evaluate to zero", bad is None, bad)
+    def diagonal_failures():
+        for i, u in enumerate(g.u_indices):
+            br = tot.bracket(SparseVector.unit(u), g.x_duals[i])
+            if not in_m_minus_1(br):
+                yield f"[u_{i}, x_{i}] is not in degree -1 of the negative part"
+            if phi.value_of(br) != ONE:
+                yield f"phi([u_{i}, x_{i}]) = {phi.value_of(br)} != 1"
 
-    bad = None
-    for k in g.m_indices:
-        if g.degrees[k] <= -2 and phi.value(k):
-            bad = f"phi({tot.labels[k]}) != 0 in degree {g.degrees[k]}"
-            break
-    rep.add("vanishing below degree -1", bad is None, bad)
+    def off_diagonal_failures():
+        for i, u in enumerate(g.u_indices):
+            for j in range(len(g.u_indices)):
+                if i == j:
+                    continue
+                br = tot.bracket(SparseVector.unit(u), g.x_duals[j])
+                if br and in_m_minus_1(br) and phi.value_of(br):
+                    yield f"phi([u_{i}, x_{j}]) = {phi.value_of(br)} != 0"
+
+    rep.first_failure("diagonal pairs evaluate to one", diagonal_failures())
+    rep.first_failure("off-diagonal pairs evaluate to zero", off_diagonal_failures())
+    rep.first_failure(
+        "vanishing below degree -1",
+        (
+            f"phi({tot.labels[k]}) != 0 in degree {g.degrees[k]}"
+            for k in g.m_indices
+            if g.degrees[k] <= -2 and phi.value(k)
+        ),
+    )
     return rep
 
 
@@ -350,12 +348,6 @@ class WhittakerBasis:
     prev_dimension: int
     stable: bool
     report: Report = field(default_factory=lambda: Report("whittaker solve"))
-
-
-def _module_keys(module, trunc: int):
-    if hasattr(module, "basis_indices"):
-        return module.basis_indices(trunc)
-    return module.basis_keys(trunc)
 
 
 def _generating_subset(algebra: SuperAlgebra, domain) -> list[int]:
@@ -376,11 +368,12 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
     The system is assembled over a bracket-generating subset of the domain
     (the remaining eigen-equations follow from the character property) and
     the full system is re-checked on the returned vectors. Solutions of the
-    truncated problem are exact: images are not truncated.
+    truncated problem are exact: images are not truncated. `module` is any
+    module with `basis_keys(max_degree)` and `apply_total_index(k, v)`.
     """
 
     def solve_at(bound: int) -> list[ModuleVector]:
-        keys = _module_keys(module, bound)
+        keys = module.basis_keys(bound)
         key_pos = {k: i for i, k in enumerate(keys)}
         gens = _generating_subset(phi.algebra, phi.domain)
         row_ids: dict = {}
@@ -403,16 +396,15 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
     prev = solve_at(trunc - 1) if trunc > 0 else []
     vecs = solve_at(trunc)
     rep = Report(f"whittaker vectors at truncation {trunc}")
-    bad = None
-    for v in vecs:
-        for x in phi.domain:
-            img = module.apply_total_index(x, v) - v.scale(phi.value(x))
-            if img:
-                bad = f"full-system check fails on domain index {x}"
-                break
-        if bad:
-            break
-    rep.add("solutions satisfy the full system", bad is None, bad)
+    rep.first_failure(
+        "solutions satisfy the full system",
+        (
+            f"full-system check fails on domain index {x}"
+            for v in vecs
+            for x in phi.domain
+            if module.apply_total_index(x, v) - v.scale(phi.value(x))
+        ),
+    )
     rep.data["dimension"] = len(vecs)
     rep.data["previous_dimension"] = len(prev)
     rep.data["stable"] = len(vecs) == len(prev)
@@ -573,23 +565,22 @@ def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
     )
     rep.data["simple_even_roots"] = len(simple_evens)
 
-    bad = None
-    for r in simple_evens:
-        pairs = _decompose_into_odd_simples(rd, r)
-        ok = False
-        for i1, i2 in pairs:
-            if i1 != i2:
-                iso1 = root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector)
-                iso2 = root_pairing(zeta.algebra, rd, rd.roots[i2].covector, rd.roots[i2].covector)
-                if not iso1 and not iso2:
-                    ok = True
-            else:
-                if root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector):
-                    ok = True
-        if not ok:
-            bad = f"structural claim fails for {r.covector}"
-            break
-    rep.add("simple even roots split over the odd simples", bad is None, bad)
+    def structural_failures():
+        for r in simple_evens:
+            ok = False
+            for i1, i2 in _decompose_into_odd_simples(rd, r):
+                if i1 != i2:
+                    iso1 = root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector)
+                    iso2 = root_pairing(zeta.algebra, rd, rd.roots[i2].covector, rd.roots[i2].covector)
+                    if not iso1 and not iso2:
+                        ok = True
+                else:
+                    if root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector):
+                        ok = True
+            if not ok:
+                yield f"structural claim fails for {r.covector}"
+
+    rep.first_failure("simple even roots split over the odd simples", structural_failures())
     return rep
 
 

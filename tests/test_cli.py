@@ -5,6 +5,7 @@ import json
 import pytest
 
 from whittak.cli import main
+from whittak.exactlin import Scalar
 
 
 def run(argv):
@@ -148,6 +149,37 @@ class TestVerify:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
         assert all(line.startswith("error: zero denominator") for line in lines)
+
+    def test_malformed_field_types_are_one_error_line(self, tmp_path, capsys):
+        alg = tmp_path / "gl11.json"
+        assert run(["build", "gl", "--m", 1, "--n", 1, "--out", alg]) == 0
+        for field, value in (("i", "0"), ("coeff", 1)):
+            d = load(alg)
+            d["brackets"][0][field] = value
+            bad = tmp_path / f"bad-{field}.json"
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            assert run(["verify", "algebra", "--alg", bad]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_extension_disagreeing_with_its_base_is_rejected(self, gl21_tak, tmp_path, capsys):
+        d = load(gl21_tak)
+        entry = next(b for b in d["brackets"] if b["k"] == d["layout"]["z"])
+        entry["coeff"] = str(Scalar.parse(entry["coeff"]) + Scalar(1))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        for argv in (
+            ["verify", "takiff"],
+            ["verify", "highest-weight", "--c", "2"],
+            ["verify", "factorization", "--c", "2"],
+            ["character"],
+        ):
+            assert run(argv + ["--alg", bad]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        want = f"error: stored bracket ({entry['i']}, {entry['j']}) differs"
+        assert len(lines) == 4 and all(line.startswith(want) for line in lines)
 
     def test_missing_file(self):
         assert run(["verify", "algebra", "--alg", "/nonexistent.json"]) == 2
