@@ -291,21 +291,21 @@ class SparseVector:
         out = dict(self.entries)
         for i, s in other.entries.items():
             add_term(out, i, s)
-        return SparseVector(out)
+        return type(self)(out)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         out = dict(self.entries)
         for i, s in other.entries.items():
             add_term(out, i, -s)
-        return SparseVector(out)
+        return type(self)(out)
 
     def __neg__(self) -> "SparseVector":
-        return SparseVector({i: -s for i, s in self.entries.items()})
+        return type(self)({i: -s for i, s in self.entries.items()})
 
     def scale(self, s: Scalar) -> "SparseVector":
         if not s:
-            return SparseVector()
-        return SparseVector({i: s * v for i, v in self.entries.items()})
+            return type(self)()
+        return type(self)({i: s * v for i, v in self.entries.items()})
 
     def dot(self, other: "SparseVector") -> Scalar:
         if len(self.entries) > len(other.entries):

@@ -39,8 +39,13 @@ def algebra_to_dict(a: SuperAlgebra) -> dict:
 
 def algebra_from_dict(d: dict) -> SuperAlgebra:
     dim = d["dim"]
+    if dim != len(d["labels"]):
+        raise ValueError(f"dim {dim!r} differs from the number of labels, {len(d['labels'])}")
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for b in d["brackets"]:
+        for f in ("i", "j", "k"):
+            if b[f] not in range(dim):
+                raise ValueError(f"bracket entry {b} has {f} = {b[f]!r} outside 0..{dim - 1}")
         table.setdefault((b["i"], b["j"]), {})[b["k"]] = Scalar.parse(b["coeff"])
     form = None
     if "form" in d:

@@ -48,20 +48,6 @@ class TakiffAlgebra:
             raise ValueError("z has no base component")
         return (k, 0) if k < self.n1 else (k - self.n1, 1)
 
-    def split_vector(self, v: SparseVector) -> tuple[SparseVector, SparseVector, Scalar]:
-        """Total vector -> (base part, theta part in base coords, z coefficient)."""
-        one_part: dict[int, Scalar] = {}
-        theta_part: dict[int, Scalar] = {}
-        zc = ZERO
-        for k, s in v.items():
-            if k == self.z_index:
-                zc = zc + s
-            elif k < self.n1:
-                one_part[k] = s
-            else:
-                theta_part[k - self.n1] = s
-        return SparseVector(one_part), SparseVector(theta_part), zc
-
     def embed(self, v: SparseVector, theta_power: int = 0) -> SparseVector:
         off = self.n1 if theta_power else 0
         return SparseVector({off + i: s for i, s in v.items()})

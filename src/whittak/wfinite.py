@@ -370,31 +370,30 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
     the full system is re-checked on the returned vectors. Solutions of the
     truncated problem are exact: images are not truncated. `module` is any
     module with `basis_keys(max_degree)` and `apply_total_index(k, v)`.
+
+    One elimination serves both truncations: the columns of the keys of
+    truncation trunc - 1 come first, and in reduced echelon form each kernel
+    vector ends at its free column, so the kernel vectors ending among those
+    columns span the kernel at trunc - 1.
     """
-
-    def solve_at(bound: int) -> list[ModuleVector]:
-        keys = module.basis_keys(bound)
-        key_pos = {k: i for i, k in enumerate(keys)}
-        gens = _generating_subset(phi.algebra, phi.domain)
-        row_ids: dict = {}
-        entries: dict[tuple[int, int], Scalar] = {}
-        for x in gens:
-            val = phi.value(x)
-            for col, k in enumerate(keys):
-                img = module.apply_total_index(x, ModuleVector({k: ONE}))
-                if val:
-                    img = img - ModuleVector({k: val})
-                for rk, s in img.items():
-                    row = row_ids.setdefault((x, rk), len(row_ids))
-                    entries[(row, col)] = s
-        mat = SparseMatrix(max(len(row_ids), 1), len(keys), entries)
-        out = []
-        for v in kernel_basis(mat):
-            out.append(ModuleVector({keys[i]: s for i, s in v.items()}))
-        return out
-
-    prev = solve_at(trunc - 1) if trunc > 0 else []
-    vecs = solve_at(trunc)
+    low = module.basis_keys(trunc - 1) if trunc > 0 else []
+    low_set = set(low)
+    keys = low + [k for k in module.basis_keys(trunc) if k not in low_set]
+    gens = _generating_subset(phi.algebra, phi.domain)
+    row_ids: dict = {}
+    entries: dict[tuple[int, int], Scalar] = {}
+    for x in gens:
+        val = phi.value(x)
+        for col, k in enumerate(keys):
+            img = module.apply_total_index(x, ModuleVector({k: ONE}))
+            if val:
+                img = img - ModuleVector({k: val})
+            for rk, s in img.items():
+                row = row_ids.setdefault((x, rk), len(row_ids))
+                entries[(row, col)] = s
+    kernel = kernel_basis(SparseMatrix(max(len(row_ids), 1), len(keys), entries))
+    prev = sum(1 for v in kernel if max(v.entries) < len(low))
+    vecs = [ModuleVector({keys[i]: s for i, s in v.items()}) for v in kernel]
     rep = Report(f"whittaker vectors at truncation {trunc}")
     rep.first_failure(
         "solutions satisfy the full system",
@@ -406,9 +405,9 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
         ),
     )
     rep.data["dimension"] = len(vecs)
-    rep.data["previous_dimension"] = len(prev)
-    rep.data["stable"] = len(vecs) == len(prev)
-    return WhittakerBasis(vecs, len(vecs), len(prev), len(vecs) == len(prev), rep)
+    rep.data["previous_dimension"] = prev
+    rep.data["stable"] = len(vecs) == prev
+    return WhittakerBasis(vecs, len(vecs), prev, len(vecs) == prev, rep)
 
 
 # -- multi-index word pairings -------------------------------------------------
@@ -438,10 +437,16 @@ def multiindex_key(a: tuple[int, ...], ds: list[int]):
 
 
 def _apply_word(module, ops: list[SparseVector], exps: tuple[int, ...], shifts: list[Scalar], v: ModuleVector):
-    """ops[0]^e0 ... ops[m]^em v with optional scalar shifts, rightmost first."""
+    """ops[0]^e0 ... ops[m]^em v with optional scalar shifts, rightmost first.
+
+    A vector x acts as the sum over its terms c_k of c_k times basis element k.
+    """
     for s in range(len(ops) - 1, -1, -1):
         for _ in range(exps[s]):
-            w = module.apply_total(ops[s], v)
+            w = sum(
+                (module.apply_total_index(k, v).scale(c) for k, c in ops[s].items()),
+                ModuleVector(),
+            )
             if shifts[s]:
                 w = w - v.scale(shifts[s])
             v = w

@@ -163,6 +163,23 @@ class TestVerify:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_out_of_range_indices_are_one_error_line(self, tmp_path, capsys):
+        alg = tmp_path / "gl11.json"
+        assert run(["build", "gl", "--m", 1, "--n", 1, "--out", alg]) == 0
+        d = load(alg)
+        d["brackets"][0]["k"] = 99
+        bad_k = tmp_path / "bad-k.json"
+        bad_k.write_text(json.dumps(d))
+        d = load(alg)
+        d["dim"] = 7
+        bad_dim = tmp_path / "bad-dim.json"
+        bad_dim.write_text(json.dumps(d))
+        for bad, want in ((bad_k, "k = 99"), (bad_dim, "dim 7")):
+            capsys.readouterr()
+            assert run(["verify", "algebra", "--alg", bad]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0]
+
     def test_extension_disagreeing_with_its_base_is_rejected(self, gl21_tak, tmp_path, capsys):
         d = load(gl21_tak)
         entry = next(b for b in d["brackets"] if b["k"] == d["layout"]["z"])

@@ -1,9 +1,13 @@
 """Fock modules: generator relations, lifts, highest weight, tensor products."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_engines import ReferenceFock
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
     FockIndex,
@@ -313,3 +317,47 @@ class TestTensor:
         rep = cyclicity_spot_check(tm, seed=0, samples=20)
         assert rep.passed, rep.to_json()
         assert rep.seed == 0
+
+
+def _twisted_gl12(c):
+    from whittak.wfinite import eta_for_fock, graded_nilradical, nilchar_from_e
+
+    a, rd = build_gl(1, 2)
+    t, _ = build_takiff(a, rd)
+    lab = a.labels.index
+    e = SparseVector({lab("E_21"): ONE, lab("E_32"): ONE})
+    g = graded_nilradical(t, SparseVector({lab("E_33"): ONE, lab("E_11"): -ONE}))
+    f = build_fock(t, c, eta_for_fock(t, nilchar_from_e(t, g, e)))
+    assert f.twisted
+    return f
+
+
+_ENGINE_LEVELS = {"integer": Scalar(3), "fraction": Scalar(Fraction(-1, 2)), "gaussian": Scalar(2, 1)}
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_small_scalars = st.builds(Scalar, _small, _small)
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_pair(name, level):
+    """The module under test, the five-branch reference engine over it, and its keys."""
+    c = _ENGINE_LEVELS[level]
+    f = _twisted_gl12(c) if name == "gl12.twisted" else fock(int(name[2]), int(name[3]), c)
+    return f, ReferenceFock(f), f.basis_keys(2)
+
+
+class TestOneLetterRule:
+    """apply_barred against the five-branch engine it replaced."""
+
+    @given(
+        st.sampled_from(["gl11", "gl21", "gl12.twisted"]),
+        st.sampled_from(sorted(_ENGINE_LEVELS)),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_apply_barred_matches_reference(self, name, level, data):
+        f, ref, keys = _engine_pair(name, level)
+        x = SparseVector(
+            data.draw(st.dictionaries(st.integers(0, f.base.dim - 1), _small_scalars, max_size=4))
+        )
+        v = ModuleVector(data.draw(st.dictionaries(st.sampled_from(keys), _small_scalars, max_size=5)))
+        assert f.apply_barred(x, v) == ref.apply_barred(x, v)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import rref_dense
+from reference_engines import whittaker_kernel
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector, EchelonSpan
-from whittak.fockrep import build_fock, ModuleVector
+from whittak.fockrep import build_fock, ModuleVector, natural_module, tensor_with_findim
 from whittak.superalg import ODD, build_gl
 from whittak.takiff import build_takiff, odd_form_prime
 from whittak.wfinite import (
@@ -456,3 +457,74 @@ class TestWordPairing:
         solve_dual_elements(t, g, e)
         with pytest.raises(ValueError, match="not a Whittaker vector"):
             appendix_pairing_check(f, g, chi, max_weight=2, v=f.vacuum())
+
+
+def gl11_twisted_fock():
+    """gl(1|1) with e = E_21: its chi and the Fock module twisted by it (zeta = 0)."""
+    a, rd = build_gl(1, 1)
+    t, _ = build_takiff(a, rd)
+    half = Scalar(Fraction(1, 2))
+    g = graded_nilradical(t, unit(a, "E_22").scale(half) - unit(a, "E_11").scale(half))
+    chi = nilchar_from_e(t, g, unit(a, "E_21"))
+    return t, chi, build_fock(t, ONE, eta_for_fock(t, chi))
+
+
+def _same_span(us, vs):
+    span = EchelonSpan()
+    for u in us:
+        span.add(u)
+    return len(span) == len(us) == len(vs) and all(span.coordinates(v) is not None for v in vs)
+
+
+class TestWhittakerSingleSolve:
+    """One elimination gives both truncations; compared with solving each alone."""
+
+    def check(self, module, phi, truncs):
+        for trunc in truncs:
+            wb = whittaker_vectors(module, phi, trunc)
+            assert _same_span(wb.vectors, whittaker_kernel(module, phi, trunc))
+            prev = len(whittaker_kernel(module, phi, trunc - 1)) if trunc > 0 else 0
+            assert wb.prev_dimension == prev == wb.report.data["previous_dimension"]
+            assert wb.stable == (wb.dimension == prev)
+            assert wb.report.passed
+
+    def test_twisted_gl11_fock(self):
+        t, chi, f = gl11_twisted_fock()
+        self.check(f, chi, (1, 2, 3, 4))
+
+    def test_natural_tensor_fock_gl11(self):
+        a, rd = build_gl(1, 1)
+        t, _ = build_takiff(a, rd)
+        tm = tensor_with_findim(natural_module(a, 1, 1), build_fock(t, Scalar(2)))
+        barred = tuple(t.theta(r.space[0]) for r in rd.positive_roots())
+        self.check(tm, nil_character(t.total, barred, {}), (0, 1, 2))
+
+    def test_hat_matched_even_part_character(self):
+        a, rd, t, g, e, chi, f = gl12_twisted_fock()
+        eta_dom = tuple(
+            t.theta(rd.roots[i].space[0]) for i in rd.positive if rd.roots[i].parity == ODD
+        )
+        eta = nil_character(t.total, eta_dom, {k: chi.value(k) for k in eta_dom})
+        self.check(f, hat_eta(t, eta, f.c), (3, 4))
+
+
+class TestTensorWordPairing:
+    def test_natural_tensor_fock_matches_bare_fock(self):
+        # the barred words act on the Fock factor only, and row 0 of the
+        # natural module is even, so the pairing report is the bare module's
+        t, chi, f = gl11_twisted_fock()
+        a, rd = t.base, t.rd
+        tm = tensor_with_findim(natural_module(a, 1, 1), f)
+        pos = rd.positive_roots()
+        us, xs, ds, odd_mask, phis = [], [], [], [], []
+        for i, r in enumerate(pos):
+            bar = t.theta(r.space[0])
+            us.append(SparseVector.unit(bar))
+            xs.append(t.embed(f.dual.F[i], 1).scale((-ONE if r.parity == ODD else ONE) / f.c))
+            ds.append(sum(rd.simple_coordinates(r)))
+            odd_mask.append(t.total.parity[bar] == ODD)
+            phis.append(chi.value(bar))
+        bare = pairing_word_check(f, us, xs, ds, odd_mask, phis, f.vacuum(), 3)
+        assert bare.passed and bare.data["pairs_checked"] > 1
+        tensor = pairing_word_check(tm, us, xs, ds, odd_mask, phis, tm.vacuum_line()[0], 3)
+        assert tensor.to_json() == bare.to_json()
