@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent commit against this checkout.
+
+Usage:
+    python3 scripts/bench_pair.py --parent SHA --runs N --workload W [--workload W2]
+        [--label NAME] [--seed0 K]
+
+The parent commit is extracted with `git archive` into a temporary directory
+(no worktree is registered). For each workload, pair i runs
+`python3 perfbench/run.py --workload W --seed K+i --seconds S --trace 0` once in
+each tree, with S the `run_seconds` of BENCHMARK.json; even pairs run the
+parent first and odd pairs the change first. The change side is the working
+tree of this checkout, identified by its HEAD sha, a dirty flag and the
+`source_sha256` that run.py records.
+
+Writes BENCH_<label>.json at the repository root with the Python version,
+platform, nproc, both shas, the seeds, every run's end-to-end metrics, each
+side's median and quartiles per metric, and the change's win counts over the
+pairs (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def extract(sha: str, dest: Path) -> None:
+    """The committed files of `sha`, unpacked under `dest`."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", sha], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run.py in `tree`: its run record and result lines."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: run.py in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
+    lines = proc.stdout.strip().splitlines()
+    return {"run": json.loads(lines[-2])["run"], "result": json.loads(lines[-1])}
+
+
+def spread(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        par = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        chg = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        losses = sum((c > p) if lower else (c < p) for p, c in zip(par, chg))
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            "parent": spread(par),
+            "change": spread(chg),
+            "change_wins": wins,
+            "parent_wins": losses,
+            "ties": len(pairs) - wins - losses,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="commit to compare against")
+    ap.add_argument("--runs", type=int, required=True, help="pairs per workload, at least 2")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--label", default="pair", help="names the output BENCH_<label>.json")
+    ap.add_argument("--seed0", type=int, default=1, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    if args.runs < 2:
+        ap.error("--runs must be at least 2")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    parent_sha = git("rev-parse", args.parent)
+    change = {
+        "sha": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+    }
+    record = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "seconds": seconds,
+        "parent": {"sha": parent_sha},
+        "change": change,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_tree = Path(tmp)
+        extract(parent_sha, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in args.workload:
+            pairs, seeds = [], []
+            for i in range(args.runs):
+                seed = args.seed0 + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed, seconds)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{pair[side]['result']['metrics']['wall_s']['value']:.3f} s wall",
+                          file=sys.stderr)
+                pairs.append(pair)
+                seeds.append(seed)
+            for side in ("parent", "change"):
+                record[side]["source_sha256"] = pairs[0][side]["run"]["source_sha256"]
+            record["workloads"][workload] = {
+                "seeds": seeds,
+                "first": [p["first"] for p in pairs],
+                "correct": {s: all(p[s]["result"]["correct"] for p in pairs)
+                            for s in ("parent", "change")},
+                "metrics": summarize(pairs, bench["end_to_end"]),
+            }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import ONE, ZERO, Scalar
+from .exactlin import ZERO, Scalar
 from .fockrep import FockModule, clifford_module_dim
 from .reports import Report
 from .superalg import EVEN, ODD, RootDatum, Weight, weyl_vector

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 _TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(\*?i)?$")
@@ -262,9 +262,16 @@ class SparseVector:
     def __init__(self, entries: dict[int, Scalar] | None = None):
         self.entries = {i: s for i, s in (entries or {}).items() if s}
 
+    @classmethod
+    def _of(cls, entries: dict) -> "SparseVector":
+        """A vector that takes `entries` as is; the caller ensures no value is zero."""
+        v = _new(cls)
+        v.entries = entries
+        return v
+
     @staticmethod
     def unit(i: int, coeff: Scalar = ONE) -> "SparseVector":
-        return SparseVector({i: coeff} if coeff else {})
+        return SparseVector._of({i: coeff}) if coeff else SparseVector()
 
     def get(self, i: int) -> Scalar:
         return self.entries.get(i, ZERO)
@@ -291,21 +298,22 @@ class SparseVector:
         out = dict(self.entries)
         for i, s in other.entries.items():
             add_term(out, i, s)
-        return type(self)(out)
+        return type(self)._of(out)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         out = dict(self.entries)
         for i, s in other.entries.items():
             add_term(out, i, -s)
-        return type(self)(out)
+        return type(self)._of(out)
 
     def __neg__(self) -> "SparseVector":
-        return type(self)({i: -s for i, s in self.entries.items()})
+        return type(self)._of({i: -s for i, s in self.entries.items()})
 
     def scale(self, s: Scalar) -> "SparseVector":
         if not s:
             return type(self)()
-        return type(self)({i: s * v for i, v in self.entries.items()})
+        # Q(i) has no zero divisors, so no product vanishes
+        return type(self)._of({i: s * v for i, v in self.entries.items()})
 
     def dot(self, other: "SparseVector") -> Scalar:
         if len(self.entries) > len(other.entries):

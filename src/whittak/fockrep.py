@@ -30,7 +30,7 @@ from .exactlin import (
 )
 from .reports import Report
 from .superalg import EVEN, ODD, SuperAlgebra, Weight, weyl_vector
-from .takiff import DualBasis, TakiffAlgebra, dual_bases
+from .takiff import TakiffAlgebra, dual_bases
 
 
 class FockIndex(NamedTuple):
@@ -232,7 +232,7 @@ class FockModule:
         if twist:
             for idx, s in v.items():
                 add_term(out, idx, s * twist)
-        return ModuleVector(out)
+        return ModuleVector._of(out)
 
     def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
         """Lifted action of s (x) 1 via the dual-basis formula."""
@@ -248,7 +248,7 @@ class FockModule:
                 continue
             for idx, t in self.apply_barred(br, w).items():
                 add_term(out, idx, t)
-        return ModuleVector(out).scale(self._lift_factor)
+        return ModuleVector._of(out).scale(self._lift_factor)
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
         """Action of a basis element of the extended algebra by total index."""
@@ -537,7 +537,7 @@ class TensorModule:
                 moved = self.f.apply_lift(x, ModuleVector({ix: ONE}))
                 for ix2, s in moved.items():
                     add_term(out, (l, ix2), coeff * sgn * s)
-        return ModuleVector(out)
+        return ModuleVector._of(out)
 
     def weight_of_key(self, key, l_weights: list[Weight]) -> Weight:
         l, ix = key

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .exactlin import (
     ONE,
     ZERO,
-    I,
     EchelonSpan,
     Scalar,
     SparseMatrix,
@@ -57,7 +56,7 @@ class SuperAlgebra:
                 coeff = a * b
                 for k, s in t.items():
                     add_term(out, k, coeff * s)
-        return SparseVector(out)
+        return SparseVector._of(out)
 
     def form_pair(self, x: SparseVector, y: SparseVector) -> Scalar:
         if self.form is None:
@@ -289,19 +288,36 @@ def verify_algebra(a: SuperAlgebra) -> Report:
     )
 
     # With anticommutativity established, ordered triples cover all triples.
+    # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - (-1)^{p_i p_j} [e_j,[e_i,e_k]] is
+    # accumulated per (i, j, k, m) over nonzero structure constants only.
     def jacobi_failures():
-        for i in range(d):
-            ei = SparseVector.unit(i)
-            for j in range(i, d):
-                pij = sign(par[i] * par[j])
-                ej = SparseVector.unit(j)
-                for k in range(j, d):
-                    inner = a.bracket_basis(j, k)
-                    lhs = a.bracket(ei, inner) if inner else _EMPTY
-                    t1 = a.bracket(a.bracket_basis(i, j), SparseVector.unit(k))
-                    t2 = a.bracket(ej, a.bracket_basis(i, k)).scale(pij)
-                    if lhs != t1 + t2:
-                        yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
+        by_first: dict[int, list] = {}
+        by_second: dict[int, list] = {}
+        for (x, y), v in a.table.items():
+            by_first.setdefault(x, []).append((y, v))
+            by_second.setdefault(y, []).append((x, v))
+        acc: dict[tuple[int, int, int, int], Scalar] = {}
+        for (x, y), v in a.table.items():
+            if x > y:
+                continue
+            for t, s in v.items():
+                # inner [e_x,e_y] under an outer e_o, as [e_i,[e_j,e_k]] or [e_j,[e_i,e_k]]
+                for o, w in by_second.get(t, ()):
+                    if o > y:
+                        continue
+                    for m, u in w.items():
+                        p = s * u
+                        if o <= x:
+                            add_term(acc, (o, x, y, m), p)
+                        if x <= o:
+                            add_term(acc, (x, o, y, m), p if par[x] & par[o] else -p)
+                # outer [e_x,e_y] under e_k, as [[e_i,e_j],e_k]
+                for k, w in by_first.get(t, ()):
+                    if k >= y:
+                        for m, u in w.items():
+                            add_term(acc, (x, y, k, m), -(s * u))
+        for i, j, k in sorted({key[:3] for key in acc if key[2] < d}):
+            yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
 
     rep.first_failure("super Jacobi identity", jacobi_failures())
 
@@ -325,29 +341,37 @@ def verify_algebra(a: SuperAlgebra) -> Report:
             ),
         )
 
-        def invariance_failures():
-            for i in range(d):
-                for j in range(d):
-                    bij = a.bracket_basis(i, j)
-                    for k in range(d):
-                        lhs = ZERO
-                        for t, s in bij.items():
-                            f = form.get(t, k)
-                            if f:
-                                lhs = lhs + s * f
-                        rhs = ZERO
-                        for t, s in a.bracket_basis(j, k).items():
-                            f = form.get(i, t)
-                            if f:
-                                rhs = rhs + f * s
-                        if lhs != rhs:
-                            yield f"invariance fails at ({lab[i]},{lab[j]},{lab[k]})"
-
-        rep.first_failure("form is invariant", invariance_failures())
+        rep.first_failure(
+            "form is invariant",
+            form_invariance_failures(a.table, form.entries, d, lab, "invariance"),
+        )
 
         nondeg = rank(form) == d
         rep.add("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(form)} < {d}")
     return rep
+
+
+def form_invariance_failures(table, form_entries, d, labels, what):
+    """Witnesses of ([e_i,e_j]|e_k) != (e_i|[e_j,e_k]) for i, j, k < d, in order.
+
+    Both sides are joined from the nonzero bracket entries `table` and the
+    nonzero form entries `form_entries` ({(row, col): value}), so only the
+    triples where a side can be nonzero are visited.
+    """
+    rows: dict[int, list] = {}
+    cols: dict[int, list] = {}
+    for (r, c), f in form_entries.items():
+        rows.setdefault(r, []).append((c, f))
+        cols.setdefault(c, []).append((r, f))
+    acc: dict[tuple[int, int, int], Scalar] = {}
+    for (x, y), v in table.items():
+        for t, s in v.items():
+            for k, f in rows.get(t, ()):  # ([e_x,e_y]|e_k)
+                add_term(acc, (x, y, k), s * f)
+            for i, f in cols.get(t, ()):  # (e_i|[e_x,e_y])
+                add_term(acc, (i, x, y), -(f * s))
+    for i, j, k in sorted(key for key in acc if max(key) < d):
+        yield f"{what} fails at ({labels[i]},{labels[j]},{labels[k]})"
 
 
 def verify_root_datum(a: SuperAlgebra, rd: RootDatum) -> Report:

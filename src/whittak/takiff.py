@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import ONE, ZERO, Scalar, SparseMatrix, SparseVector, add_term, rank, sign
+from .exactlin import ONE, ZERO, Scalar, SparseVector, add_term, rank, sign
 from .reports import Report
-from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, verify_algebra
+from .superalg import EVEN, RootDatum, SuperAlgebra, form_invariance_failures, verify_algebra
 
 
 @dataclass
@@ -179,21 +179,15 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
 
     rep.first_failure("cocycle super-skewsymmetry", skew_failures())
 
-    def invariance_failures():
-        for i in range(2 * n):
-            x = SparseVector.unit(i)
-            for j in range(2 * n):
-                y = SparseVector.unit(j)
-                bxy_th = tot.bracket(x, y)
-                bxy_strip = SparseVector({k: s for k, s in bxy_th.items() if k != z})
-                for w in range(2 * n):
-                    wv = SparseVector.unit(w)
-                    byw = tot.bracket(y, wv)
-                    byw_strip = SparseVector({k: s for k, s in byw.items() if k != z})
-                    if odd_form_prime(t, bxy_strip, wv) != odd_form_prime(t, x, byw_strip):
-                        yield f"odd form invariance fails at ({lab[i]},{lab[j]},{lab[w]})"
-
-    rep.first_failure("odd form invariance", invariance_failures())
+    # the odd form on the basis: (b_i|b_j.th)' = (b_i|b_j), (b_i.th|b_j)' = (-1)^p(b_j) (b_i|b_j)
+    odd_form: dict[tuple[int, int], Scalar] = {}
+    for (i, j), f in t.base.form.entries.items():
+        odd_form[(i, n + j)] = f
+        odd_form[(n + i, j)] = -f if t.base.parity[j] else f
+    rep.first_failure(
+        "odd form invariance",
+        form_invariance_failures(tot.table, odd_form, 2 * n, lab, "odd form invariance"),
+    )
     return rep
 
 

@@ -18,12 +18,11 @@ from .exactlin import (
     Scalar,
     SparseMatrix,
     SparseVector,
-    add_term,
     kernel_basis,
     rank,
     solve,
 )
-from .fockrep import FockModule, ModuleVector
+from .fockrep import ModuleVector
 from .reports import Report
 from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra
 from .takiff import TakiffAlgebra, dual_bases, odd_form_prime

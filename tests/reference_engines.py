@@ -4,7 +4,10 @@
 its slots became one letter rule: one hand-written branch per slot kind, the
 Koszul sign counted separately over the grass and the Clifford letters, and a
 fresh vector for every slot. `whittaker_kernel` solves one truncation of the
-Whittaker system from scratch.
+Whittaker system from scratch. `reference_verify_algebra` and
+`reference_verify_takiff` check super Jacobi and form invariance by scanning
+every basis triple, as the structure checks did before they joined the sparse
+bracket table with the form.
 """
 
 from __future__ import annotations
@@ -18,9 +21,13 @@ from whittak.exactlin import (
     add_term,
     invert,
     kernel_basis,
+    rank,
     sign,
 )
 from whittak.fockrep import FockIndex, FockModule, ModuleVector
+from whittak.reports import Report
+from whittak.superalg import SuperAlgebra
+from whittak.takiff import TakiffAlgebra, cocycle_alpha_d, odd_form_prime
 from whittak.wfinite import NilCharacter, _generating_subset
 
 
@@ -165,3 +172,151 @@ def whittaker_kernel(module, phi: NilCharacter, bound: int) -> list[ModuleVector
                 entries[(row, col)] = s
     mat = SparseMatrix(max(len(row_ids), 1), len(keys), entries)
     return [ModuleVector({keys[i]: s for i, s in v.items()}) for v in kernel_basis(mat)]
+
+
+def reference_verify_algebra(a: SuperAlgebra) -> Report:
+    """`verify_algebra` scanning every basis pair and ordered triple."""
+    rep = Report(f"algebra checks: {a.name}")
+    d, lab, par = a.dim, a.labels, a.parity
+
+    rep.first_failure(
+        "bracket respects parity",
+        (
+            f"[{lab[i]},{lab[j]}] has a parity-{par[k]} term {lab[k]}"
+            for (i, j), v in a.table.items()
+            for k in v.entries
+            if par[k] != par[i] ^ par[j]
+        ),
+    )
+    rep.first_failure(
+        "super-anticommutativity",
+        (
+            f"[{lab[i]},{lab[j]}] != -(-1)^pq [{lab[j]},{lab[i]}]"
+            for i in range(d)
+            for j in range(i, d)
+            if a.bracket_basis(i, j) != a.bracket_basis(j, i).scale(-sign(par[i] * par[j]))
+        ),
+    )
+
+    # With anticommutativity established, ordered triples cover all triples.
+    def jacobi_failures():
+        for i in range(d):
+            ei = SparseVector.unit(i)
+            for j in range(i, d):
+                pij = sign(par[i] * par[j])
+                ej = SparseVector.unit(j)
+                for k in range(j, d):
+                    inner = a.bracket_basis(j, k)
+                    lhs = a.bracket(ei, inner) if inner else SparseVector()
+                    t1 = a.bracket(a.bracket_basis(i, j), SparseVector.unit(k))
+                    t2 = a.bracket(ej, a.bracket_basis(i, k)).scale(pij)
+                    if lhs != t1 + t2:
+                        yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
+
+    rep.first_failure("super Jacobi identity", jacobi_failures())
+
+    if a.form is not None:
+        form = a.form
+        rep.first_failure(
+            "form is even",
+            (
+                f"form pairs {lab[r]} with {lab[c]} across parity"
+                for (r, c), s in form.entries.items()
+                if par[r] != par[c] and s
+            ),
+        )
+        rep.first_failure(
+            "form is supersymmetric",
+            (
+                f"supersymmetry fails at ({lab[i]},{lab[j]})"
+                for i in range(d)
+                for j in range(i, d)
+                if form.get(i, j) != sign(par[i] * par[j]) * form.get(j, i)
+            ),
+        )
+
+        def invariance_failures():
+            for i in range(d):
+                for j in range(d):
+                    bij = a.bracket_basis(i, j)
+                    for k in range(d):
+                        lhs = ZERO
+                        for t, s in bij.items():
+                            f = form.get(t, k)
+                            if f:
+                                lhs = lhs + s * f
+                        rhs = ZERO
+                        for t, s in a.bracket_basis(j, k).items():
+                            f = form.get(i, t)
+                            if f:
+                                rhs = rhs + f * s
+                        if lhs != rhs:
+                            yield f"invariance fails at ({lab[i]},{lab[j]},{lab[k]})"
+
+        rep.first_failure("form is invariant", invariance_failures())
+
+        nondeg = rank(form) == d
+        rep.add("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(form)} < {d}")
+    return rep
+
+
+def reference_verify_takiff(t: TakiffAlgebra) -> Report:
+    """`verify_takiff` scanning every basis triple with `odd_form_prime`."""
+    rep = Report(f"takiff checks: {t.total.name}")
+    rep.merge(reference_verify_algebra(t.total))
+
+    tot, n, z = t.total, t.n1, t.z_index
+    lab = tot.labels
+    rep.first_failure(
+        "z is central",
+        (
+            f"[z,{lab[b]}] != 0"
+            for b in range(tot.dim)
+            if tot.bracket_basis(z, b) or tot.bracket_basis(b, z)
+        ),
+    )
+
+    def generator_rule_failures():
+        for i in range(n):
+            for j in range(n):
+                base_br = t.base.bracket_basis(i, j)
+                if tot.bracket_basis(i, j) != base_br:
+                    yield f"[{lab[i]},{lab[j]}] differs from base"
+                want = SparseVector({n + k: c for k, c in base_br.items()})
+                if tot.bracket_basis(i, n + j) != want:
+                    yield f"[{lab[i]},{lab[n + j]}] != bracket (x) theta"
+                want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
+                if tot.bracket_basis(n + i, n + j) != want_z:
+                    yield f"[{lab[n + i]},{lab[n + j]}] != form z-term"
+
+    rep.first_failure("generator bracket rules", generator_rule_failures())
+
+    def skew_failures():
+        for i in range(2 * n):
+            x = SparseVector.unit(i)
+            px = tot.parity[i]
+            for j in range(i, 2 * n):
+                y = SparseVector.unit(j)
+                lhs = cocycle_alpha_d(t, x, y)
+                rhs = -sign(px * tot.parity[j]) * cocycle_alpha_d(t, y, x)
+                if lhs != rhs:
+                    yield f"cocycle skewsymmetry fails at ({lab[i]},{lab[j]})"
+
+    rep.first_failure("cocycle super-skewsymmetry", skew_failures())
+
+    def invariance_failures():
+        for i in range(2 * n):
+            x = SparseVector.unit(i)
+            for j in range(2 * n):
+                y = SparseVector.unit(j)
+                bxy_th = tot.bracket(x, y)
+                bxy_strip = SparseVector({k: s for k, s in bxy_th.items() if k != z})
+                for w in range(2 * n):
+                    wv = SparseVector.unit(w)
+                    byw = tot.bracket(y, wv)
+                    byw_strip = SparseVector({k: s for k, s in byw.items() if k != z})
+                    if odd_form_prime(t, bxy_strip, wv) != odd_form_prime(t, x, byw_strip):
+                        yield f"odd form invariance fails at ({lab[i]},{lab[j]},{lab[w]})"
+
+    rep.first_failure("odd form invariance", invariance_failures())
+    return rep

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import CZERO, cnum, gl_supercommutator_table, supertrace, unit_matrix, mat_mul
-from whittak.exactlin import ONE, ZERO, I, Scalar, SparseVector
+from reference_engines import reference_verify_algebra
+from whittak.exactlin import ONE, ZERO, I, Scalar, SparseMatrix, SparseVector
 from whittak.superalg import (
     EVEN,
     ODD,
@@ -104,6 +107,54 @@ class TestBuildGl:
         assert not rep.passed
         names = {c.name for c in rep.failures()}
         assert names & {"super Jacobi identity", "form is invariant", "super-anticommutativity"}
+
+
+EDIT_SCALARS = st.sampled_from([ONE, -ONE, Scalar(2), I, half, ZERO])
+
+
+def edit_table(table, index, data):
+    """Bump, add or remove a few random bracket coefficients of `table` in place.
+
+    `index` draws the basis indices of an added entry. A zero scalar drops an
+    added term; the table may keep an empty bracket, which reads as zero.
+    """
+    for _ in range(data.draw(st.integers(0, 3), label="table edits")):
+        kind = data.draw(st.sampled_from(["bump", "add", "remove"]))
+        keys = sorted(table)
+        if kind == "remove" and keys:
+            del table[data.draw(st.sampled_from(keys))]
+            continue
+        if kind == "bump" and keys:
+            key = data.draw(st.sampled_from(keys))
+            entries = dict(table[key].entries)
+            k = data.draw(st.sampled_from(sorted(entries) or [0]))
+            entries[k] = entries.get(k, ZERO) + data.draw(EDIT_SCALARS)
+        else:
+            key = (data.draw(index), data.draw(index))
+            entries = dict(table.get(key, SparseVector()).entries)
+            entries[data.draw(index)] = data.draw(EDIT_SCALARS)
+        table[key] = SparseVector(entries)
+
+
+def edited_form(form, data):
+    """`form` with up to two random entries set (a zero scalar removes one)."""
+    entries = dict(form.entries)
+    for _ in range(data.draw(st.integers(0, 2), label="form edits")):
+        key = (data.draw(st.integers(0, form.rows - 1)), data.draw(st.integers(0, form.cols - 1)))
+        entries[key] = data.draw(EDIT_SCALARS)
+    return SparseMatrix(form.rows, form.cols, entries)
+
+
+class TestStructureJoins:
+    """verify_algebra against the basis-triple scans it replaced."""
+
+    @given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_triple_scan(self, mn, data):
+        a, _ = build_gl(*mn)
+        edit_table(a.table, st.integers(0, a.dim - 1), data)
+        a.form = edited_form(a.form, data)
+        assert verify_algebra(a).to_json() == reference_verify_algebra(a).to_json()
 
 
 class TestSubalgebra:

@@ -1,7 +1,11 @@
 """Central extensions: bracket rules, odd form, cocycle, dual bases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_engines import reference_verify_takiff
+from test_superalg import edit_table, edited_form
 from whittak.exactlin import ONE, ZERO, I, Scalar, SparseVector
 from whittak.superalg import build_gl, verify_algebra
 from whittak.takiff import (
@@ -56,6 +60,20 @@ class TestBuild:
         t, _ = tak(2, 1)
         assert t.total.dim == 19
         assert verify_algebra(t.total).passed
+
+
+class TestStructureJoins:
+    """verify_takiff against the basis-triple scans it replaced."""
+
+    @given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_triple_scan(self, mn, data):
+        t, _ = tak(*mn)
+        # z is drawn about half the time: terms on z and brackets with z
+        index = st.one_of(st.just(t.z_index), st.integers(0, t.total.dim - 1))
+        edit_table(t.total.table, index, data)
+        t.base.form = edited_form(t.base.form, data)
+        assert verify_takiff(t).to_json() == reference_verify_takiff(t).to_json()
 
 
 class TestOddForm:
