@@ -315,16 +315,6 @@ class SparseVector:
         # Q(i) has no zero divisors, so no product vanishes
         return type(self)._of({i: s * v for i, v in self.entries.items()})
 
-    def dot(self, other: "SparseVector") -> Scalar:
-        if len(self.entries) > len(other.entries):
-            self, other = other, self
-        acc = ZERO
-        for i, s in self.entries.items():
-            t = other.entries.get(i)
-            if t is not None:
-                acc = acc + s * t
-        return acc
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{i}: {s}" for i, s in sorted(self.entries.items())) + "}"
 
@@ -397,9 +387,6 @@ class SparseMatrix:
             rows[r][c] = s
         return rows
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(c, r): s for (r, c), s in self.entries.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
@@ -414,61 +401,70 @@ class SparseMatrix:
     __repr__ = __str__
 
 
-def _rref(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        best = -1
-        best_len = -1
-        for k in range(r, nrows):
-            if c in rows[k]:
-                if best == -1 or len(rows[k]) < best_len:
-                    best, best_len = k, len(rows[k])
-        if best == -1:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        if piv != ONE:
-            inv = ONE / piv
-            rows[r] = {j: inv * s for j, s in rows[r].items()}
-        prow = rows[r]
-        for k in range(nrows):
-            if k == r:
-                continue
-            f = rows[k].get(c)
-            if f is None:
-                continue
-            rk = rows[k]
-            for j, s in prow.items():
-                add_term(rk, j, -f * s)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _reduce(pivots: dict, row: dict) -> dict:
+    """Subtract from `row`, in place, its part in the span of the `pivots` rows.
+
+    Returns that part's coordinates over the rows, keyed by pivot: the row's
+    values at the pivot keys, since every stored row is zero at the other
+    pivots. So one pass over those keys reduces the row.
+    """
+    coords = {p: s for p, s in row.items() if p in pivots}
+    for p, f in coords.items():
+        nf = -f
+        for j, s in pivots[p].items():
+            add_term(row, j, nf * s)
+    return coords
+
+
+def _insert(pivots: dict, row: dict) -> bool:
+    """Add `row` (consumed) to a reduced echelon basis; False if it adds nothing.
+
+    `pivots` maps each pivot key to a row with a 1 at that key and a 0 at
+    every other pivot key. The reduced row becomes a new row with its least
+    key as pivot, scaled to a unit there, and that key is cleared from the
+    other rows. Every row stays zero below its pivot, so the rows sorted by
+    pivot are the reduced row echelon form of their span, which is unique.
+    """
+    _reduce(pivots, row)
+    if not row:
+        return False
+    p = min(row)
+    piv = row[p]
+    if piv != ONE:
+        inv = ONE / piv
+        row = {j: inv * s for j, s in row.items()}
+    for other in pivots.values():
+        f = other.get(p)
+        if f is not None:
+            nf = -f
+            for j, s in row.items():
+                add_term(other, j, nf * s)
+    pivots[p] = row
+    return True
+
+
+def _rref(rows: Iterable[dict]) -> dict:
+    """The reduced row echelon form of `rows` (consumed) as {pivot column: row}."""
+    pivots: dict = {}
+    for row in rows:
+        _insert(pivots, row)
+    return pivots
 
 
 def rank(m: SparseMatrix) -> int:
-    _, pivots = _rref(m.row_dicts(), m.cols)
-    return len(pivots)
+    return len(_rref(m.row_dicts()))
 
 
 def kernel_basis(m: SparseMatrix) -> list[SparseVector]:
     """Basis of the right null space; m . v = 0 exactly for each v."""
-    rows, pivots = _rref(m.row_dicts(), m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = {f: ONE}
-        for r, c in enumerate(pivots):
-            s = rows[r].get(f)
-            if s is not None:
-                v[c] = -s
-        basis.append(SparseVector(v))
-    return basis
+    pivots = _rref(m.row_dicts())
+    # one vector per free column f: 1 at f, minus column f of the rows at their pivots
+    basis = {f: {f: ONE} for f in range(m.cols) if f not in pivots}
+    for c in sorted(pivots):
+        for f, s in pivots[c].items():
+            if f != c:
+                basis[f][c] = -s
+    return [SparseVector._of(v) for v in basis.values()]
 
 
 def solve(m: SparseMatrix, b: SparseVector) -> SparseVector | None:
@@ -484,15 +480,10 @@ def solve(m: SparseMatrix, b: SparseVector) -> SparseVector | None:
     rows = m.row_dicts()
     for i, s in b.items():
         rows[i][aug] = s
-    rows, pivots = _rref(rows, m.cols + 1)
+    pivots = _rref(rows)
     if aug in pivots:
         return None
-    x: dict[int, Scalar] = {}
-    for r, c in enumerate(pivots):
-        s = rows[r].get(aug)
-        if s is not None:
-            x[c] = s
-    return SparseVector(x)
+    return SparseVector._of({c: row[aug] for c, row in sorted(pivots.items()) if aug in row})
 
 
 def invert(m: SparseMatrix) -> list[SparseVector]:
@@ -503,63 +494,40 @@ def invert(m: SparseMatrix) -> list[SparseVector]:
     rows = m.row_dicts()
     for i in range(n):
         rows[i][n + i] = ONE
-    rows, pivots = _rref(rows, 2 * n)
-    if pivots != list(range(n)):
+    pivots = _rref(rows)
+    if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
     cols: list[dict[int, Scalar]] = [dict() for _ in range(n)]
     for r in range(n):
-        for j, s in rows[r].items():
+        for j, s in pivots[r].items():
             if j >= n:
                 cols[j - n][r] = s
-    return [SparseVector(c) for c in cols]
+    return [SparseVector._of(c) for c in cols]
 
 
 class EchelonSpan:
-    """Incrementally maintained span used for subalgebra closures.
+    """Incrementally maintained span, in reduced echelon form.
 
-    Rows are kept in forward echelon form; each row also records how it is
-    expressed over the accepted member vectors, so `coordinates` can rewrite
-    any span element over the members exactly.
+    `pivots` maps each pivot key to a row with a 1 at that key and a 0 at
+    every other pivot key; `members` are the vectors `add` accepted, in order.
     """
 
     def __init__(self):
-        # (pivot index, echelon vector with unit pivot, member combination)
-        self.rows: list[tuple[int, SparseVector, dict[int, Scalar]]] = []
+        self.pivots: dict = {}
         self.members: list[SparseVector] = []
 
     def __len__(self):
-        return len(self.rows)
-
-    def reduce(self, v: SparseVector, want_combo: bool = False):
-        combo: dict[int, Scalar] = {}
-        for p, w, wc in self.rows:
-            coeff = v.get(p)
-            if coeff:
-                v = v - w.scale(coeff)
-                if want_combo:
-                    for m, cm in wc.items():
-                        add_term(combo, m, coeff * cm)
-        return (v, combo) if want_combo else v
+        return len(self.pivots)
 
     def add(self, v: SparseVector) -> bool:
         """Accept v as a member if it enlarges the span."""
-        red, combo = self.reduce(v, want_combo=True)
-        if not red:
+        if not _insert(self.pivots, dict(v.entries)):
             return False
-        k = len(self.members)
         self.members.append(v)
-        p = min(red.entries)
-        inv = ONE / red.get(p)
-        # red = v - sum combo[m]*member[m], so the unit-pivot row is
-        # inv*v - sum inv*combo[m]*member[m]
-        row_combo = {m: -(inv * cm) for m, cm in combo.items()}
-        add_term(row_combo, k, inv)
-        self.rows.append((p, red.scale(inv), row_combo))
         return True
 
-    def coordinates(self, v: SparseVector) -> dict[int, Scalar] | None:
-        """Coefficients over the members expressing v, or None if outside."""
-        red, combo = self.reduce(v, want_combo=True)
-        if red:
-            return None
-        return combo
+    def coordinates(self, v: SparseVector) -> dict | None:
+        """v's coordinates over the reduced rows, keyed by pivot, or None if outside."""
+        rest = dict(v.entries)
+        coords = _reduce(self.pivots, rest)
+        return None if rest else coords

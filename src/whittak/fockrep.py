@@ -539,10 +539,6 @@ class TensorModule:
                     add_term(out, (l, ix2), coeff * sgn * s)
         return ModuleVector._of(out)
 
-    def weight_of_key(self, key, l_weights: list[Weight]) -> Weight:
-        l, ix = key
-        return l_weights[l] + self.f.weight_of(ix)
-
 
 def tensor_with_findim(L: FinDimModule, f: FockModule) -> TensorModule:
     return TensorModule(L, f)
@@ -594,12 +590,12 @@ def cyclicity_spot_check(
             if not frontier:
                 break
 
-        # the span misses the vacuum level exactly when its rows stay
+        # the span misses the vacuum level exactly when a basis of it stays
         # independent with the degree-zero keys dropped
         above = EchelonSpan()
         if all(
             above.add(ModuleVector({k: s for k, s in row.items() if k[1].degree}))
-            for _, row, _ in span.rows
+            for row in span.pivots.values()
         ):
             failures += 1
     rep.add(

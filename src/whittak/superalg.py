@@ -18,6 +18,7 @@ from .exactlin import (
     SparseMatrix,
     SparseVector,
     add_term,
+    invert,
     kernel_basis,
     rank,
     sign,
@@ -173,9 +174,6 @@ class Weight:
 
     def restrict(self) -> "Weight":
         return Weight(self.values, ZERO)
-
-    def with_level(self, c: Scalar) -> "Weight":
-        return Weight(self.values, c)
 
 
 def gl_parity_sequence(m: int, n: int) -> list[int]:
@@ -346,8 +344,8 @@ def verify_algebra(a: SuperAlgebra) -> Report:
             form_invariance_failures(a.table, form.entries, d, lab, "invariance"),
         )
 
-        nondeg = rank(form) == d
-        rep.add("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(form)} < {d}")
+        r = rank(form)
+        rep.add("form is non-degenerate", r == d, None if r == d else f"rank {r} < {d}")
     return rep
 
 
@@ -420,20 +418,27 @@ def subalgebra_from_span(
         if g:
             accept(g)
     while True:
-        added = False
         basis = list(span.members)
         n = len(basis)
         for i in range(n):
             for j in range(i, n):
                 b = a.bracket(basis[i], basis[j])
-                if b and span.coordinates(b) is None:
+                if b:
                     accept(b)
-                    added = True
-        if not added and len(span.members) == n:
+        if len(span.members) == n:
             break
 
     basis = span.members
     k = len(basis)
+    # a span element's coordinates over the reduced rows are its values at the
+    # pivots, so one inverse of the members' values there gives coordinates
+    # over the members
+    order = sorted(span.pivots)
+    row_of = {p: r for r, p in enumerate(order)}
+    minor = SparseMatrix(
+        k, k, {(row_of[p], i): s for i, v in enumerate(basis) for p, s in v.items() if p in row_of}
+    )
+    over_members = dict(zip(order, invert(minor)))
     table: dict[tuple[int, int], SparseVector] = {}
     for i in range(k):
         for j in range(k):
@@ -443,7 +448,11 @@ def subalgebra_from_span(
             coords = span.coordinates(b)
             if coords is None:
                 raise RuntimeError("span closure is not bracket-closed")
-            table[(i, j)] = SparseVector(coords)
+            out: dict[int, Scalar] = {}
+            for p, s in coords.items():
+                for m, t in over_members[p].items():
+                    add_term(out, m, s * t)
+            table[(i, j)] = SparseVector._of(out)
     form = None
     if a.form is not None:
         form = SparseMatrix(

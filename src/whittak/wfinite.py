@@ -18,6 +18,7 @@ from .exactlin import (
     Scalar,
     SparseMatrix,
     SparseVector,
+    invert,
     kernel_basis,
     rank,
     solve,
@@ -25,7 +26,7 @@ from .exactlin import (
 from .fockrep import ModuleVector
 from .reports import Report
 from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra
-from .takiff import TakiffAlgebra, dual_bases, odd_form_prime
+from .takiff import TakiffAlgebra, odd_form_prime
 
 
 @dataclass
@@ -93,17 +94,21 @@ def _decompose_into_odd_simples(rd: RootDatum, root: Root) -> list[tuple[int, in
 
 
 def root_pairing(base: SuperAlgebra, rd: RootDatum, cov1, cov2) -> Scalar:
-    """(alpha|beta) on the weight space, via the orthonormal Cartan basis."""
-    db = dual_bases(base, rd)
-    pos_of = {h: k for k, h in enumerate(rd.cartan)}
+    """(alpha|beta) on the weight space, as alpha . G^-1 . beta.
+
+    G is the Gram matrix of the form on the Cartan basis; a singular G raises
+    ValueError.
+    """
+    cartan = rd.cartan
+    gram = SparseMatrix(
+        len(cartan),
+        len(cartan),
+        {(a, b): base.form.get(h, k) for a, h in enumerate(cartan) for b, k in enumerate(cartan)},
+    )
     acc = ZERO
-    for h in db.H:
-        a1 = ZERO
-        a2 = ZERO
-        for t, s in h.items():
-            a1 = a1 + cov1[pos_of[t]] * s
-            a2 = a2 + cov2[pos_of[t]] * s
-        acc = acc + a1 * a2
+    for b, col in enumerate(invert(gram)):
+        for a, s in col.items():
+            acc = acc + cov1[a] * s * cov2[b]
     return acc
 
 
@@ -277,7 +282,6 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
                 (i, ci): odd_form_prime(t, ws[i], SparseVector.unit(k))
                 for i in range(m)
                 for ci, k in enumerate(candidates)
-                if odd_form_prime(t, ws[i], SparseVector.unit(k))
             },
         )
         sol = solve(mat, SparseVector({j: ONE}))

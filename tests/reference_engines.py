@@ -7,7 +7,13 @@ fresh vector for every slot. `whittaker_kernel` solves one truncation of the
 Whittaker system from scratch. `reference_verify_algebra` and
 `reference_verify_takiff` check super Jacobi and form invariance by scanning
 every basis triple, as the structure checks did before they joined the sparse
-bracket table with the form.
+bracket table with the form. `reference_rref` and the `reference_rank`,
+`reference_kernel_basis`, `reference_solve` and `reference_invert` built on it
+are the batch elimination that served those four functions before one
+reduced-echelon core served them and `EchelonSpan`: it picks each column's
+pivot by scanning the remaining rows. `ReferenceEchelonSpan` is the span that
+kept its rows in forward echelon form, each with its combination of the
+member vectors.
 """
 
 from __future__ import annotations
@@ -320,3 +326,127 @@ def reference_verify_takiff(t: TakiffAlgebra) -> Report:
 
     rep.first_failure("odd form invariance", invariance_failures())
     return rep
+
+
+def reference_rref(rows: list[dict[int, Scalar]], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
+    """Reduced row echelon form in place, column by column; returns (rows, pivot columns).
+
+    Each column's pivot is the shortest remaining row holding it, found by
+    scanning every remaining row, and every other row holding it is reduced.
+    """
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        best = -1
+        best_len = -1
+        for k in range(r, nrows):
+            if c in rows[k]:
+                if best == -1 or len(rows[k]) < best_len:
+                    best, best_len = k, len(rows[k])
+        if best == -1:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv = rows[r][c]
+        if piv != ONE:
+            inv = ONE / piv
+            rows[r] = {j: inv * s for j, s in rows[r].items()}
+        prow = rows[r]
+        for k in range(nrows):
+            if k == r:
+                continue
+            f = rows[k].get(c)
+            if f is None:
+                continue
+            rk = rows[k]
+            for j, s in prow.items():
+                add_term(rk, j, -f * s)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_rank(m: SparseMatrix) -> int:
+    return len(reference_rref(m.row_dicts(), m.cols)[1])
+
+
+def reference_kernel_basis(m: SparseMatrix) -> list[SparseVector]:
+    rows, pivots = reference_rref(m.row_dicts(), m.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_set):
+        v = {f: ONE}
+        for r, c in enumerate(pivots):
+            s = rows[r].get(f)
+            if s is not None:
+                v[c] = -s
+        basis.append(SparseVector(v))
+    return basis
+
+
+def reference_solve(m: SparseMatrix, b: SparseVector) -> SparseVector | None:
+    aug = m.cols
+    rows = m.row_dicts()
+    for i, s in b.items():
+        rows[i][aug] = s
+    rows, pivots = reference_rref(rows, m.cols + 1)
+    if aug in pivots:
+        return None
+    return SparseVector({c: rows[r].get(aug, ZERO) for r, c in enumerate(pivots)})
+
+
+def reference_invert(m: SparseMatrix) -> list[SparseVector]:
+    n = m.rows
+    rows = m.row_dicts()
+    for i in range(n):
+        rows[i][n + i] = ONE
+    rows, pivots = reference_rref(rows, 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    cols: list[dict[int, Scalar]] = [dict() for _ in range(n)]
+    for r in range(n):
+        for j, s in rows[r].items():
+            if j >= n:
+                cols[j - n][r] = s
+    return [SparseVector(c) for c in cols]
+
+
+class ReferenceEchelonSpan:
+    """Span in forward echelon form, each row with its combination of members."""
+
+    def __init__(self):
+        # (pivot key, echelon vector with unit pivot, member combination)
+        self.rows: list[tuple[object, SparseVector, dict[int, Scalar]]] = []
+        self.members: list[SparseVector] = []
+
+    def reduce(self, v: SparseVector) -> tuple[SparseVector, dict[int, Scalar]]:
+        combo: dict[int, Scalar] = {}
+        for p, w, wc in self.rows:
+            coeff = v.get(p)
+            if coeff:
+                v = v - w.scale(coeff)
+                for m, cm in wc.items():
+                    add_term(combo, m, coeff * cm)
+        return v, combo
+
+    def add(self, v: SparseVector) -> bool:
+        red, combo = self.reduce(v)
+        if not red:
+            return False
+        k = len(self.members)
+        self.members.append(v)
+        p = min(red.entries)
+        inv = ONE / red.get(p)
+        # red = v - sum combo[m]*member[m], so the unit-pivot row is
+        # inv*v - sum inv*combo[m]*member[m]
+        row_combo = {m: -(inv * cm) for m, cm in combo.items()}
+        add_term(row_combo, k, inv)
+        self.rows.append((p, red.scale(inv), row_combo))
+        return True
+
+    def coordinates(self, v: SparseVector) -> dict[int, Scalar] | None:
+        """Coefficients over the members expressing v, or None if outside."""
+        red, combo = self.reduce(v)
+        return None if red else combo

@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,17 +22,29 @@ from oracles import (
     cnum,
     rref_dense,
 )
+from reference_engines import (
+    ReferenceEchelonSpan,
+    reference_invert,
+    reference_kernel_basis,
+    reference_rank,
+    reference_rref,
+    reference_solve,
+)
 from whittak.exactlin import (
     I,
     ONE,
     ZERO,
+    EchelonSpan,
     Scalar,
     SparseMatrix,
     SparseVector,
+    _rref,
+    invert,
     kernel_basis,
     rank,
     solve,
 )
+from whittak.fockrep import FockIndex
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(Scalar, fracs, fracs)
@@ -295,3 +307,120 @@ def test_ad_e_kernel_dimension_gl12():
     assert len(kb) == oracle_kernel_dim
     for v in kb:
         assert not m.mul_vec(v)
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_scalars = st.builds(Scalar, small_fracs, small_fracs)
+
+
+@st.composite
+def gaussian_matrices(draw, square=False):
+    """Sparse Q(i) matrices, empty, wide or tall, with zero, repeated and dependent rows.
+
+    Square ones are half the time a permuted diagonal plus sparse entries, so
+    that most of those are invertible.
+    """
+    n = draw(st.integers(0, 6))
+    m = n if square else draw(st.integers(0, 6))
+    diagonal = draw(st.permutations(range(n))) if square and draw(st.booleans()) else None
+    rows: list[dict] = []
+    for r in range(n):
+        kinds = ["own", "own", "zero", "copy", "combo"] if r and not diagonal else ["own"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "own":
+            cols = draw(st.lists(st.integers(0, m - 1), max_size=3)) if m else []
+            rows.append({c: draw(small_scalars) for c in cols})
+            if diagonal:
+                rows[r][diagonal[r]] = draw(small_scalars.filter(bool))
+        elif kind == "zero":
+            rows.append({})
+        else:
+            row: dict = {}
+            for _ in range(1 if kind == "copy" else 2):
+                k = ONE if kind == "copy" else draw(small_scalars)
+                for c, s in rows[draw(st.integers(0, r - 1))].items():
+                    row[c] = row.get(c, ZERO) + k * s
+            rows.append(row)
+    return SparseMatrix(n, m, {(r, c): s for r, row in enumerate(rows) for c, s in row.items()})
+
+
+class TestOneEchelonCore:
+    """The reduced-echelon core against the column-scanning elimination it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gaussian_matrices())
+    @example(SparseMatrix(0, 0))
+    @example(SparseMatrix(3, 0))
+    @example(SparseMatrix(0, 3))
+    def test_rref_rank_and_kernel_match_reference(self, m):
+        ref_rows, ref_pivots = reference_rref(m.row_dicts(), m.cols)
+        pivots = _rref(m.row_dicts())
+        assert sorted(pivots) == ref_pivots
+        assert [pivots[p] for p in ref_pivots] == ref_rows[: len(ref_pivots)]
+        assert not any(ref_rows[len(ref_pivots):])
+        assert rank(m) == reference_rank(m)
+        assert kernel_basis(m) == reference_kernel_basis(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_matrices(), st.data())
+    def test_solve_matches_reference(self, m, data):
+        b = SparseVector()
+        if m.rows:
+            rows = st.integers(0, m.rows - 1)
+            b = SparseVector(data.draw(st.dictionaries(rows, small_scalars, max_size=3)))
+        assert solve(m, b) == reference_solve(m, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(gaussian_matrices(square=True))
+    @example(SparseMatrix(2, 2, {(0, 0): ONE, (0, 1): I, (1, 0): I, (1, 1): -ONE}))
+    def test_invert_matches_reference(self, m):
+        try:
+            want = reference_invert(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+            return
+        assert invert(m) == want
+
+    int_keys = st.integers(0, 7)
+    fock_keys = st.builds(
+        FockIndex,
+        st.tuples(st.integers(0, 2), st.integers(0, 1)),
+        st.tuples(st.integers(0, 1)),
+        st.tuples(st.integers(0, 1)),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([int_keys, fock_keys]).flatmap(
+        lambda keys: st.lists(
+            st.tuples(st.booleans(), st.dictionaries(keys, small_scalars, max_size=4)),
+            max_size=10,
+        )
+    ))
+    def test_span_matches_reference(self, steps):
+        span, ref = EchelonSpan(), ReferenceEchelonSpan()
+
+        def check_coordinates(v):
+            coords = span.coordinates(v)
+            assert (coords is None) == (ref.coordinates(v) is None)
+            if coords is not None:
+                total = SparseVector()
+                for p, s in coords.items():
+                    total = total + SparseVector(span.pivots[p]).scale(s)
+                assert total == v
+
+        for is_add, entries in steps:
+            v = SparseVector(entries)
+            if is_add:
+                assert span.add(v) == ref.add(v)
+                assert span.members == ref.members
+            else:
+                check_coordinates(v)
+        # members and their sum lie in the span
+        for v in span.members + [sum(span.members, SparseVector())]:
+            check_coordinates(v)
+        # each row has a 1 at its pivot, its least key, and a 0 at the other pivots
+        for p, row in span.pivots.items():
+            assert row[p] == ONE and min(row) == p
+            assert not (set(row) & set(span.pivots)) - {p}
+        assert len(span) == len(ref.rows)

@@ -188,6 +188,24 @@ class TestSubalgebra:
         with pytest.raises(ValueError):
             subalgebra_from_span(a, [unit(a, "E_11") + unit(a, "E_12")])
 
+    @given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_rebuilds_brackets_over_members(self, mn, data):
+        a, _ = build_gl(*mn)
+        gens = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            parity = data.draw(st.sampled_from([EVEN, ODD]))
+            index = st.sampled_from([i for i in range(a.dim) if a.parity[i] == parity])
+            gens.append(SparseVector(data.draw(st.dictionaries(index, EDIT_SCALARS, max_size=3))))
+        sub, emb = subalgebra_from_span(a, gens)
+        members = [emb.column(i) for i in range(sub.dim)]
+        for i in range(sub.dim):
+            for j in range(sub.dim):
+                rebuilt = SparseVector()
+                for k, s in sub.bracket_basis(i, j).items():
+                    rebuilt = rebuilt + members[k].scale(s)
+                assert rebuilt == a.bracket(members[i], members[j])
+
 
 class TestWeylVector:
     def test_gl11(self):

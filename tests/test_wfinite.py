@@ -7,10 +7,10 @@ import pytest
 
 from oracles import rref_dense
 from reference_engines import whittaker_kernel
-from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector, EchelonSpan
+from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
 from whittak.fockrep import build_fock, ModuleVector, natural_module, tensor_with_findim
 from whittak.superalg import ODD, build_gl
-from whittak.takiff import build_takiff, odd_form_prime
+from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
     NilCharacter,
     appendix_pairing_check,
@@ -201,6 +201,30 @@ class TestHatAndZeta:
         # restriction to the barred radical is eta itself
         for b in bar:
             assert hatted.value(b) == ONE
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
+    def test_root_pairing_matches_orthonormal_cartan(self, mn):
+        # sum over an orthonormal Cartan basis h of (alpha . h)(beta . h)
+        a, rd = build_gl(*mn)
+        hs = [[h.get(x) for x in rd.cartan] for h in dual_bases(a, rd).H]
+
+        def on(cov, h):
+            return sum((c * s for c, s in zip(cov, h)), ZERO)
+
+        for r1 in rd.roots:
+            for r2 in rd.roots:
+                want = sum((on(r1.covector, h) * on(r2.covector, h) for h in hs), ZERO)
+                assert root_pairing(a, rd, r1.covector, r2.covector) == want
+
+    def test_root_pairing_degenerate_cartan_raises(self):
+        a, rd = build_gl(1, 1)
+        cartan = set(rd.cartan)
+        a.form = SparseMatrix(
+            a.dim, a.dim, {k: s for k, s in a.form.entries.items() if not cartan >= set(k)}
+        )
+        cov = rd.roots[0].covector
+        with pytest.raises(ValueError, match="singular"):
+            root_pairing(a, rd, cov, cov)
 
     def test_zero_eta_hats_to_zero(self):
         a, rd = build_gl(2, 1)
