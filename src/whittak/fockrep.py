@@ -136,6 +136,8 @@ class FockModule:
                 raise ValueError("the twist is supported on barred odd-root vectors only")
             self.eta[k] = v
         self.rho = weyl_vector(self.rd, self.c)
+        # basis index i -> phi(e_i) compiled by _lift_table on first use
+        self._lift_tables: dict[int, tuple[list, list, Scalar]] = {}
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -178,7 +180,7 @@ class FockModule:
 
     # -- adapted letter actions ----------------------------------------------
 
-    def _apply_slot(self, t: int, coeff: Scalar, v: ModuleVector, out: dict) -> None:
+    def _apply_slot(self, t: int, coeff: Scalar, v: ModuleVector | dict, out: dict) -> None:
         """Add coeff times the action of slot t on v into out."""
         odd, pos, creates, lower = self.slots[t]
         ng = len(self.grass_slots)
@@ -208,12 +210,63 @@ class FockModule:
                 key = FockIndex(idx.poly[:pos] + (m,) + idx.poly[pos + 1 :], idx.grass, idx.cliff)
             add_term(out, key, s)
 
-    def _adapted_coords(self, x: SparseVector) -> list[tuple[int, Scalar]]:
+    def _adapted(self, x: SparseVector) -> tuple[list[tuple[int, Scalar]], Scalar]:
+        """Slot coordinates of x (x) theta, and the scalar its twist adds."""
         acc: dict[int, Scalar] = {}
         for j, s in x.items():
             for t, v in self._inv_cols[j].items():
                 add_term(acc, t, s * v)
-        return sorted(acc.items())
+        twist = ZERO
+        for t, coeff in acc.items():
+            # the first slots are the Ebar_i, keyed in eta by the same i
+            e = self.eta.get(t)
+            if e:
+                twist = twist + coeff * e
+        return sorted(acc.items()), twist
+
+    def _lift_table(self, i: int) -> tuple[list, list, Scalar]:
+        """phi(e_i) over the slots: [(inner slot, [(outer slot, coeff)])],
+        [(slot, coeff)] and a constant, with 1/2c folded into each.
+
+        phi(e_i) = (1/2c) sum_j phi(bar[e_i, u^j]) phi(bar u_j); each factor is
+        sum_t x_t slot_t + twist(x), so the product is quadratic in the slots
+        (inner slot from u_j, outer from the bracket), linear through one
+        twist, and constant through both.
+        """
+        table = self._lift_tables.get(i)
+        if table is not None:
+            return table
+        quad: dict[int, dict[int, Scalar]] = {}
+        linear: dict[int, Scalar] = {}
+        const = ZERO
+        f = self._lift_factor
+        e = SparseVector.unit(i)
+        for upper, lower in zip(self.dual.upper, self.dual.lower):
+            br = self.base.bracket(e, upper)
+            if not br:
+                continue
+            outer, outer_twist = self._adapted(br)
+            inner, inner_twist = self._adapted(lower)
+            for t2, s2 in inner:
+                row = quad.setdefault(t2, {})
+                fs2 = f * s2
+                for t1, s1 in outer:
+                    add_term(row, t1, fs2 * s1)
+                if outer_twist:
+                    add_term(linear, t2, fs2 * outer_twist)
+            if inner_twist:
+                ft = f * inner_twist
+                for t1, s1 in outer:
+                    add_term(linear, t1, ft * s1)
+                if outer_twist:
+                    const = const + ft * outer_twist
+        table = (
+            [(t2, sorted(row.items())) for t2, row in sorted(quad.items()) if row],
+            sorted(linear.items()),
+            const,
+        )
+        self._lift_tables[i] = table
+        return table
 
     # -- module actions -------------------------------------------------------
 
@@ -222,33 +275,34 @@ class FockModule:
         if not v or not x:
             return ModuleVector()
         out: dict[FockIndex, Scalar] = {}
-        twist = ZERO
-        for t, coeff in self._adapted_coords(x):
+        coords, twist = self._adapted(x)
+        for t, coeff in coords:
             self._apply_slot(t, coeff, v, out)
-            # the first slots are the Ebar_i, keyed in eta by the same i
-            e = self.eta.get(t)
-            if e:
-                twist = twist + coeff * e
         if twist:
             for idx, s in v.items():
                 add_term(out, idx, s * twist)
         return ModuleVector._of(out)
 
     def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
-        """Lifted action of s (x) 1 via the dual-basis formula."""
+        """Lifted action of s (x) 1, by linearity over s from the lift tables."""
         if not v or not s:
             return ModuleVector()
         out: dict[FockIndex, Scalar] = {}
-        for j in range(self.dual.q):
-            w = self.apply_barred(self.dual.lower[j], v)
-            if not w:
-                continue
-            br = self.base.bracket(s, self.dual.upper[j])
-            if not br:
-                continue
-            for idx, t in self.apply_barred(br, w).items():
-                add_term(out, idx, t)
-        return ModuleVector._of(out).scale(self._lift_factor)
+        for i, si in s.items():
+            quad, linear, const = self._lift_table(i)
+            for t2, outer in quad:
+                w: dict[FockIndex, Scalar] = {}
+                self._apply_slot(t2, si, v, w)
+                if w:
+                    for t1, coeff in outer:
+                        self._apply_slot(t1, coeff, w, out)
+            for t, coeff in linear:
+                self._apply_slot(t, si * coeff, v, out)
+            if const:
+                k = si * const
+                for idx, a in v.items():
+                    add_term(out, idx, a * k)
+        return ModuleVector._of(out)
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
         """Action of a basis element of the extended algebra by total index."""
@@ -522,21 +576,20 @@ class TensorModule:
             return v.scale(self.c)
         i, th = t.split(k)
         x = SparseVector.unit(i)
+        rows: dict[int, dict[FockIndex, Scalar]] = {}
+        for (l, ix), coeff in v.items():
+            rows.setdefault(l, {})[ix] = coeff
         out: dict = {}
         px = t.total.parity[k]
-        for (l, ix), coeff in v.items():
+        act = self.f.apply_barred if th else self.f.apply_lift
+        for l, row in rows.items():
+            if not th:
+                for l2, s in self.L.actions[i].column(l).items():
+                    for ix, coeff in row.items():
+                        add_term(out, (l2, ix), coeff * s)
             sgn = sign(px * self.L.parity[l])
-            if th:
-                moved = self.f.apply_barred(x, ModuleVector({ix: ONE}))
-                for ix2, s in moved.items():
-                    add_term(out, (l, ix2), coeff * sgn * s)
-            else:
-                col = self.L.actions[i].column(l)
-                for l2, s in col.items():
-                    add_term(out, (l2, ix), coeff * s)
-                moved = self.f.apply_lift(x, ModuleVector({ix: ONE}))
-                for ix2, s in moved.items():
-                    add_term(out, (l, ix2), coeff * sgn * s)
+            for ix2, s in act(x, ModuleVector._of(row)).items():
+                add_term(out, (l, ix2), sgn * s)
         return ModuleVector._of(out)
 
 

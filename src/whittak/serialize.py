@@ -77,11 +77,24 @@ def root_datum_to_dict(rd: RootDatum) -> dict:
     }
 
 
-def root_datum_from_dict(d: dict) -> RootDatum:
+def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
+    """Root datum of an algebra of dimension dim, with every index range-checked."""
     roots = tuple(
         Root(tuple(Scalar.parse(s) for s in r["covector"]), tuple(r["space"]), r["parity"])
         for r in d["roots"]
     )
+    for what, indices, bound in (
+        ("cartan", d["cartan"], dim),
+        ("root space", [k for r in roots for k in r.space], dim),
+        ("positive", d["positive"], len(roots)),
+        ("simple", d["simple"], len(roots)),
+    ):
+        for k in indices:
+            if k not in range(bound):
+                raise ValueError(f"root datum {what} index {k!r} outside 0..{bound - 1}")
+    for n, r in enumerate(roots):
+        if not r.space or len(r.covector) != len(d["cartan"]):
+            raise ValueError(f"root {n} needs a root space and one value per Cartan element")
     return RootDatum(tuple(d["cartan"]), roots, tuple(d["positive"]), tuple(d["simple"]))
 
 
@@ -103,7 +116,7 @@ def takiff_from_dict(d: dict) -> TakiffAlgebra:
         raise ValueError("not an extension file: missing takiff_of")
     total = algebra_from_dict(d)
     base = algebra_from_dict(d["base_algebra"])
-    rd = root_datum_from_dict(d["root_datum"])
+    rd = root_datum_from_dict(d["root_datum"], base.dim)
     z = d["layout"]["z"]
     # the stored extension must be the one its base algebra and root datum define
     t, _ = build_takiff(base, rd)

@@ -417,16 +417,20 @@ def subalgebra_from_span(
     for g in gens:
         if g:
             accept(g)
+    # members before `done` were bracketed pairwise in an earlier round, and
+    # their brackets already lie in the span
+    done = 0
     while True:
         basis = list(span.members)
         n = len(basis)
         for i in range(n):
-            for j in range(i, n):
+            for j in range(max(i, done), n):
                 b = a.bracket(basis[i], basis[j])
                 if b:
                     accept(b)
         if len(span.members) == n:
             break
+        done = n
 
     basis = span.members
     k = len(basis)

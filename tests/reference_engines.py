@@ -3,10 +3,13 @@
 `ReferenceFock` is the five-branch letter engine that `FockModule` used before
 its slots became one letter rule: one hand-written branch per slot kind, the
 Koszul sign counted separately over the grass and the Clifford letters, and a
-fresh vector for every slot. `whittaker_kernel` solves one truncation of the
-Whittaker system from scratch. `reference_verify_algebra` and
-`reference_verify_takiff` check super Jacobi and form invariance by scanning
-every basis triple, as the structure checks did before they joined the sparse
+fresh vector for every slot. `reference_apply_lift` is the lift that
+`FockModule.apply_lift` computed before it compiled each phi(e_i) into a slot
+table: it sums phi(bar[s, u^j]) phi(bar u_j) / 2c over j on every call, with
+two barred actions and one bracket per dual index. `whittaker_kernel` solves
+one truncation of the Whittaker system from scratch.
+`reference_verify_algebra` and `reference_verify_takiff` check super Jacobi
+and form invariance by scanning every basis triple, as the structure checks did before they joined the sparse
 bracket table with the form. `reference_rref` and the `reference_rank`,
 `reference_kernel_basis`, `reference_solve` and `reference_invert` built on it
 are the batch elimination that served those four functions before one
@@ -159,6 +162,23 @@ class ReferenceFock:
         if twist:
             out = out + v.scale(twist)
         return out
+
+
+def reference_apply_lift(f: FockModule, s: SparseVector, v: ModuleVector) -> ModuleVector:
+    """Lifted action of s (x) 1 via the dual-basis formula, evaluated afresh."""
+    if not v or not s:
+        return ModuleVector()
+    out: dict[FockIndex, Scalar] = {}
+    for j in range(f.dual.q):
+        w = f.apply_barred(f.dual.lower[j], v)
+        if not w:
+            continue
+        br = f.base.bracket(s, f.dual.upper[j])
+        if not br:
+            continue
+        for idx, t in f.apply_barred(br, w).items():
+            add_term(out, idx, t)
+    return ModuleVector._of(out).scale(ONE / (Scalar(2) * f.c))
 
 
 def whittaker_kernel(module, phi: NilCharacter, bound: int) -> list[ModuleVector]:

@@ -1,11 +1,22 @@
 """End-to-end CLI coverage over the JSON interfaces."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from whittak import serialize
 from whittak.cli import main
 from whittak.exactlin import Scalar
+from whittak.superalg import build_gl
+from whittak.takiff import build_takiff
 
 
 def run(argv):
@@ -271,3 +282,104 @@ class TestCharacter:
     def test_truncation_cap(self, gl21_tak, monkeypatch):
         monkeypatch.setenv("STL_MAX_TRUNC", "2")
         assert run(["character", "--alg", gl21_tak, "--c", "1", "--trunc", 5]) == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_file(m, n, kind):
+    """A valid algebra file (with its root datum) or extension file of gl(m|n)."""
+    a, rd = build_gl(m, n)
+    if kind == "extension":
+        return serialize.takiff_to_dict(build_takiff(a, rd)[0])
+    return {**serialize.algebra_to_dict(a), "root_datum": serialize.root_datum_to_dict(rd)}
+
+
+def _paths(obj, path=()):
+    """(path, value) for every node below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield path + (k,), v
+        yield from _paths(v, path + (k,))
+
+
+def _draw_path(data, paths):
+    """One of `paths`, drawn by its field first (list positions read as "*"),
+    so a short list such as the Cartan indices is drawn as often as the long
+    bracket list."""
+    shapes = {}
+    for p in paths:
+        shapes.setdefault(tuple("*" if type(k) is int else k for k in p), []).append(p)
+    field = data.draw(st.sampled_from(sorted(shapes, key=repr)))
+    return data.draw(st.sampled_from(shapes[field]))
+
+
+def _node(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+_WRONG_TYPED = ["x", 3, 1.5, None, True, [], [1], {}, {"a": 1}]
+_BAD_SCALARS = ["1/0", "2-1/0*i", "0/0", "", " ", "abc", "1//2", "1/2/3", "+", "--1", "1e5", "i*i", "1+2+3*i"]
+# -1, -7, 19, 37 and 10**6 are out of range for every index field of both
+# algebras; 4 and 9 lie just past the end of a gl(1|1) basis and extension
+_OUT_OF_RANGE = [-1, -7, 4, 9, 19, 37, 10**6]
+_COMMANDS = {
+    "algebra": [
+        ["verify", "algebra", "--alg", "{file}"],
+        ["build", "takiff", "--of", "{file}"],
+        ["build", "span", "--in", "{file}", "--gens", "{gens}"],
+    ],
+    "extension": [
+        ["verify", "takiff", "--alg", "{file}"],
+        ["verify", "highest-weight", "--alg", "{file}", "--c", "2"],
+        ["verify", "fock-lift", "--alg", "{file}", "--deg", "0"],
+        ["character", "--kind", "fock", "--alg", "{file}", "--trunc", "2"],
+    ],
+}
+
+
+class TestFileFuzz:
+    """Mutated valid files end in exit 0, 1 or 2, and an exit 2 in one error line."""
+
+    @given(
+        st.sampled_from([(1, 1), (2, 1)]),
+        st.sampled_from(sorted(_COMMANDS)),
+        st.sampled_from(["delete", "type", "index", "scalar"]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_files_exit_cleanly(self, mn, kind, mutation, data):
+        doc = copy.deepcopy(_valid_file(*mn, kind))
+        nodes = list(_paths(doc))
+        if mutation == "delete":
+            dicts = [((), doc)] + [(p, v) for p, v in nodes if isinstance(v, dict)]
+            path = _draw_path(data, [p + (k,) for p, v in dicts for k in v])
+            del _node(doc, path[:-1])[path[-1]]
+        else:
+            if mutation == "type":
+                path = _draw_path(data, [p for p, _ in nodes])
+                old = _node(doc, path)
+                values = [v for v in _WRONG_TYPED if type(v) is not type(old)]
+            elif mutation == "index":
+                path = _draw_path(data, [p for p, v in nodes if type(v) is int])
+                values = _OUT_OF_RANGE
+            else:
+                path = _draw_path(data, [p for p, v in nodes if isinstance(v, str)])
+                values = _BAD_SCALARS
+            _node(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(values))
+        argv = data.draw(st.sampled_from(_COMMANDS[kind]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            file, gens = os.path.join(tmp, "in.json"), os.path.join(tmp, "gens.json")
+            with open(file, "w") as fh:
+                json.dump(doc, fh)
+            with open(gens, "w") as fh:
+                json.dump({"vectors": [{"coords": {"0": "1"}}, {"coords": {"1": "1"}}]}, fh)
+            argv = [a.format(file=file, gens=gens) for a in argv] + ["--out", os.path.join(tmp, "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engines import ReferenceFock
+from reference_engines import ReferenceFock, reference_apply_lift
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
     FockIndex,
@@ -310,6 +310,19 @@ class TestTensor:
             lam = (ONE if pos == 0 else ZERO) + rho.values[pos]
             assert got == v.scale(lam)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_action_is_linear_over_keys(self, data):
+        # rows act at once on their Fock part; key by key must give the same
+        tm = _natural_tensor_gl21()
+        keys = tm.basis_keys(1)
+        v = ModuleVector(data.draw(st.dictionaries(st.sampled_from(keys), _small_scalars, max_size=6)))
+        k = data.draw(st.integers(0, tm.takiff.total.dim - 1))
+        want = ModuleVector()
+        for key, s in v.items():
+            want = want + tm.apply_total_index(k, ModuleVector({key: ONE})).scale(s)
+        assert tm.apply_total_index(k, v) == want
+
     def test_cyclicity_spot_check(self):
         f = fock(1, 1, ONE)
         L = natural_module(f.base, 1, 1)
@@ -317,6 +330,12 @@ class TestTensor:
         rep = cyclicity_spot_check(tm, seed=0, samples=20)
         assert rep.passed, rep.to_json()
         assert rep.seed == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _natural_tensor_gl21():
+    f = fock(2, 1, Scalar(Fraction(-1, 2)))
+    return tensor_with_findim(natural_module(f.base, 2, 1), f)
 
 
 def _twisted_gl12(c):
@@ -361,3 +380,35 @@ class TestOneLetterRule:
         )
         v = ModuleVector(data.draw(st.dictionaries(st.sampled_from(keys), _small_scalars, max_size=5)))
         assert f.apply_barred(x, v) == ref.apply_barred(x, v)
+
+
+class TestLiftTable:
+    """apply_lift from the compiled tables against the dual-basis sum it replaced."""
+
+    @given(
+        st.sampled_from(["gl11", "gl21", "gl12.twisted"]),
+        st.sampled_from(sorted(_ENGINE_LEVELS)),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_apply_lift_matches_reference(self, name, level, data):
+        f, _, keys = _engine_pair(name, level)
+        s = SparseVector(
+            data.draw(st.dictionaries(st.integers(0, f.base.dim - 1), _small_scalars, max_size=4))
+        )
+        v = ModuleVector(data.draw(st.dictionaries(st.sampled_from(keys), _small_scalars, max_size=5)))
+        assert f.apply_lift(s, v) == reference_apply_lift(f, s, v)
+
+    def test_built_tables_need_no_bracket_or_barred_action(self, monkeypatch):
+        f = _twisted_gl12(Scalar(3))
+        v = ModuleVector({k: Scalar(n + 1) for n, k in enumerate(f.basis_keys(1))})
+        units = [SparseVector.unit(i) for i in range(f.base.dim)]
+        want = [reference_apply_lift(f, s, v) for s in units]
+        assert [f.apply_lift(s, v) for s in units] == want
+
+        def refuse(*args):
+            raise AssertionError("a built lift table must not call back")
+
+        monkeypatch.setattr(f, "apply_barred", refuse)
+        monkeypatch.setattr(f.base, "bracket", refuse)
+        assert [f.apply_lift(s, v) for s in units] == want

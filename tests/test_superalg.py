@@ -183,6 +183,21 @@ class TestSubalgebra:
         assert sub.dim == 5
         assert verify_algebra(sub).passed
 
+    def test_closure_brackets_each_pair_once(self, monkeypatch):
+        # the closure loop brackets each unordered pair of members once and the
+        # table each ordered pair: k(k+1)/2 + k^2 calls in all
+        a, rd = build_gl(2, 3)
+        gens = []
+        for r in rd.simple_roots():
+            neg = rd.roots[rd.root_index(tuple(-c for c in r.covector))]
+            gens += [SparseVector.unit(r.space[0]), SparseVector.unit(neg.space[0])]
+        calls = []
+        bracket = a.bracket
+        monkeypatch.setattr(a, "bracket", lambda x, y: calls.append(1) or bracket(x, y))
+        sub, _ = subalgebra_from_span(a, gens)
+        k = sub.dim
+        assert k == 24 and len(calls) == k * (k + 1) // 2 + k * k
+
     def test_non_homogeneous_generator_rejected(self):
         a, _ = build_gl(1, 1)
         with pytest.raises(ValueError):
