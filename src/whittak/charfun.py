@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import ZERO, Scalar
+from .exactlin import Scalar
 from .fockrep import FockModule, clifford_module_dim
 from .reports import Report
 from .superalg import EVEN, ODD, RootDatum, Weight, weyl_vector
@@ -201,8 +201,7 @@ def verify_factorization(f: FockModule, lam: Weight, trunc: int) -> Report:
     if lam.level != f.c:
         raise ValueError("the weight's level must match the module's level")
     lhs = verma_character(f.rd, lam, trunc, hatted=True)
-    rho = weyl_vector(f.rd)
-    shifted = Weight(tuple(a - b for a, b in zip(lam.values, rho.values)), ZERO)
+    shifted = (lam - weyl_vector(f.rd)).restrict()
     rhs = char_product(fock_character(f, trunc), verma_character(f.rd, shifted, trunc, hatted=False))
     same, witness = char_equal(lhs, rhs)
     rep.add("coefficientwise equality", same, witness)

@@ -17,7 +17,7 @@ from .charfun import fock_character, verma_character, verify_factorization
 from .exactlin import Scalar, SparseMatrix, SparseVector, solve
 from .fockrep import build_fock, verify_highest_weight, verify_lift_identities, verify_whittaker_covariance
 from .reports import Report
-from .superalg import build_gl, subalgebra_from_span, verify_algebra, weyl_vector
+from .superalg import Weight, build_gl, subalgebra_from_span, verify_algebra, weyl_vector
 from .takiff import build_takiff, verify_hat_closure, verify_takiff
 from .wfinite import (
     appendix_pairing_check,
@@ -78,6 +78,16 @@ def _level(text: str) -> Scalar:
     if not c:
         raise UsageError("the level c must be nonzero")
     return c
+
+
+def _weight(t, path: str | None, default: Weight) -> Weight:
+    """The weight file at path, with one value per Cartan element, or default."""
+    if not path:
+        return default
+    lam = serialize.weight_from_dict(_load(path))
+    if len(lam.values) != len(t.rd.cartan):
+        raise UsageError(f"the weight has {len(lam.values)} values; the Cartan has {len(t.rd.cartan)}")
+    return lam
 
 
 def _grading_element(t, e: SparseVector) -> SparseVector:
@@ -178,11 +188,7 @@ def cmd_verify(args) -> int:
     if suite == "factorization":
         c = _level(args.c)
         f = build_fock(t, c)
-        lam = (
-            serialize.weight_from_dict(_load(args.weight))
-            if args.weight
-            else weyl_vector(t.rd, c)
-        )
+        lam = _weight(t, args.weight, weyl_vector(t.rd, c))
         return _emit_report(verify_factorization(f, lam, _trunc(args.trunc)), args.out, args.seed)
 
     if suite == "skryabin":
@@ -249,19 +255,9 @@ def cmd_character(args) -> int:
     if args.kind == "fock":
         ch = fock_character(build_fock(t, c), trunc)
     elif args.kind == "verma":
-        lam = (
-            serialize.weight_from_dict(_load(args.weight))
-            if args.weight
-            else weyl_vector(t.rd, c)
-        )
-        ch = verma_character(t.rd, lam, trunc, hatted=True)
+        ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd, c)), trunc, hatted=True)
     elif args.kind == "verma-plain":
-        lam = (
-            serialize.weight_from_dict(_load(args.weight))
-            if args.weight
-            else weyl_vector(t.rd)
-        )
-        ch = verma_character(t.rd, lam, trunc, hatted=False)
+        ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd)), trunc, hatted=False)
     else:
         raise UsageError(f"unknown character kind {args.kind}")
     if args.format == "tsv":

@@ -12,7 +12,13 @@ from fractions import Fraction
 from typing import Iterable
 
 
-_TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(\*?i)?$")
+_REAL = r"[+-]?\d+(?:/\d+)?"
+_IMAG = r"[+-]?(?:\d+(?:/\d+)?)?\*?i"
+# a real and an imaginary part in either order, each optional but not both,
+# with a sign between them
+_SCALAR = re.compile(
+    rf"(?P<re>{_REAL})(?:(?=[+-])(?P<im>{_IMAG}))?|(?P<im2>{_IMAG})(?:(?=[+-])(?P<re2>{_REAL}))?"
+)
 
 
 class Scalar:
@@ -134,40 +140,14 @@ class Scalar:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")
-        # split into at most two signed terms
-        terms = []
-        start = 0
-        for k in range(1, len(s)):
-            if s[k] in "+-" and s[k - 1] not in "+-/*":
-                terms.append(s[start:k])
-                start = k
-        terms.append(s[start:])
-        if len(terms) > 2:
+        m = _SCALAR.fullmatch(s)
+        if not m:
             raise ValueError(f"cannot parse scalar {text!r}")
-        re_part, im_part = Fraction(0), Fraction(0)
-        seen_im = seen_re = False
-        for term in terms:
-            m = _TERM.match(term)
-            if not m:
-                raise ValueError(f"cannot parse scalar {text!r}")
-            sign, mag, imark = m.groups()
-            if mag is None and not imark:
-                raise ValueError(f"cannot parse scalar {text!r}")
-            num, _, den = (mag or "1").partition("/")
-            if den and int(den) == 0:
-                raise ValueError(f"zero denominator in scalar {text!r}")
-            val = Fraction(int(num), int(den or 1))
-            if sign == "-":
-                val = -val
-            if imark:
-                if seen_im:
-                    raise ValueError(f"duplicate imaginary part in {text!r}")
-                im_part, seen_im = val, True
-            else:
-                if seen_re:
-                    raise ValueError(f"duplicate real part in {text!r}")
-                re_part, seen_re = val, True
-        return Scalar(re_part, im_part)
+        p, q = _ratio(m["re"] or m["re2"] or "0")
+        r, t = _ratio((m["im"] or m["im2"] or "0").rstrip("*i"))
+        if not q or not t:
+            raise ValueError(f"zero denominator in scalar {text!r}")
+        return _reduced(p * t, r * q, q * t)
 
     def __str__(self) -> str:
         a, b, d = self._a, self._b, self._d
@@ -230,6 +210,12 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
         b //= g
         d //= g
     return _scalar(a, b, d)
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """Numerator and denominator of "[+-]p[/q]"; an empty or bare-sign numerator is 1."""
+    num, _, den = text.partition("/")
+    return int(num + "1" if num in "+-" else num), int(den or 1)
 
 
 def _ratio_str(n: int, d: int) -> str:

@@ -37,9 +37,8 @@ class Report:
         witness = next(iter(witnesses), None)
         self.add(name, witness is None, witness)
 
-    def merge(self, other: "Report", prefix: str = ""):
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.passed, c.witness))
+    def merge(self, other: "Report"):
+        self.checks.extend(other.checks)
         self.data.update(other.data)
 
     def failures(self) -> list[Check]:

@@ -136,15 +136,23 @@ def weight_from_dict(d: dict) -> Weight:
     return Weight(tuple(Scalar.parse(s) for s in d["values"]), Scalar.parse(d["level"]))
 
 
+def _mapping(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+    return obj
+
+
 def vector_from_dict(d: dict, algebra: SuperAlgebra) -> SparseVector:
     """Element given by coordinates keyed by basis label or index."""
-    coords = d["coords"] if "coords" in d else d
+    coords = _mapping(d["coords"] if "coords" in d else d, "element coordinates")
     out = {}
     for key, s in coords.items():
         if isinstance(key, str) and not key.lstrip("-").isdigit():
             idx = algebra.labels.index(key)
         else:
             idx = int(key)
+            if idx not in range(algebra.dim):
+                raise ValueError(f"element coordinate {key!r} outside 0..{algebra.dim - 1}")
         out[idx] = Scalar.parse(s)
     return SparseVector(out)
 
@@ -167,7 +175,7 @@ def nilchar_from_dict(d: dict, algebra: SuperAlgebra) -> NilCharacter:
     return nil_character(
         algebra,
         tuple(d["domain"]),
-        {int(i): Scalar.parse(s) for i, s in d["values"].items()},
+        {int(i): Scalar.parse(s) for i, s in _mapping(d["values"], "character values").items()},
     )
 
 

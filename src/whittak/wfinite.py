@@ -23,7 +23,7 @@ from .exactlin import (
     rank,
     solve,
 )
-from .fockrep import ModuleVector
+from .fockrep import ModuleVector, enumerate_multiindices
 from .reports import Report
 from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra
 from .takiff import TakiffAlgebra, odd_form_prime
@@ -55,8 +55,12 @@ class NilCharacter:
 
 def nil_character(algebra: SuperAlgebra, domain, values: dict[int, Scalar]) -> NilCharacter:
     dom = tuple(sorted(set(domain)))
+    for i in dom + tuple(values):
+        if i not in range(algebra.dim):
+            raise ValueError(f"character index {i!r} outside 0..{algebra.dim - 1}")
     dset = set(dom)
     vals = {i: s for i, s in values.items() if s}
+    nc = NilCharacter(algebra, dom, vals)
     for i in vals:
         if i not in dset:
             raise ValueError(f"value on index {i} outside the domain")
@@ -69,16 +73,12 @@ def nil_character(algebra: SuperAlgebra, domain, values: dict[int, Scalar]) -> N
                 raise ValueError(
                     f"domain not bracket-closed at [{algebra.labels[i]},{algebra.labels[j]}]"
                 )
-            acc = ZERO
-            for k, s in br.items():
-                v = vals.get(k)
-                if v:
-                    acc = acc + s * v
+            acc = nc.value_of(br)
             if acc:
                 raise ValueError(
                     f"character property fails: value([{algebra.labels[i]},{algebra.labels[j]}]) = {acc}"
                 )
-    return NilCharacter(algebra, dom, vals)
+    return nc
 
 
 def _decompose_into_odd_simples(rd: RootDatum, root: Root) -> list[tuple[int, int]]:
@@ -347,10 +347,16 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report
 @dataclass
 class WhittakerBasis:
     vectors: list[ModuleVector]
-    dimension: int
     prev_dimension: int
-    stable: bool
     report: Report = field(default_factory=lambda: Report("whittaker solve"))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def stable(self) -> bool:
+        return self.dimension == self.prev_dimension
 
 
 def _generating_subset(algebra: SuperAlgebra, domain) -> list[int]:
@@ -410,27 +416,10 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
     rep.data["dimension"] = len(vecs)
     rep.data["previous_dimension"] = prev
     rep.data["stable"] = len(vecs) == prev
-    return WhittakerBasis(vecs, len(vecs), prev, len(vecs) == prev, rep)
+    return WhittakerBasis(vecs, prev, rep)
 
 
 # -- multi-index word pairings -------------------------------------------------
-
-
-def enumerate_multiindices(ds: list[int], odd_mask: list[bool], max_weight: int):
-    """All exponent tuples with odd slots in {0,1} and weight <= max_weight."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(slot: int, acc: tuple[int, ...], weight: int):
-        if slot == len(ds):
-            out.append(acc)
-            return
-        top = 1 if odd_mask[slot] else (max_weight - weight) // ds[slot]
-        for k in range(0, top + 1):
-            if weight + k * ds[slot] <= max_weight:
-                walk(slot + 1, acc + (k,), weight + k * ds[slot])
-
-    walk(0, (), 0)
-    return out
 
 
 def multiindex_key(a: tuple[int, ...], ds: list[int]):

@@ -16,10 +16,20 @@ are the batch elimination that served those four functions before one
 reduced-echelon core served them and `EchelonSpan`: it picks each column's
 pivot by scanning the remaining rows. `ReferenceEchelonSpan` is the span that
 kept its rows in forward echelon form, each with its combination of the
-member vectors.
+member vectors. `reference_parse` is the scalar reader that split a string
+into signed terms by hand and matched each with its own regex before one
+regex held the whole grammar. `reference_basis_keys` lists Fock monomials by
+a product over the Grassmann and Clifford bits and a recursive walk over the
+polynomial exponents. `reference_barred_commutators` holds the hand-written
+barred commutator constants that `verify_relations` used before it read them
+from the extension's bracket table.
 """
 
 from __future__ import annotations
+
+import itertools
+import re
+from fractions import Fraction
 
 from whittak.exactlin import (
     ONE,
@@ -470,3 +480,96 @@ class ReferenceEchelonSpan:
         """Coefficients over the members expressing v, or None if outside."""
         red, combo = self.reduce(v)
         return None if red else combo
+
+
+_TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(\*?i)?$")
+
+
+def reference_parse(text: str) -> Scalar:
+    """Parse "p/q" or "p/q+r/s*i" (signs optional, /1 may be omitted)."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar {text!r} is not a string")
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar string")
+    # split into at most two signed terms
+    terms = []
+    start = 0
+    for k in range(1, len(s)):
+        if s[k] in "+-" and s[k - 1] not in "+-/*":
+            terms.append(s[start:k])
+            start = k
+    terms.append(s[start:])
+    if len(terms) > 2:
+        raise ValueError(f"cannot parse scalar {text!r}")
+    re_part, im_part = Fraction(0), Fraction(0)
+    seen_im = seen_re = False
+    for term in terms:
+        m = _TERM.match(term)
+        if not m:
+            raise ValueError(f"cannot parse scalar {text!r}")
+        sign_, mag, imark = m.groups()
+        if mag is None and not imark:
+            raise ValueError(f"cannot parse scalar {text!r}")
+        num, _, den = (mag or "1").partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator in scalar {text!r}")
+        val = Fraction(int(num), int(den or 1))
+        if sign_ == "-":
+            val = -val
+        if imark:
+            if seen_im:
+                raise ValueError(f"duplicate imaginary part in {text!r}")
+            im_part, seen_im = val, True
+        else:
+            if seen_re:
+                raise ValueError(f"duplicate real part in {text!r}")
+            re_part, seen_re = val, True
+    return Scalar(re_part, im_part)
+
+
+def reference_basis_keys(f: FockModule, max_degree: int) -> list[FockIndex]:
+    """Monomials of degree <= max_degree, by degree then exponents."""
+
+    def exponents_up_to(n: int, total: int):
+        if n == 0:
+            yield ()
+            return
+        for first in range(total + 1):
+            for rest in exponents_up_to(n - 1, total - first):
+                yield (first,) + rest
+
+    out = []
+    for grass in itertools.product((0, 1), repeat=len(f.grass_slots)):
+        for cliff in itertools.product((0, 1), repeat=f.n_cliff):
+            room = max_degree - sum(grass) - sum(cliff)
+            if room < 0:
+                continue
+            for poly in exponents_up_to(len(f.poly_slots), room):
+                out.append(FockIndex(poly, grass, cliff))
+    out.sort(key=lambda ix: (ix.degree, ix.poly, ix.grass, ix.cliff))
+    return out
+
+
+def reference_barred_commutators(f: FockModule) -> list[tuple[SparseVector, SparseVector, Scalar]]:
+    """(x, y, scalar by which [xbar, ybar] acts) over every pair of barred generators.
+
+    [Ebar_a, Fbar_a] = (-1)^p(E_a) c, [Fbar_a, Ebar_a] = c, [Hbar_i, Hbar_i] = c,
+    and every other pair commutes.
+    """
+    npos = len(f.positives)
+    gens = [("E", i, f.dual.E[i]) for i in range(npos)] + [("F", i, f.dual.F[i]) for i in range(npos)]
+    gens += [("H", i, h) for i, h in enumerate(f.dual.H)]
+
+    def expected(kx, ix, ky, iy) -> Scalar:
+        if kx == "E" and ky == "F" and ix == iy:
+            return sign(f.positives[ix].parity) * f.c
+        if kx == "F" and ky == "E" and ix == iy:
+            # the E-F value transported by super-anticommutativity is c for
+            # both root parities
+            return f.c
+        if kx == "H" and ky == "H" and ix == iy:
+            return f.c
+        return ZERO
+
+    return [(x, y, expected(kx, ix, ky, iy)) for kx, ix, x in gens for ky, iy, y in gens]

@@ -3,10 +3,14 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,10 @@ from hypothesis import strategies as st
 from whittak import serialize
 from whittak.cli import main
 from whittak.exactlin import Scalar
-from whittak.superalg import build_gl
+from whittak.superalg import ODD, build_gl, weyl_vector
 from whittak.takiff import build_takiff
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -40,6 +46,24 @@ def gl21_tak(tmp_path, gl21_file):
     out = tmp_path / "gl21tak.json"
     assert run(["build", "takiff", "--of", gl21_file, "--out", out]) == 0
     return out
+
+
+@pytest.fixture
+def gl11_tak(tmp_path):
+    alg = tmp_path / "gl11.json"
+    tak = tmp_path / "gl11tak.json"
+    assert run(["build", "gl", "--m", 1, "--n", 1, "--out", alg]) == 0
+    assert run(["build", "takiff", "--of", alg, "--out", tak]) == 0
+    return tak
+
+
+def sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
 
 
 @pytest.fixture
@@ -284,6 +308,107 @@ class TestCharacter:
         assert run(["character", "--alg", gl21_tak, "--c", "1", "--trunc", 5]) == 2
 
 
+# bar E_12 = E_12 (x) theta is index 5 of the gl(1|1) extension
+_GL11_ETA = {"algebra": "takiff(gl(1|1))", "domain": [5], "values": {"5": "2+1*i"}}
+
+
+class TestInputIndices:
+    """Character, element and weight files are checked against their algebra."""
+
+    def _one_error(self, capsys, argv, want):
+        capsys.readouterr()
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0], lines
+
+    @pytest.mark.parametrize("domain", [[99], [-1]])
+    def test_character_domain_outside_the_algebra(self, gl11_tak, tmp_path, capsys, domain):
+        chi = write(tmp_path / "chi.json", {"algebra": "x", "domain": domain, "values": {}})
+        for argv in (
+            ["whittaker", "--chi", chi, "--trunc", 1],
+            ["verify", "regularity", "--chi", chi],
+            ["verify", "whittaker-covariance", "--eta", chi],
+        ):
+            self._one_error(capsys, argv + ["--alg", gl11_tak], f"character index {domain[0]}")
+
+    def test_character_value_outside_the_algebra(self, gl11_tak, tmp_path, capsys):
+        chi = write(tmp_path / "chi.json", {"algebra": "x", "domain": [5], "values": {"-1": "1"}})
+        self._one_error(capsys, ["whittaker", "--alg", gl11_tak, "--chi", chi], "character index -1")
+
+    def test_element_coordinate_outside_the_algebra(self, gl11_tak, tmp_path, capsys):
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1"}})
+        bad = write(tmp_path / "bad.json", {"coords": {"-1": "1"}})
+        for argv in (["--e", bad], ["--e", e, "--h", bad]):
+            self._one_error(capsys, ["verify", "skryabin", "--alg", gl11_tak] + argv, "coordinate '-1'")
+
+    def test_weight_needs_one_value_per_cartan_element(self, gl11_tak, tmp_path, capsys):
+        lam = write(tmp_path / "w.json", {"values": ["1"], "level": "1"})
+        for argv in (
+            ["character", "--kind", "verma"],
+            ["character", "--kind", "verma-plain"],
+            ["verify", "factorization"],
+        ):
+            self._one_error(capsys, argv + ["--alg", gl11_tak, "--weight", lam], "the weight has 1 values")
+
+
+class TestCliPaths:
+    """Suites and options that no other test runs, pinned to the bytes they emit."""
+
+    def test_whittaker_covariance(self, gl11_tak, tmp_path):
+        eta = write(tmp_path / "eta.json", _GL11_ETA)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "whittaker-covariance", "--alg", gl11_tak, "--eta", eta, "--out", out]) == 0
+        assert sha(out) == "6fda5f0921991b9a1c1b5c92d327c5f23471feddadc8bb557c5cb630aa09d6f5"
+
+    def test_regularity_from_a_character_file(self, gl11_tak, tmp_path):
+        chi = write(tmp_path / "chi.json", _GL11_ETA)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "regularity", "--alg", gl11_tak, "--chi", chi, "--out", out]) == 0
+        assert sha(out) == "7c4f19b12e03ad01318a53f5bdb533ea4653547e24627e329a1dd6f55b6212c8"
+
+    def test_appendix(self, gl11_tak, gl12_tak, tmp_path, capsys):
+        e11 = write(tmp_path / "e11.json", {"coords": {"E_21": "1"}})
+        out = tmp_path / "rep.json"
+        assert run(["verify", "appendix", "--alg", gl11_tak, "--e", e11, "--out", out]) == 0
+        assert sha(out) == "0e246388d655b6ae18d8c5765f29dc1c1089ddee39cd24ebb54a83f442dfe589"
+        # principal gl(1|2) has zeta != 0, so its twisted Fock module has no
+        # Whittaker vector to pair words on
+        e12 = write(tmp_path / "e12.json", {"coords": {"E_21": "1", "E_32": "1"}})
+        capsys.readouterr()
+        assert run(["verify", "appendix", "--alg", gl12_tak[1], "--e", e12]) == 2
+        assert capsys.readouterr().err == "error: no Whittaker vector available\n"
+
+    def test_grading_element_file(self, gl12_tak, tmp_path):
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1", "E_32": "1"}})
+        h = write(tmp_path / "h.json", {"coords": {"E_33": "1", "E_11": "-1"}})
+        out, solved = tmp_path / "rep.json", tmp_path / "solved.json"
+        assert run(["verify", "skryabin", "--alg", gl12_tak[1], "--e", e, "--h", h, "--out", out]) == 0
+        assert run(["verify", "skryabin", "--alg", gl12_tak[1], "--e", e, "--out", solved]) == 0
+        # the supplied h and the solved one grade the extension alike
+        assert out.read_bytes() == solved.read_bytes()
+        assert sha(out) == "95b779bcf5d838b42a86699ecda6a57e57e45f42b40b5416d8d7fa605002ad3e"
+
+    def test_plain_verma_character(self, gl21_tak, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["character", "--kind", "verma-plain", "--alg", gl21_tak, "--trunc", 3, "--out", out]) == 0
+        assert sha(out) == "ab5a2f23e7ff2ba8434ac19569982c543635758e47cb52a2cacaaf6b4dc402be"
+
+
+@pytest.mark.parametrize(
+    "script, want",
+    [
+        (["run_verifications.py", "--max-size", "2", "--deg", "1"], "all checks passed"),
+        (["character_tables.py"], "PASS"),
+    ],
+)
+def test_scripts_run(script, want):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert want in proc.stdout
+
+
 @functools.lru_cache(maxsize=None)
 def _valid_file(m, n, kind):
     """A valid algebra file (with its root datum) or extension file of gl(m|n)."""
@@ -338,6 +463,42 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_input(m, n, kind):
+    """A valid character, element or weight file for the extension of gl(m|n)."""
+    a, rd = build_gl(m, n)
+    if kind == "nilcharacter":
+        t, _ = build_takiff(a, rd)
+        bars = [t.theta(rd.roots[k].space[0]) for k in rd.simple if rd.roots[k].parity == ODD]
+        values = {str(b): v for b, v in zip(bars, ["2+1*i", "-3"])}
+        return {"algebra": t.total.name, "domain": bars, "values": values}
+    if kind == "element":
+        # an odd principal nilpotent: both gl(1|1) and gl(2|1) have odd simples only
+        return {"coords": {"E_21": "1", "E_32": "1"} if m + n == 3 else {"E_21": "1"}}
+    return serialize.weight_to_dict(weyl_vector(rd, Scalar(1)))
+
+
+_INPUT_COMMANDS = {
+    "nilcharacter": [
+        ["whittaker", "--alg", "{alg}", "--chi", "{file}", "--trunc", "1"],
+        ["verify", "whittaker-covariance", "--alg", "{alg}", "--eta", "{file}", "--deg", "0"],
+        ["verify", "regularity", "--alg", "{alg}", "--chi", "{file}"],
+        ["verify", "fock-lift", "--alg", "{alg}", "--eta", "{file}", "--deg", "0"],
+    ],
+    "element": [
+        ["verify", "skryabin", "--alg", "{alg}", "--e", "{file}"],
+        ["verify", "regularity", "--alg", "{alg}", "--e", "{file}"],
+    ],
+    "weight": [
+        ["character", "--kind", "verma", "--alg", "{alg}", "--weight", "{file}", "--trunc", "2"],
+        ["character", "--kind", "verma-plain", "--alg", "{alg}", "--weight", "{file}", "--trunc", "2"],
+        ["verify", "factorization", "--alg", "{alg}", "--weight", "{file}", "--trunc", "2"],
+    ],
+}
+# keys of coordinate and value maps that name no basis element
+_BAD_KEYS = [str(k) for k in _OUT_OF_RANGE] + ["E_99", "z", "x"]
+
+
 class TestFileFuzz:
     """Mutated valid files end in exit 0, 1 or 2, and an exit 2 in one error line."""
 
@@ -376,6 +537,53 @@ class TestFileFuzz:
             with open(gens, "w") as fh:
                 json.dump({"vectors": [{"coords": {"0": "1"}}, {"coords": {"1": "1"}}]}, fh)
             argv = [a.format(file=file, gens=gens) for a in argv] + ["--out", os.path.join(tmp, "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @given(
+        st.sampled_from([(1, 1), (2, 1)]),
+        st.sampled_from(sorted(_INPUT_COMMANDS)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_input_files_exit_cleanly(self, mn, kind, data):
+        doc = copy.deepcopy(_valid_input(*mn, kind))
+        nodes = list(_paths(doc))
+        keyed = [p for p, _ in nodes if isinstance(_node(doc, p[:-1]), dict)]
+        choices = {
+            "delete": [p for p, _ in nodes],
+            "type": [p for p, _ in nodes],
+            "index": [p for p, v in nodes if type(v) is int],
+            "key": [p for p in keyed if p[-1] not in ("algebra", "coords", "domain", "values", "level")],
+            "scalar": [p for p, v in nodes if isinstance(v, str)],
+        }
+        mutation = data.draw(st.sampled_from(sorted(m for m, paths in choices.items() if paths)))
+        path = _draw_path(data, choices[mutation])
+        parent = _node(doc, path[:-1])
+        if mutation == "delete":
+            del parent[path[-1]]
+        elif mutation == "key":
+            parent[data.draw(st.sampled_from(_BAD_KEYS))] = parent.pop(path[-1])
+        else:
+            values = {
+                "type": [v for v in _WRONG_TYPED if type(v) is not type(parent[path[-1]])],
+                "index": _OUT_OF_RANGE,
+                "scalar": _BAD_SCALARS,
+            }[mutation]
+            parent[path[-1]] = data.draw(st.sampled_from(values))
+        argv = data.draw(st.sampled_from(_INPUT_COMMANDS[kind]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            file, alg = os.path.join(tmp, "in.json"), os.path.join(tmp, "alg.json")
+            for path_, obj in ((file, doc), (alg, _valid_file(*mn, "extension"))):
+                with open(path_, "w") as fh:
+                    json.dump(obj, fh)
+            argv = [a.format(file=file, alg=alg) for a in argv] + ["--out", os.path.join(tmp, "out")]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv)

@@ -26,6 +26,7 @@ from reference_engines import (
     ReferenceEchelonSpan,
     reference_invert,
     reference_kernel_basis,
+    reference_parse,
     reference_rank,
     reference_rref,
     reference_solve,
@@ -99,6 +100,47 @@ class TestScalar:
     def test_parse_zero_denominator(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
             Scalar.parse(text)
+
+
+_numeral = st.integers(0, 120).map(str)
+_magnitude = _numeral | st.tuples(_numeral, _numeral).map("/".join)
+_imaginary = st.tuples(st.just("") | _magnitude, st.sampled_from(["i", "*i"])).map("".join)
+# one part, or a real and an imaginary part in either order; the first part
+# has an optional sign, the second a required one
+well_formed_scalars = st.tuples(st.sampled_from(["", "+", "-"]), _magnitude | _imaginary).map(
+    "".join
+) | st.tuples(
+    st.sampled_from(["", "+", "-"]), _magnitude, st.sampled_from("+-"), _imaginary, st.booleans()
+).map(lambda t: t[0] + (t[3] + t[2] + t[1] if t[4] else t[1] + t[2] + t[3]))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ValueError, "zero denominator" in str(exc)
+
+
+class TestParseAgainstReference:
+    """Scalar.parse against the term-splitting reader it replaced."""
+
+    @given(st.text(alphabet="0123456789+-/*i ", max_size=10) | well_formed_scalars)
+    @example("12i")
+    @example("-3/4*i+12")
+    @example("*i-0")
+    @settings(max_examples=600)
+    def test_same_verdict_and_value(self, text):
+        got, want = _parsed(Scalar.parse, text), _parsed(reference_parse, text)
+        if isinstance(want, Scalar):
+            assert got == want
+        else:
+            assert isinstance(got, tuple)
+
+    @given(well_formed_scalars)
+    @example("1/0+2*i")
+    @example("3/00*i-1")
+    def test_well_formed_zero_denominator_is_named(self, text):
+        assert _parsed(Scalar.parse, text) == _parsed(reference_parse, text)
 
 
 pairs = st.tuples(fracs, fracs)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engines import ReferenceFock, reference_apply_lift
+from reference_engines import (
+    ReferenceFock,
+    reference_apply_lift,
+    reference_barred_commutators,
+    reference_basis_keys,
+)
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
     FockIndex,
@@ -412,3 +417,20 @@ class TestLiftTable:
         monkeypatch.setattr(f, "apply_barred", refuse)
         monkeypatch.setattr(f.base, "bracket", refuse)
         assert [f.apply_lift(s, v) for s in units] == want
+
+
+class TestReplacedRules:
+    """The key walk and the barred commutator constants against the code they replaced."""
+
+    @pytest.mark.parametrize("name", ["gl11", "gl21", "gl22", "gl12.twisted"])
+    def test_basis_keys_match_product_enumeration(self, name):
+        f = _twisted_gl12(ONE) if name == "gl12.twisted" else fock(int(name[2]), int(name[3]), ONE)
+        for d in range(5):
+            assert f.basis_keys(d) == reference_basis_keys(f, d)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_extension_z_coefficients_match_hand_constants(self, m, n):
+        f = fock(m, n, Scalar(2, 1))
+        t = f.takiff
+        for x, y, want in reference_barred_commutators(f):
+            assert f.c * t.total.bracket(t.embed(x, 1), t.embed(y, 1)).get(t.z_index) == want
