@@ -8,6 +8,7 @@ randomness is seeded through --seed (default 0) and recorded in reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -153,13 +154,12 @@ def cmd_verify(args) -> int:
         return _emit_report(verify_algebra(a), args.out, args.seed)
 
     if suite == "takiff":
-        t = _load_takiff(args.alg)
+        t, hat = _load_takiff(args.alg)
         rep = verify_takiff(t)
-        _, hat = build_takiff(t.base, t.rd)
         rep.merge(verify_hat_closure(t, hat))
         return _emit_report(rep, args.out, args.seed)
 
-    t = _load_takiff(args.alg)
+    t, _ = _load_takiff(args.alg)
 
     if suite == "fock-lift":
         f = build_fock(t, _level(args.c), _eta_dict(t, args))
@@ -232,7 +232,7 @@ def _eta_dict(t, args):
 
 
 def cmd_whittaker(args) -> int:
-    t = _load_takiff(args.alg)
+    t, _ = _load_takiff(args.alg)
     c = _level(args.c)
     f = build_fock(t, c, _eta_dict(t, args))
     phi = serialize.nilchar_from_dict(_load(args.chi), t.total)
@@ -249,7 +249,7 @@ def cmd_whittaker(args) -> int:
 
 
 def cmd_character(args) -> int:
-    t = _load_takiff(args.alg)
+    t, _ = _load_takiff(args.alg)
     c = _level(args.c)
     trunc = _trunc(args.trunc)
     if args.kind == "fock":
@@ -270,6 +270,7 @@ def cmd_character(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each parse_args call fills a fresh namespace
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="whittak", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")

@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 
 from .exactlin import Scalar, SparseMatrix, SparseVector
-from .superalg import Root, RootDatum, SuperAlgebra, Weight
-from .takiff import TakiffAlgebra, build_takiff
+from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index
+from .takiff import HatDecomposition, TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
 
 
@@ -41,17 +41,17 @@ def algebra_from_dict(d: dict) -> SuperAlgebra:
     dim = d["dim"]
     if dim != len(d["labels"]):
         raise ValueError(f"dim {dim!r} differs from the number of labels, {len(d['labels'])}")
+    for what, entries, fields in (("bracket", d["brackets"], "ijk"), ("form", d.get("form", ()), "ij")):
+        for b in entries:
+            for f in fields:
+                if not is_index(b[f], dim):
+                    raise ValueError(f"{what} entry {b} has {f} = {b[f]!r} outside 0..{dim - 1}")
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for b in d["brackets"]:
-        for f in ("i", "j", "k"):
-            if b[f] not in range(dim):
-                raise ValueError(f"bracket entry {b} has {f} = {b[f]!r} outside 0..{dim - 1}")
         table.setdefault((b["i"], b["j"]), {})[b["k"]] = Scalar.parse(b["coeff"])
     form = None
     if "form" in d:
-        form = SparseMatrix(
-            dim, dim, {(f["i"], f["j"]): Scalar.parse(f["coeff"]) for f in d["form"]}
-        )
+        form = SparseMatrix(dim, dim, {(f["i"], f["j"]): Scalar.parse(f["coeff"]) for f in d["form"]})
     return SuperAlgebra(
         d["name"],
         d["labels"],
@@ -90,7 +90,7 @@ def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
         ("simple", d["simple"], len(roots)),
     ):
         for k in indices:
-            if k not in range(bound):
+            if not is_index(k, bound):
                 raise ValueError(f"root datum {what} index {k!r} outside 0..{bound - 1}")
     for n, r in enumerate(roots):
         if not r.space or len(r.covector) != len(d["cartan"]):
@@ -111,21 +111,35 @@ def takiff_to_dict(t: TakiffAlgebra) -> dict:
     return out
 
 
-def takiff_from_dict(d: dict) -> TakiffAlgebra:
+def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
+    """build_takiff's pair (t, hat), rebuilt from the file's base algebra and root datum. A file equal
+    to takiff_to_dict(t), its total algebra's indices JSON integers, is accepted as it stands; exact
+    comparison decides every other file and words every error."""
     if "takiff_of" not in d:
         raise ValueError("not an extension file: missing takiff_of")
+    try:
+        base = algebra_from_dict(d["base_algebra"])
+        t, hat = build_takiff(base, root_datum_from_dict(d["root_datum"], base.dim))
+        n = t.total.dim
+        if d == takiff_to_dict(t) and is_index(d["layout"]["z"], n) and all(
+            is_index(b["i"], n) and is_index(b["j"], n) and is_index(b["k"], n) for b in d["brackets"]
+        ):
+            return t, hat
+    except (ValueError, TypeError, KeyError):
+        pass  # the exact path below raises the file's first error, in its own words
     total = algebra_from_dict(d)
     base = algebra_from_dict(d["base_algebra"])
     rd = root_datum_from_dict(d["root_datum"], base.dim)
     z = d["layout"]["z"]
     # the stored extension must be the one its base algebra and root datum define
-    t, _ = build_takiff(base, rd)
-    if (total.labels, total.parity, z) != (t.total.labels, t.total.parity, t.z_index):
+    t, hat = build_takiff(base, rd)
+    layout = (total.labels, total.parity, z)
+    if not is_index(z, t.total.dim) or layout != (t.total.labels, t.total.parity, t.z_index):
         raise ValueError("the stored extension's basis or layout differs from its base algebra's")
     for key in sorted(total.table.keys() | t.total.table.keys()):
         if total.table.get(key) != t.total.table.get(key):
             raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
-    return t
+    return t, hat
 
 
 def weight_to_dict(w: Weight) -> dict:

@@ -28,6 +28,11 @@ from .reports import Report
 EVEN, ODD = 0, 1
 
 
+def is_index(k, bound: int) -> bool:
+    """The rule for an index read from a file: an int, not a bool, in 0..bound-1."""
+    return type(k) is int and 0 <= k < bound
+
+
 class SuperAlgebra:
     """Labelled basis, parity vector, sparse bracket table, optional form."""
 

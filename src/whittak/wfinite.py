@@ -25,7 +25,7 @@ from .exactlin import (
 )
 from .fockrep import ModuleVector, enumerate_multiindices
 from .reports import Report
-from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra
+from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, is_index
 from .takiff import TakiffAlgebra, odd_form_prime
 
 
@@ -56,7 +56,7 @@ class NilCharacter:
 def nil_character(algebra: SuperAlgebra, domain, values: dict[int, Scalar]) -> NilCharacter:
     dom = tuple(sorted(set(domain)))
     for i in dom + tuple(values):
-        if i not in range(algebra.dim):
+        if not is_index(i, algebra.dim):
             raise ValueError(f"character index {i!r} outside 0..{algebra.dim - 1}")
     dset = set(dom)
     vals = {i: s for i, s in values.items() if s}

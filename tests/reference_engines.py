@@ -22,7 +22,10 @@ regex held the whole grammar. `reference_basis_keys` lists Fock monomials by
 a product over the Grassmann and Clifford bits and a recursive walk over the
 polynomial exponents. `reference_barred_commutators` holds the hand-written
 barred commutator constants that `verify_relations` used before it read them
-from the extension's bracket table.
+from the extension's bracket table. `reference_takiff_from_dict` is the
+extension-file loader that parsed every stored coefficient and compared the
+parsed total algebra with the rebuilt one, before canonical files were
+accepted by comparison with the text `takiff_to_dict` writes.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from whittak.exactlin import (
 )
 from whittak.fockrep import FockIndex, FockModule, ModuleVector
 from whittak.reports import Report
-from whittak.superalg import SuperAlgebra
-from whittak.takiff import TakiffAlgebra, cocycle_alpha_d, odd_form_prime
+from whittak.serialize import algebra_from_dict, root_datum_from_dict
+from whittak.superalg import SuperAlgebra, is_index
+from whittak.takiff import TakiffAlgebra, build_takiff, cocycle_alpha_d, odd_form_prime
 from whittak.wfinite import NilCharacter, _generating_subset
 
 
@@ -573,3 +577,21 @@ def reference_barred_commutators(f: FockModule) -> list[tuple[SparseVector, Spar
         return ZERO
 
     return [(x, y, expected(kx, ix, ky, iy)) for kx, ix, x in gens for ky, iy, y in gens]
+
+
+def reference_takiff_from_dict(d: dict) -> TakiffAlgebra:
+    if "takiff_of" not in d:
+        raise ValueError("not an extension file: missing takiff_of")
+    total = algebra_from_dict(d)
+    base = algebra_from_dict(d["base_algebra"])
+    rd = root_datum_from_dict(d["root_datum"], base.dim)
+    z = d["layout"]["z"]
+    # the stored extension must be the one its base algebra and root datum define
+    t, _ = build_takiff(base, rd)
+    layout = (total.labels, total.parity, z)
+    if not is_index(z, t.total.dim) or layout != (t.total.labels, t.total.parity, t.z_index):
+        raise ValueError("the stored extension's basis or layout differs from its base algebra's")
+    for key in sorted(total.table.keys() | t.total.table.keys()):
+        if total.table.get(key) != t.total.table.get(key):
+            raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
+    return t

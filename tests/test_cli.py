@@ -321,7 +321,7 @@ class TestInputIndices:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0], lines
 
-    @pytest.mark.parametrize("domain", [[99], [-1]])
+    @pytest.mark.parametrize("domain", [[99], [-1], [True], [5.0]])
     def test_character_domain_outside_the_algebra(self, gl11_tak, tmp_path, capsys, domain):
         chi = write(tmp_path / "chi.json", {"algebra": "x", "domain": domain, "values": {}})
         for argv in (
@@ -394,6 +394,22 @@ class TestCliPaths:
         assert sha(out) == "ab5a2f23e7ff2ba8434ac19569982c543635758e47cb52a2cacaaf6b4dc402be"
 
 
+def test_parser_reuse_carries_nothing_over(gl11_tak, tmp_path):
+    """A usage error and a call with --seed and --c leave no value behind for
+    the next call in the same process, which writes the bytes a fresh process writes."""
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "no-such-suite", "--alg", gl11_tak])
+    assert exc.value.code == 2
+    flagged, reused, fresh = tmp_path / "flagged.json", tmp_path / "reused.json", tmp_path / "fresh.json"
+    assert run(["--seed", 5, "verify", "highest-weight", "--alg", gl11_tak, "--c", 2, "--out", flagged]) == 0
+    assert run(["verify", "highest-weight", "--alg", gl11_tak, "--out", reused]) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["verify", "highest-weight", "--alg", str(gl11_tak), "--out", str(fresh)]
+    proc = subprocess.run([sys.executable, "-m", "whittak.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert reused.read_bytes() == fresh.read_bytes() != flagged.read_bytes()
+
+
 @pytest.mark.parametrize(
     "script, want",
     [
@@ -448,6 +464,21 @@ _BAD_SCALARS = ["1/0", "2-1/0*i", "0/0", "", " ", "abc", "1//2", "1/2/3", "+", "
 # -1, -7, 19, 37 and 10**6 are out of range for every index field of both
 # algebras; 4 and 9 lie just past the end of a gl(1|1) basis and extension
 _OUT_OF_RANGE = [-1, -7, 4, 9, 19, 37, 10**6]
+# fields whose ints the loaders read as indices (an extension's layout.base and
+# layout.theta are written for the reader but never read)
+_INDEX_FIELDS = {"i", "j", "k", "z", "cartan", "space", "positive", "simple", "domain"}
+
+
+def _index_paths(nodes):
+    """Paths of the int nodes whose field (the last key that is not a list position) is an index."""
+    return [p for p, v in nodes if type(v) is int and [k for k in p if type(k) is str][-1] in _INDEX_FIELDS]
+
+
+def _non_integers(k):
+    """JSON values that compare equal to 0, 1 or the index k but are not JSON integers."""
+    return [True, False, 1.0, float(k)]
+
+
 _COMMANDS = {
     "algebra": [
         ["verify", "algebra", "--alg", "{file}"],
@@ -505,13 +536,14 @@ class TestFileFuzz:
     @given(
         st.sampled_from([(1, 1), (2, 1)]),
         st.sampled_from(sorted(_COMMANDS)),
-        st.sampled_from(["delete", "type", "index", "scalar"]),
+        st.sampled_from(["delete", "type", "index", "non-integer index", "scalar"]),
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_mutated_files_exit_cleanly(self, mn, kind, mutation, data):
         doc = copy.deepcopy(_valid_file(*mn, kind))
         nodes = list(_paths(doc))
+        argv = data.draw(st.sampled_from(_COMMANDS[kind]))
         if mutation == "delete":
             dicts = [((), doc)] + [(p, v) for p, v in nodes if isinstance(v, dict)]
             path = _draw_path(data, [p + (k,) for p, v in dicts for k in v])
@@ -524,11 +556,15 @@ class TestFileFuzz:
             elif mutation == "index":
                 path = _draw_path(data, [p for p, v in nodes if type(v) is int])
                 values = _OUT_OF_RANGE
+            elif mutation == "non-integer index":
+                # only `build takiff` and the extension commands read an algebra file's root datum
+                reads_rd = kind == "extension" or argv[:2] == ["build", "takiff"]
+                path = _draw_path(data, [p for p in _index_paths(nodes) if reads_rd or p[0] != "root_datum"])
+                values = _non_integers(_node(doc, path))
             else:
                 path = _draw_path(data, [p for p, v in nodes if isinstance(v, str)])
                 values = _BAD_SCALARS
             _node(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(values))
-        argv = data.draw(st.sampled_from(_COMMANDS[kind]))
 
         with tempfile.TemporaryDirectory() as tmp:
             file, gens = os.path.join(tmp, "in.json"), os.path.join(tmp, "gens.json")
@@ -541,6 +577,7 @@ class TestFileFuzz:
             with contextlib.redirect_stderr(err):
                 code = main(argv)
         assert code in (0, 1, 2)
+        assert code == 2 or mutation != "non-integer index"
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -559,6 +596,7 @@ class TestFileFuzz:
             "delete": [p for p, _ in nodes],
             "type": [p for p, _ in nodes],
             "index": [p for p, v in nodes if type(v) is int],
+            "non-integer index": _index_paths(nodes),
             "key": [p for p in keyed if p[-1] not in ("algebra", "coords", "domain", "values", "level")],
             "scalar": [p for p, v in nodes if isinstance(v, str)],
         }
@@ -569,6 +607,8 @@ class TestFileFuzz:
             del parent[path[-1]]
         elif mutation == "key":
             parent[data.draw(st.sampled_from(_BAD_KEYS))] = parent.pop(path[-1])
+        elif mutation == "non-integer index":
+            parent[path[-1]] = data.draw(st.sampled_from(_non_integers(parent[path[-1]])))
         else:
             values = {
                 "type": [v for v in _WRONG_TYPED if type(v) is not type(parent[path[-1]])],
@@ -588,6 +628,7 @@ class TestFileFuzz:
             with contextlib.redirect_stderr(err):
                 code = main(argv)
         assert code in (0, 1, 2)
+        assert code == 2 or mutation != "non-integer index"
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines

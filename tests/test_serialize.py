@@ -1,6 +1,12 @@
 """Round trips through the JSON formats."""
 
+import copy
+import functools
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_engines import reference_takiff_from_dict
 
 from whittak import serialize
 from whittak.exactlin import I, ONE, Scalar, SparseVector
@@ -23,11 +29,89 @@ def test_takiff_roundtrip():
     a, rd = build_gl(1, 2)
     t, _ = build_takiff(a, rd)
     d = serialize.takiff_to_dict(t)
-    t2 = serialize.takiff_from_dict(json.loads(json.dumps(d)))
+    t2, _ = serialize.takiff_from_dict(json.loads(json.dumps(d)))
     assert t2.total.table == t.total.table
     assert t2.z_index == t.z_index
     assert t2.rd.positive == t.rd.positive
     assert t2.base.form == t.base.form
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_file(m, n):
+    a, rd = build_gl(m, n)
+    return json.loads(serialize.dumps(serialize.takiff_to_dict(build_takiff(a, rd)[0])))
+
+
+def _same_value_texts(text: str) -> list[str]:
+    """Texts other than `text` that parse to its value ("2/4" for "1/2", "+1" and "01" for "1")."""
+    s = Scalar.parse(text)
+    num, den = (text.split("/") + ["1"])[:2]
+    out = [f"{2 * int(num)}/{2 * int(den)}"]
+    out += [f"+{text}", f"0{text}", f"{text}/1"] if text[0] != "-" else [f"-0{text[1:]}"]
+    return [t for t in out if t != text and _parses_to(t, s)]
+
+
+def _parses_to(text: str, s: Scalar) -> bool:
+    try:
+        return Scalar.parse(text) == s
+    except ValueError:
+        return False
+
+
+def _outcome(load, d):
+    """("ok", total table, z) or the rejection as the CLI prints it."""
+    try:
+        r = load(d)
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc).__name__, f"error: {exc}"
+    t = r[0] if isinstance(r, tuple) else r
+    return "ok", t.total.table, t.z_index
+
+
+_MUTATIONS = ["none", "same value", "shuffle", "extra zero", "changed coefficient", "dropped entry",
+              "label", "parity", "non-integer index"]
+
+
+@given(st.sampled_from([(1, 1), (2, 1)]), st.sampled_from(_MUTATIONS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_loader_agrees_with_exact_reference(mn, mutation, data):
+    """The canonical-text fast path accepts, rejects and words errors as the exact loader does."""
+    d = copy.deepcopy(_extension_file(*mn))
+    brackets = d["brackets"]
+    entry = data.draw(st.sampled_from(brackets))
+    if mutation == "same value":
+        entry["coeff"] = data.draw(st.sampled_from(_same_value_texts(entry["coeff"])))
+    elif mutation == "shuffle":
+        d["brackets"] = data.draw(st.permutations(brackets))
+    elif mutation == "extra zero":
+        i, j, k = (data.draw(st.integers(0, d["dim"] - 1)) for _ in range(3))
+        brackets.insert(data.draw(st.integers(0, len(brackets))), {"i": i, "j": j, "k": k, "coeff": "0"})
+    elif mutation == "changed coefficient":
+        entry["coeff"] = str(Scalar.parse(entry["coeff"]) + data.draw(st.sampled_from([ONE, I, Scalar(-2)])))
+    elif mutation == "dropped entry":
+        brackets.remove(entry)
+    elif mutation in ("label", "parity"):
+        k = data.draw(st.integers(0, d["dim"] - 1))
+        if mutation == "label":
+            d["labels"][k] = data.draw(st.sampled_from(["x", d["labels"][k - 1]]))
+        else:
+            d["parity"][k] ^= 1
+    elif mutation == "non-integer index":
+        f = data.draw(st.sampled_from(["i", "j", "k"]))
+        entry[f] = data.draw(st.sampled_from([True, False, 1.0, float(entry[f])]))
+    assert _outcome(serialize.takiff_from_dict, d) == _outcome(reference_takiff_from_dict, d)
+
+
+def test_canonical_file_skips_the_total_parse(monkeypatch):
+    """A file as `build takiff` writes it is accepted without parsing its total algebra."""
+    d = _extension_file(2, 1)
+    parsed = []
+    parse = serialize.algebra_from_dict
+    monkeypatch.setattr(serialize, "algebra_from_dict", lambda a: parsed.append(a) or parse(a))
+    t, hat = serialize.takiff_from_dict(d)
+    assert parsed == [d["base_algebra"]]
+    t2, hat2 = build_takiff(t.base, t.rd)
+    assert t.total.table == t2.total.table and hat == hat2
 
 
 def test_weight_roundtrip():
