@@ -2,7 +2,7 @@
 """Paired benchmark runs of a parent commit against this checkout.
 
 Usage:
-    python3 scripts/bench_pair.py --parent SHA --runs N --workload W [--workload W2]
+    python3 scripts/bench_pair.py --parent SHA --runs N [--workload W ...] [--script PATH ...]
         [--label NAME] [--seed0 K]
 
 The parent commit is extracted with `git archive` into a temporary directory
@@ -13,10 +13,15 @@ parent first and odd pairs the change first. The change side is the working
 tree of this checkout, identified by its HEAD sha, a dirty flag and the
 `source_sha256` that run.py records.
 
+For each --script, pair i runs `python3 PATH` once in each tree, in the same
+alternating order, with the tree as working directory and PYTHONPATH set to the
+tree's `src`. The script's last stdout line must be a JSON object of metric ->
+seconds, lower is better. The same script file times both trees.
+
 Writes BENCH_<label>.json at the repository root with the Python version,
-platform, nproc, both shas, the seeds, every run's end-to-end metrics, each
-side's median and quartiles per metric, and the change's win counts over the
-pairs (ties count for neither side).
+platform, nproc, both shas, the seeds, every run's metrics, each side's median
+and quartiles per metric, and the change's win counts over the pairs (ties
+count for neither side).
 """
 
 from __future__ import annotations
@@ -61,49 +66,76 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"run": json.loads(lines[-2])["run"], "result": json.loads(lines[-1])}
 
 
+def run_script(tree: Path, script: Path) -> dict:
+    """One run of a timing script against `tree`'s package: its metric -> seconds object."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {script} in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def spread(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def compare(par: list[float], chg: list[float], lower: bool) -> dict:
+    """Both sides' spreads and the change's wins, losses and ties over the pairs."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+    losses = sum((c > p) if lower else (c < p) for p, c in zip(par, chg))
+    return {
+        "parent": spread(par),
+        "change": spread(chg),
+        "change_wins": wins,
+        "parent_wins": losses,
+        "ties": len(par) - wins - losses,
+    }
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name = m["name"]
         par = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         chg = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
-        losses = sum((c > p) if lower else (c < p) for p, c in zip(par, chg))
-        out[name] = {
-            "unit": m["unit"],
-            "better": m["better"],
-            "bound": m["bound"],
-            "parent": spread(par),
-            "change": spread(chg),
-            "change_wins": wins,
-            "parent_wins": losses,
-            "ties": len(pairs) - wins - losses,
-        }
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                     **compare(par, chg, m["better"] == "lower")}
     return out
+
+
+def paired(runs: int, run) -> tuple[list[dict], list[str]]:
+    """`runs` pairs of run(side, i), alternating which side goes first."""
+    pairs, first = [], []
+    for i in range(runs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pairs.append({side: run(side, i) for side in order})
+        first.append(order[0])
+    return pairs, first
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit to compare against")
     ap.add_argument("--runs", type=int, required=True, help="pairs per workload, at least 2")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--script", action="append", default=[], type=Path,
+                    help="timing script whose last stdout line is a JSON object of metric -> seconds")
     ap.add_argument("--label", default="pair", help="names the output BENCH_<label>.json")
     ap.add_argument("--seed0", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
     if args.runs < 2:
         ap.error("--runs must be at least 2")
+    if not args.workload and not args.script:
+        ap.error("give at least one --workload or --script")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     change = {
         "sha": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench", "scripts")),
     }
     record = {
         "label": args.label,
@@ -120,26 +152,41 @@ def main(argv=None) -> int:
         extract(parent_sha, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workload:
-            pairs, seeds = [], []
-            for i in range(args.runs):
-                seed = args.seed0 + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, seconds)
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{pair[side]['result']['metrics']['wall_s']['value']:.3f} s wall",
-                          file=sys.stderr)
-                pairs.append(pair)
-                seeds.append(seed)
+            seeds = [args.seed0 + i for i in range(args.runs)]
+
+            def run(side, i):
+                r = run_once(trees[side], workload, seeds[i], seconds)
+                print(f"{workload} seed {seeds[i]} {side}: "
+                      f"{r['result']['metrics']['wall_s']['value']:.3f} s wall", file=sys.stderr)
+                return r
+
+            pairs, first = paired(args.runs, run)
             for side in ("parent", "change"):
                 record[side]["source_sha256"] = pairs[0][side]["run"]["source_sha256"]
             record["workloads"][workload] = {
                 "seeds": seeds,
-                "first": [p["first"] for p in pairs],
+                "first": first,
                 "correct": {s: all(p[s]["result"]["correct"] for p in pairs)
                             for s in ("parent", "change")},
                 "metrics": summarize(pairs, bench["end_to_end"]),
+            }
+        for script in args.script:
+            path = script.resolve()
+
+            def run(side, i):
+                r = run_script(trees[side], path)
+                print(f"{script} pair {i} {side}: {json.dumps(r, sort_keys=True)}", file=sys.stderr)
+                return r
+
+            pairs, first = paired(args.runs, run)
+            record.setdefault("scripts", {})[str(script)] = {
+                "first": first,
+                "metrics": {
+                    name: {"unit": "s", "better": "lower",
+                           **compare([p["parent"][name] for p in pairs],
+                                     [p["change"][name] for p in pairs], True)}
+                    for name in sorted(pairs[0]["change"])
+                },
             }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

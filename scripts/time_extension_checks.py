@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Time the exact extension loader and the extension checks on gl(2|3).
+
+Usage: PYTHONPATH=src python3 scripts/time_extension_checks.py [--reps 30]
+
+Builds the gl(2|3) extension file as `build takiff` writes it, then times
+`serialize.takiff_from_dict` on it, `verify_algebra` on the extension and
+`verify_takiff`, each as the median of --reps calls in this process. The last
+stdout line is a JSON object of metric -> seconds (lower is better), the form
+`scripts/bench_pair.py --script` reads. The package is imported from
+PYTHONPATH, so the same script times any checkout's `src`.
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+from whittak import serialize
+from whittak.superalg import build_gl, verify_algebra
+from whittak.takiff import build_takiff, verify_takiff
+
+
+def median_time(fn, reps: int) -> float:
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=30, help="calls per metric")
+    args = ap.parse_args()
+
+    a, rd = build_gl(2, 3)
+    t, _ = build_takiff(a, rd)
+    d = json.loads(serialize.dumps(serialize.takiff_to_dict(t)))
+    if not verify_takiff(t).passed:
+        raise SystemExit("error: the gl(2|3) extension fails verify_takiff")
+    print(json.dumps({
+        "takiff_from_dict_s": median_time(lambda: serialize.takiff_from_dict(d), args.reps),
+        "verify_algebra_s": median_time(lambda: verify_algebra(t.total), args.reps),
+        "verify_takiff_s": median_time(lambda: verify_takiff(t), args.reps),
+    }, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

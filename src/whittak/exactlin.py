@@ -240,6 +240,13 @@ def sign(k: int) -> Scalar:
     return MINUS_ONE if k % 2 else ONE
 
 
+def numerators(values: list[Scalar]) -> list[tuple[int, int]]:
+    """Each value's (re, im) numerator over one common denominator, in order. A sum of these
+    Gaussian integers, or of products of two of them, is zero exactly when the Scalar sum is."""
+    den = math.lcm(*{s._d for s in values})
+    return [(s._a * (den // s._d), s._b * (den // s._d)) for s in values]
+
+
 class SparseVector:
     """Finitely supported vector: basis index -> nonzero Scalar."""
 

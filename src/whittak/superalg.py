@@ -20,6 +20,7 @@ from .exactlin import (
     add_term,
     invert,
     kernel_basis,
+    numerators,
     rank,
     sign,
 )
@@ -95,6 +96,7 @@ class SuperAlgebra:
 
 
 _EMPTY = SparseVector()
+_ZERO_PAIR = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -284,42 +286,48 @@ def verify_algebra(a: SuperAlgebra) -> Report:
         "super-anticommutativity",
         (
             f"[{lab[i]},{lab[j]}] != -(-1)^pq [{lab[j]},{lab[i]}]"
-            for i in range(d)
-            for j in range(i, d)
+            # a pair with both brackets zero holds, so only pairs in the table can fail
+            for i, j in sorted({(min(key), max(key)) for key in a.table if max(key) < d})
             if a.bracket_basis(i, j) != a.bracket_basis(j, i).scale(-sign(par[i] * par[j]))
         ),
     )
 
     # With anticommutativity established, ordered triples cover all triples.
     # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - (-1)^{p_i p_j} [e_j,[e_i,e_k]] is
-    # accumulated per (i, j, k, m) over nonzero structure constants only.
+    # accumulated per (i, j, k, m) over nonzero structure constants only, as
+    # Gaussian-integer numerators over the square of one common denominator.
     def jacobi_failures():
+        num = iter(numerators([u for v in a.table.values() for u in v.entries.values()]))
+        table = {key: [(m, next(num)) for m in v.entries] for key, v in a.table.items()}
         by_first: dict[int, list] = {}
         by_second: dict[int, list] = {}
-        for (x, y), v in a.table.items():
+        for (x, y), v in table.items():
             by_first.setdefault(x, []).append((y, v))
             by_second.setdefault(y, []).append((x, v))
-        acc: dict[tuple[int, int, int, int], Scalar] = {}
-        for (x, y), v in a.table.items():
+        acc: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+        for (x, y), v in table.items():
             if x > y:
                 continue
-            for t, s in v.items():
+            for t, (sr, si) in v:
                 # inner [e_x,e_y] under an outer e_o, as [e_i,[e_j,e_k]] or [e_j,[e_i,e_k]]
                 for o, w in by_second.get(t, ()):
                     if o > y:
                         continue
-                    for m, u in w.items():
-                        p = s * u
+                    for m, (ur, ui) in w:
+                        pr, pi = sr * ur - si * ui, sr * ui + si * ur
                         if o <= x:
-                            add_term(acc, (o, x, y, m), p)
+                            r, q = acc.get((o, x, y, m), _ZERO_PAIR)
+                            acc[(o, x, y, m)] = (r + pr, q + pi)
                         if x <= o:
-                            add_term(acc, (x, o, y, m), p if par[x] & par[o] else -p)
+                            r, q = acc.get((x, o, y, m), _ZERO_PAIR)
+                            acc[(x, o, y, m)] = (r + pr, q + pi) if par[x] & par[o] else (r - pr, q - pi)
                 # outer [e_x,e_y] under e_k, as [[e_i,e_j],e_k]
                 for k, w in by_first.get(t, ()):
                     if k >= y:
-                        for m, u in w.items():
-                            add_term(acc, (x, y, k, m), -(s * u))
-        for i, j, k in sorted({key[:3] for key in acc if key[2] < d}):
+                        for m, (ur, ui) in w:
+                            r, q = acc.get((x, y, k, m), _ZERO_PAIR)
+                            acc[(x, y, k, m)] = (r - sr * ur + si * ui, q - sr * ui - si * ur)
+        for i, j, k in sorted({key[:3] for key, c in acc.items() if c != _ZERO_PAIR and key[2] < d}):
             yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
 
     rep.first_failure("super Jacobi identity", jacobi_failures())
@@ -359,21 +367,27 @@ def form_invariance_failures(table, form_entries, d, labels, what):
 
     Both sides are joined from the nonzero bracket entries `table` and the
     nonzero form entries `form_entries` ({(row, col): value}), so only the
-    triples where a side can be nonzero are visited.
+    triples where a side can be nonzero are visited. Each term is a table
+    numerator times a form numerator, over one common denominator.
     """
+    fnum = numerators(list(form_entries.values()))
     rows: dict[int, list] = {}
     cols: dict[int, list] = {}
-    for (r, c), f in form_entries.items():
+    for (r, c), f in zip(form_entries, fnum):
         rows.setdefault(r, []).append((c, f))
         cols.setdefault(c, []).append((r, f))
-    acc: dict[tuple[int, int, int], Scalar] = {}
+    num = iter(numerators([s for v in table.values() for s in v.entries.values()]))
+    acc: dict[tuple[int, int, int], tuple[int, int]] = {}
     for (x, y), v in table.items():
-        for t, s in v.items():
-            for k, f in rows.get(t, ()):  # ([e_x,e_y]|e_k)
-                add_term(acc, (x, y, k), s * f)
-            for i, f in cols.get(t, ()):  # (e_i|[e_x,e_y])
-                add_term(acc, (i, x, y), -(f * s))
-    for i, j, k in sorted(key for key in acc if max(key) < d):
+        for t in v.entries:
+            sr, si = next(num)
+            for k, (fr, fi) in rows.get(t, ()):  # ([e_x,e_y]|e_k)
+                r, q = acc.get((x, y, k), _ZERO_PAIR)
+                acc[(x, y, k)] = (r + sr * fr - si * fi, q + sr * fi + si * fr)
+            for i, (fr, fi) in cols.get(t, ()):  # (e_i|[e_x,e_y])
+                r, q = acc.get((i, x, y), _ZERO_PAIR)
+                acc[(i, x, y)] = (r - sr * fr + si * fi, q - sr * fi - si * fr)
+    for i, j, k in sorted(key for key, c in acc.items() if c != _ZERO_PAIR and max(key) < d):
         yield f"{what} fails at ({labels[i]},{labels[j]},{labels[k]})"
 
 

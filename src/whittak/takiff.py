@@ -67,18 +67,15 @@ def build_takiff(s: SuperAlgebra, rd: RootDatum) -> tuple[TakiffAlgebra, HatDeco
     labels = list(s.labels) + [f"{l}.th" for l in s.labels] + ["z"]
     parity = list(s.parity) + [p ^ 1 for p in s.parity] + [EVEN]
 
+    # the base table and form hold no zeros, so neither does any entry built from them
     table: dict[tuple[int, int], SparseVector] = {}
     for (i, j), v in s.table.items():
         table[(i, j)] = v
-        table[(i, n + j)] = SparseVector({n + k: c for k, c in v.items()})
-        sv = v.scale(sign(s.parity[j]))
-        if sv:
-            table[(n + i, j)] = SparseVector({n + k: c for k, c in sv.items()})
-    for i in range(n):
-        for j in range(n):
-            f = s.form.get(i, j)
-            if f:
-                table[(n + i, n + j)] = SparseVector({z: sign(s.parity[j]) * f})
+        table[(i, n + j)] = SparseVector._of({n + k: c for k, c in v.items()})
+        odd = s.parity[j] % 2
+        table[(n + i, j)] = SparseVector._of({n + k: -c if odd else c for k, c in v.items()})
+    for (i, j), f in sorted(s.form.entries.items()):
+        table[(n + i, n + j)] = SparseVector._of({z: -f if s.parity[j] % 2 else f})
 
     total = SuperAlgebra(f"takiff({s.name})", labels, parity, table)
     t = TakiffAlgebra(s, rd, total, z)
@@ -152,17 +149,19 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
     )
 
     def generator_rule_failures():
-        for i in range(n):
-            for j in range(n):
-                base_br = t.base.bracket_basis(i, j)
-                if tot.bracket_basis(i, j) != base_br:
-                    yield f"[{lab[i]},{lab[j]}] differs from base"
-                want = SparseVector({n + k: c for k, c in base_br.items()})
-                if tot.bracket_basis(i, n + j) != want:
-                    yield f"[{lab[i]},{lab[n + j]}] != bracket (x) theta"
-                want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
-                if tot.bracket_basis(n + i, n + j) != want_z:
-                    yield f"[{lab[n + i]},{lab[n + j]}] != form z-term"
+        # a pair whose base bracket, form entry and extension brackets are all zero holds
+        held = {(i % n, j % n) for i, j in tot.table if max(i, j) < 2 * n}
+        held |= t.base.table.keys() | t.base.form.entries.keys()
+        for i, j in sorted(k for k in held if max(k) < n):
+            base_br = t.base.bracket_basis(i, j)
+            if tot.bracket_basis(i, j) != base_br:
+                yield f"[{lab[i]},{lab[j]}] differs from base"
+            want = SparseVector({n + k: c for k, c in base_br.items()})
+            if tot.bracket_basis(i, n + j) != want:
+                yield f"[{lab[i]},{lab[n + j]}] != bracket (x) theta"
+            want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
+            if tot.bracket_basis(n + i, n + j) != want_z:
+                yield f"[{lab[n + i]},{lab[n + j]}] != form z-term"
 
     rep.first_failure("generator bracket rules", generator_rule_failures())
 

@@ -3,6 +3,7 @@
 import copy
 import functools
 import json
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,7 +76,7 @@ _MUTATIONS = ["none", "same value", "shuffle", "extra zero", "changed coefficien
 @given(st.sampled_from([(1, 1), (2, 1)]), st.sampled_from(_MUTATIONS), st.data())
 @settings(max_examples=200, deadline=None)
 def test_loader_agrees_with_exact_reference(mn, mutation, data):
-    """The canonical-text fast path accepts, rejects and words errors as the exact loader does."""
+    """The loader accepts, rejects and words errors as the exact reference loader does."""
     d = copy.deepcopy(_extension_file(*mn))
     brackets = d["brackets"]
     entry = data.draw(st.sampled_from(brackets))
@@ -102,15 +103,25 @@ def test_loader_agrees_with_exact_reference(mn, mutation, data):
     assert _outcome(serialize.takiff_from_dict, d) == _outcome(reference_takiff_from_dict, d)
 
 
-def test_canonical_file_skips_the_total_parse(monkeypatch):
-    """A file as `build takiff` writes it is accepted without parsing its total algebra."""
+def test_loader_parses_each_coefficient_text_once(monkeypatch):
+    """A file as `build takiff` writes it costs one Scalar.parse per distinct coefficient text of
+    each algebra it holds (plus one per root covector entry), and loads as build_takiff's pair."""
     d = _extension_file(2, 1)
-    parsed = []
-    parse = serialize.algebra_from_dict
-    monkeypatch.setattr(serialize, "algebra_from_dict", lambda a: parsed.append(a) or parse(a))
+    calls = []
+    parse = Scalar.parse
+    monkeypatch.setattr(Scalar, "parse", staticmethod(lambda text: calls.append(text) or parse(text)))
     t, hat = serialize.takiff_from_dict(d)
-    assert parsed == [d["base_algebra"]]
-    t2, hat2 = build_takiff(t.base, t.rd)
+    monkeypatch.undo()
+
+    def texts(alg):
+        return {e["coeff"] for e in alg["brackets"] + alg.get("form", [])}
+
+    covectors = [s for r in d["root_datum"]["roots"] for s in r["covector"]]
+    allowed = Counter([*texts(d), *texts(d["base_algebra"]), *covectors])
+    assert len(d["brackets"]) > len(allowed)
+    assert not Counter(calls) - allowed
+    t2, hat2 = build_takiff(*build_gl(2, 1))
+    assert t.base.table == t2.base.table and t.base.form == t2.base.form
     assert t.total.table == t2.total.table and hat == hat2
 
 

@@ -109,7 +109,8 @@ class TestBuildGl:
         assert names & {"super Jacobi identity", "form is invariant", "super-anticommutativity"}
 
 
-EDIT_SCALARS = st.sampled_from([ONE, -ONE, Scalar(2), I, half, ZERO])
+# denominators 1, 2 and 3 and a non-real value, so the joins' common denominators exceed 2
+EDIT_SCALARS = st.sampled_from([ONE, -ONE, Scalar(2), I, half, Scalar(1, 1) / Scalar(3), ZERO])
 
 
 def edit_table(table, index, data):
@@ -136,6 +137,23 @@ def edit_table(table, index, data):
         table[key] = SparseVector(entries)
 
 
+def rescale_basis(a, data):
+    """Move `a` in place to the basis c_k e_k, each c_k drawn from the nonzero EDIT_SCALARS.
+
+    The algebra is the same up to isomorphism, so every check passes or fails
+    as before, but Jacobi and invariance terms become products of non-real
+    scalars whose real and imaginary parts differ from term to term.
+    """
+    c = [data.draw(EDIT_SCALARS.filter(bool), label="basis scale") for _ in range(a.dim)]
+    a.table = {
+        (i, j): SparseVector({k: s * c[i] * c[j] / c[k] for k, s in v.items()})
+        for (i, j), v in a.table.items()
+    }
+    a.form = SparseMatrix(
+        a.dim, a.dim, {(i, j): f * c[i] * c[j] for (i, j), f in a.form.entries.items()}
+    )
+
+
 def edited_form(form, data):
     """`form` with up to two random entries set (a zero scalar removes one)."""
     entries = dict(form.entries)
@@ -152,6 +170,7 @@ class TestStructureJoins:
     @settings(max_examples=200, deadline=None)
     def test_matches_triple_scan(self, mn, data):
         a, _ = build_gl(*mn)
+        rescale_basis(a, data)
         edit_table(a.table, st.integers(0, a.dim - 1), data)
         a.form = edited_form(a.form, data)
         assert verify_algebra(a).to_json() == reference_verify_algebra(a).to_json()

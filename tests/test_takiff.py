@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engines import reference_verify_takiff
-from test_superalg import edit_table, edited_form
+from test_superalg import edit_table, edited_form, rescale_basis
 from whittak.exactlin import ONE, ZERO, I, Scalar, SparseVector
 from whittak.superalg import build_gl, verify_algebra
 from whittak.takiff import (
@@ -68,7 +68,9 @@ class TestStructureJoins:
     @given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_triple_scan(self, mn, data):
-        t, _ = tak(*mn)
+        a, rd = build_gl(*mn)
+        rescale_basis(a, data)
+        t, _ = build_takiff(a, rd)
         # z is drawn about half the time: terms on z and brackets with z
         index = st.one_of(st.just(t.z_index), st.integers(0, t.total.dim - 1))
         edit_table(t.total.table, index, data)
