@@ -106,10 +106,10 @@ def _grading_element(t, e: SparseVector) -> SparseVector:
 
 
 def _principal_data(t, args):
-    if not getattr(args, "e", None):
+    if not args.e:
         raise UsageError("this suite needs --e with an element file")
     e = serialize.vector_from_dict(_load(args.e), t.base)
-    if getattr(args, "h", None):
+    if args.h:
         h = serialize.vector_from_dict(_load(args.h), t.base)
     else:
         h = _grading_element(t, e)
@@ -133,18 +133,16 @@ def cmd_build(args) -> int:
         t, _ = build_takiff(a, rd)
         _write(serialize.dumps(serialize.takiff_to_dict(t)), args.out)
         return 0
-    if args.kind == "span":
-        d = _load(getattr(args, "in"))
-        a = serialize.algebra_from_dict(d)
-        gens = serialize.vectors_from_dict(_load(args.gens), a)
-        sub, emb = subalgebra_from_span(a, gens, name=args.name)
-        out = serialize.algebra_to_dict(sub)
-        out["embedding"] = [
-            {"i": i, "j": j, "coeff": str(s)} for (i, j), s in sorted(emb.entries.items())
-        ]
-        _write(serialize.dumps(out), args.out)
-        return 0
-    raise UsageError(f"unknown build kind {args.kind}")
+    d = _load(getattr(args, "in"))  # span
+    a = serialize.algebra_from_dict(d)
+    gens = serialize.vectors_from_dict(_load(args.gens), a)
+    sub, emb = subalgebra_from_span(a, gens, name=args.name)
+    out = serialize.algebra_to_dict(sub)
+    out["embedding"] = [
+        {"i": i, "j": j, "coeff": str(s)} for (i, j), s in sorted(emb.entries.items())
+    ]
+    _write(serialize.dumps(out), args.out)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -208,25 +206,22 @@ def cmd_verify(args) -> int:
         )
         return _emit_report(rep, args.out, args.seed)
 
-    if suite == "regularity":
-        c = _level(args.c)
-        if args.chi:
-            chi = serialize.nilchar_from_dict(_load(args.chi), t.total)
-        elif not args.e:
-            raise UsageError("regularity needs --chi or --e")
-        else:
-            e, h, g = _principal_data(t, args)
-            full = nilchar_from_e(t, g, e)
-            dom = tuple(k for k in full.domain if t.total.parity[k] == 0)
-            chi = nil_character(t.total, dom, {k: v for k, v in full.values.items() if k in dom})
-        zeta = zeta_from_chi(t, chi, c)
-        return _emit_report(regularity_check(zeta, t.rd), args.out, args.seed)
-
-    raise UsageError(f"unknown verify suite {suite}")
+    c = _level(args.c)  # regularity
+    if args.chi:
+        chi = serialize.nilchar_from_dict(_load(args.chi), t.total)
+    elif not args.e:
+        raise UsageError("regularity needs --chi or --e")
+    else:
+        e, h, g = _principal_data(t, args)
+        full = nilchar_from_e(t, g, e)
+        dom = tuple(k for k in full.domain if t.total.parity[k] == 0)
+        chi = nil_character(t.total, dom, {k: v for k, v in full.values.items() if k in dom})
+    zeta = zeta_from_chi(t, chi, c)
+    return _emit_report(regularity_check(zeta, t.rd), args.out, args.seed)
 
 
 def _eta_dict(t, args):
-    if getattr(args, "eta", None):
+    if args.eta:
         return eta_for_fock(t, serialize.nilchar_from_dict(_load(args.eta), t.total))
     return None
 
@@ -256,10 +251,8 @@ def cmd_character(args) -> int:
         ch = fock_character(build_fock(t, c), trunc)
     elif args.kind == "verma":
         ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd, c)), trunc, hatted=True)
-    elif args.kind == "verma-plain":
-        ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd)), trunc, hatted=False)
     else:
-        raise UsageError(f"unknown character kind {args.kind}")
+        ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd)), trunc, hatted=False)
     if args.format == "tsv":
         lines = ["offset\tmult"]
         for o, m in ch.terms():
@@ -348,13 +341,8 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "whittaker":
             return cmd_whittaker(args)
-        if args.command == "character":
-            return cmd_character(args)
-        raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+        return cmd_character(args)
+    except (UsageError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

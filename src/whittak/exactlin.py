@@ -126,10 +126,6 @@ class Scalar:
     def __hash__(self):
         return hash((self._a, self._b, self._d))
 
-    def one_norm(self) -> Fraction:
-        """|re| + |im|, used for pivot choice and spectrum bounds."""
-        return Fraction(abs(self._a) + abs(self._b), self._d)
-
     # -- text format --------------------------------------------------------
 
     @staticmethod
@@ -363,6 +359,17 @@ class SparseMatrix:
 
     def column(self, j: int) -> SparseVector:
         return SparseVector({r: s for (r, c), s in self.entries.items() if c == j})
+
+    def pair(self, x: SparseVector, y: SparseVector) -> Scalar:
+        """x^T M y."""
+        entries = self.entries
+        acc = ZERO
+        for i, a in x.items():
+            for j, b in y.items():
+                s = entries.get((i, j))
+                if s is not None:
+                    acc = acc + a * s * b
+        return acc
 
     def mul_vec(self, v: SparseVector) -> SparseVector:
         cols = {}

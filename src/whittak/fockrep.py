@@ -20,6 +20,7 @@ from .exactlin import (
     I,
     ONE,
     ZERO,
+    EchelonSpan,
     Scalar,
     SparseMatrix,
     SparseVector,
@@ -28,7 +29,7 @@ from .exactlin import (
     sign,
 )
 from .reports import Report
-from .superalg import EVEN, ODD, SuperAlgebra, weyl_vector
+from .superalg import EVEN, ODD, SuperAlgebra, gl_parity_sequence, weyl_vector
 from .takiff import TakiffAlgebra, dual_bases
 
 
@@ -505,8 +506,6 @@ def _mat_comm(x: SparseMatrix, y: SparseMatrix, koszul: Scalar) -> SparseMatrix:
 
 def natural_module(a: SuperAlgebra, m: int, n: int) -> FinDimModule:
     """Column action of gl(m|n) matrix units on the natural superspace."""
-    from .superalg import gl_parity_sequence
-
     d = m + n
     rowp = gl_parity_sequence(m, n)
     actions = []
@@ -571,8 +570,6 @@ def cyclicity_spot_check(tm: TensorModule, seed: int = 0, samples: int = 20) -> 
     under operator words of length <= 3 must contain a nonzero vector
     supported on degree-zero module keys.
     """
-    from .exactlin import EchelonSpan
-
     rng = random.Random(seed)
     rep = Report(f"cyclicity spot check: {tm.f.base.name}, c = {tm.c}")
     rep.seed = seed

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 
+from .charfun import FormalCharacter
 from .exactlin import Scalar, SparseMatrix, SparseVector
+from .fockrep import FockIndex, ModuleVector
 from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index
 from .takiff import HatDecomposition, TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
@@ -41,6 +43,9 @@ def algebra_from_dict(d: dict) -> SuperAlgebra:
     dim = d["dim"]
     if dim != len(d["labels"]):
         raise ValueError(f"dim {dim!r} differs from the number of labels, {len(d['labels'])}")
+    for n, p in enumerate(d["parity"]):
+        if not is_index(p, 2):
+            raise ValueError(f"parity entry {n} is {p!r}, not 0 or 1")
     for what, entries, fields in (("bracket", d["brackets"], "ijk"), ("form", d.get("form", ()), "ij")):
         for b in entries:
             for f in fields:
@@ -103,6 +108,8 @@ def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
     for n, r in enumerate(roots):
         if not r.space or len(r.covector) != len(d["cartan"]):
             raise ValueError(f"root {n} needs a root space and one value per Cartan element")
+        if not is_index(r.parity, 2):
+            raise ValueError(f"root {n} has parity {r.parity!r}, not 0 or 1")
     return RootDatum(tuple(d["cartan"]), roots, tuple(d["positive"]), tuple(d["simple"]))
 
 
@@ -200,8 +207,6 @@ def character_to_dict(ch) -> dict:
 
 
 def character_from_dict(d: dict):
-    from .charfun import FormalCharacter
-
     anchor = weight_from_dict(d["anchor"])
     terms = {tuple(t["offset"]): t["mult"] for t in d["terms"]}
     nsimple = len(d["terms"][0]["offset"]) if d["terms"] else 0
@@ -234,8 +239,6 @@ def module_vector_to_dict(f, v) -> list:
 
 
 def module_vector_from_dict(f, terms: list):
-    from .fockrep import FockIndex, ModuleVector
-
     label_to_poly = {
         f.base.labels[f.positives[p].space[0]]: k for k, p in enumerate(f.poly_slots)
     }

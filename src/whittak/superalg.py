@@ -8,7 +8,7 @@ gradings and centralizers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlin import (
     ONE,
@@ -19,10 +19,10 @@ from .exactlin import (
     SparseVector,
     add_term,
     invert,
-    kernel_basis,
     numerators,
     rank,
     sign,
+    solve,
 )
 from .reports import Report
 
@@ -68,13 +68,7 @@ class SuperAlgebra:
     def form_pair(self, x: SparseVector, y: SparseVector) -> Scalar:
         if self.form is None:
             raise ValueError(f"{self.name} carries no bilinear form")
-        acc = ZERO
-        for i, a in x.items():
-            for j, b in y.items():
-                s = self.form.get(i, j)
-                if s:
-                    acc = acc + a * s * b
-        return acc
+        return self.form.pair(x, y)
 
     def parity_of(self, v: SparseVector) -> int:
         """Parity of a homogeneous vector; raises on mixed parity."""
@@ -143,8 +137,6 @@ class RootDatum:
                 if s.covector[r]
             },
         )
-        from .exactlin import solve
-
         sol = solve(mat, SparseVector({r: v for r, v in enumerate(root.covector) if v}))
         if sol is None:
             return None
@@ -499,72 +491,22 @@ def weyl_vector(rd: RootDatum, level: Scalar = ZERO) -> Weight:
     return Weight(tuple(h * v for v in acc), level)
 
 
-@dataclass
-class Grading:
-    """Integer ad-h eigen decomposition, reported as degree blocks."""
+def grading_by_adh(a: SuperAlgebra, h: SparseVector) -> tuple[int, ...]:
+    """The ad h degree of each basis vector.
 
-    degrees: tuple[int, ...]
-    blocks: list[tuple[int, list[SparseVector]]] = field(default_factory=list)
-
-    def by_basis(self) -> dict[int, int]:
-        return dict(enumerate(self.degrees))
-
-
-def grading_by_adh(a: SuperAlgebra, h: SparseVector) -> Grading:
-    """Integer grading of the basis by ad h eigenvalues.
-
-    The fast path requires every basis vector to be an ad-h eigenvector with
-    an integer eigenvalue (true for the diagonal Cartans used here); otherwise
-    integer eigenspaces are collected and must jointly span.
+    Every basis vector must be an ad-h eigenvector with an integer eigenvalue,
+    as it is for the diagonal Cartan elements used here.
     """
-    d = a.dim
-    degs: list[int | None] = []
-    ok = True
-    for j in range(d):
+    degrees = []
+    for j in range(a.dim):
         img = a.bracket(h, SparseVector.unit(j))
-        if not img:
-            degs.append(0)
-            continue
-        if set(img.entries) != {j}:
-            ok = False
-            break
+        if img.entries.keys() - {j}:
+            raise ValueError(f"the basis is not an eigenbasis for ad h: {a.labels[j]}")
         lam = img.get(j)
         if lam.im or lam.re.denominator != 1:
             raise ValueError(f"ad h eigenvalue {lam} on {a.labels[j]} is not an integer")
-        degs.append(int(lam.re))
-    if ok:
-        g = Grading(tuple(degs))
-        found: dict[int, list[SparseVector]] = {}
-        for j, deg in enumerate(degs):
-            found.setdefault(deg, []).append(SparseVector.unit(j))
-        g.blocks = sorted(found.items())
-        return g
-
-    ad = a.ad_matrix(h)
-    bound = 0
-    cols: dict[int, Scalar] = {}
-    for (_, c), s in ad.entries.items():
-        cols[c] = cols.get(c, ZERO) + Scalar(s.one_norm())
-    for s in cols.values():
-        bound = max(bound, int(s.re) + 1)
-    blocks = []
-    total = 0
-    for deg in range(-bound, bound + 1):
-        shifted = dict(ad.entries)
-        for j in range(d):
-            add_term(shifted, (j, j), Scalar(-deg))
-        kb = kernel_basis(SparseMatrix(d, d, shifted))
-        if kb:
-            blocks.append((deg, kb))
-            total += len(kb)
-    if total != d:
-        got = sorted(deg for deg, _ in blocks)
-        raise ValueError(
-            f"ad h is not integer-diagonalizable: degrees {got} cover {total} of {d} dimensions"
-        )
-    # were every kernel vector a unit vector, the d independent units would be
-    # ad h eigenvectors and the fast path would have returned: no basis degrees
-    return Grading((), blocks)
+        degrees.append(int(lam.re))
+    return tuple(degrees)
 
 
 def centralizer_dim(a: SuperAlgebra, x: SparseVector) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import ONE, ZERO, Scalar, SparseVector, add_term, rank, sign
+from .exactlin import ONE, ZERO, Scalar, SparseMatrix, SparseVector, add_term, rank, sign
 from .reports import Report
 from .superalg import EVEN, RootDatum, SuperAlgebra, form_invariance_failures, verify_algebra
 
@@ -100,31 +100,26 @@ def theta_derivative(t: TakiffAlgebra, x: SparseVector) -> SparseVector:
     return SparseVector(out)
 
 
-def odd_form_prime(t: TakiffAlgebra, x: SparseVector, y: SparseVector) -> Scalar:
-    """The odd invariant form on s (x) Lambda(theta).
+def odd_form(t: TakiffAlgebra) -> SparseMatrix:
+    """The odd invariant form on s (x) Lambda(theta), on the 2n basis vectors before z.
 
-    On basis elements: (b_i (x) 1 | b_j (x) th) = (b_i|b_j) and
-    (b_i (x) th | b_j (x) 1) = (-1)^p(b_j) (b_i|b_j); same-layer pairs vanish.
+    (b_i (x) 1 | b_j (x) th)' = (b_i|b_j) and (b_i (x) th | b_j (x) 1)' =
+    (-1)^p(b_j) (b_i|b_j); same-layer pairs vanish. It is read from the base
+    form on every call.
     """
-    acc = ZERO
-    for k, a in x.items():
-        if k == t.z_index:
-            raise ValueError("z is not in the domain of the odd form")
-        i, ti = t.split(k)
-        for l, b in y.items():
-            if l == t.z_index:
-                raise ValueError("z is not in the domain of the odd form")
-            j, tj = t.split(l)
-            if ti + tj != 1:
-                continue
-            f = t.base.form.get(i, j)
-            if not f:
-                continue
-            term = a * f * b
-            if ti == 1:
-                term = term * sign(t.base.parity[j])
-            acc = acc + term
-    return acc
+    n = t.n1
+    entries: dict[tuple[int, int], Scalar] = {}
+    for (i, j), f in t.base.form.entries.items():
+        entries[(i, n + j)] = f
+        entries[(n + i, j)] = -f if t.base.parity[j] else f
+    return SparseMatrix(2 * n, 2 * n, entries)
+
+
+def odd_form_prime(t: TakiffAlgebra, x: SparseVector, y: SparseVector) -> Scalar:
+    """(x|y)' for x and y off z."""
+    if t.z_index in x.entries or t.z_index in y.entries:
+        raise ValueError("z is not in the domain of the odd form")
+    return odd_form(t).pair(x, y)
 
 
 def cocycle_alpha_d(t: TakiffAlgebra, x: SparseVector, y: SparseVector) -> Scalar:
@@ -177,14 +172,9 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
 
     rep.first_failure("cocycle super-skewsymmetry", skew_failures())
 
-    # the odd form on the basis: (b_i|b_j.th)' = (b_i|b_j), (b_i.th|b_j)' = (-1)^p(b_j) (b_i|b_j)
-    odd_form: dict[tuple[int, int], Scalar] = {}
-    for (i, j), f in form.entries.items():
-        odd_form[(i, n + j)] = f
-        odd_form[(n + i, j)] = -f if t.base.parity[j] else f
     rep.first_failure(
         "odd form invariance",
-        form_invariance_failures(tot.table, odd_form, 2 * n, lab, "odd form invariance"),
+        form_invariance_failures(tot.table, odd_form(t).entries, 2 * n, lab, "odd form invariance"),
     )
     return rep
 

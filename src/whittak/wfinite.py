@@ -25,8 +25,8 @@ from .exactlin import (
 )
 from .fockrep import ModuleVector, enumerate_multiindices
 from .reports import Report
-from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, is_index
-from .takiff import TakiffAlgebra, odd_form_prime
+from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, grading_by_adh, is_index
+from .takiff import TakiffAlgebra, odd_form
 
 
 @dataclass
@@ -226,12 +226,7 @@ class GradedNilradical:
 
 def graded_nilradical(t: TakiffAlgebra, h: SparseVector) -> GradedNilradical:
     """Grade the extended algebra by ad h and collect the degree <= -1 part."""
-    from .superalg import grading_by_adh
-
-    g = grading_by_adh(t.total, t.embed(h, 0))
-    if not g.degrees:
-        raise ValueError("the basis is not an eigenbasis for ad h")
-    degrees = dict(enumerate(g.degrees))
+    degrees = dict(enumerate(grading_by_adh(t.total, t.embed(h, 0))))
     m = tuple(sorted(k for k, deg in degrees.items() if deg <= -1))
     for i, j in itertools.product(m, m):
         br = t.total.bracket_basis(i, j)
@@ -261,10 +256,12 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
     """Homogeneous duals x_j with ([e, u_i] | x_j)' = delta_ij, solved exactly."""
     tot = t.total
     e_tot = t.embed(e, 0)
+    # e lies in the theta-free layer, so no [e, u_i] has a z term
     ws = [tot.bracket(e_tot, SparseVector.unit(u)) for u in g.u_indices]
     m = len(ws)
     if rank(SparseMatrix.from_columns(ws, tot.dim)) != m:
         raise ValueError("ad e is not injective on the negative part")
+    form = odd_form(t)
 
     duals: list[SparseVector] = []
     for j, u in enumerate(g.u_indices):
@@ -279,7 +276,7 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
             m,
             len(candidates),
             {
-                (i, ci): odd_form_prime(t, ws[i], SparseVector.unit(k))
+                (i, ci): form.pair(ws[i], SparseVector.unit(k))
                 for i in range(m)
                 for ci, k in enumerate(candidates)
             },
@@ -293,7 +290,7 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
     for i in range(m):
         for j in range(m):
             want = ONE if i == j else ZERO
-            if odd_form_prime(t, ws[i], duals[j]) != want:
+            if form.pair(ws[i], duals[j]) != want:
                 raise RuntimeError("dual-element system verification failed")
     g.x_duals = duals
     return duals

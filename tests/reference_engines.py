@@ -23,9 +23,12 @@ a product over the Grassmann and Clifford bits and a recursive walk over the
 polynomial exponents. `reference_barred_commutators` holds the hand-written
 barred commutator constants that `verify_relations` used before it read them
 from the extension's bracket table. `reference_takiff_from_dict` is the
-extension-file loader that parsed every stored coefficient and compared the
-parsed total algebra with the rebuilt one, before canonical files were
-accepted by comparison with the text `takiff_to_dict` writes.
+exact extension-file loader before it compared the stored and rebuilt bracket
+tables in one step: it walks every bracket key of both tables in sorted
+order. `reference_odd_form_prime` pairs two vectors under the odd form term by
+term, splitting each index into its base index and theta layer, as
+`odd_form_prime` did before the form was written once as the matrix `odd_form`
+builds; `reference_verify_takiff` reads the odd form and the cocycle through it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from whittak.fockrep import FockIndex, FockModule, ModuleVector
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
 from whittak.superalg import SuperAlgebra, is_index
-from whittak.takiff import TakiffAlgebra, build_takiff, cocycle_alpha_d, odd_form_prime
+from whittak.takiff import TakiffAlgebra, build_takiff, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
 
 
@@ -300,8 +303,35 @@ def reference_verify_algebra(a: SuperAlgebra) -> Report:
     return rep
 
 
+def reference_odd_form_prime(t: TakiffAlgebra, x: SparseVector, y: SparseVector) -> Scalar:
+    """The odd invariant form on s (x) Lambda(theta).
+
+    On basis elements: (b_i (x) 1 | b_j (x) th) = (b_i|b_j) and
+    (b_i (x) th | b_j (x) 1) = (-1)^p(b_j) (b_i|b_j); same-layer pairs vanish.
+    """
+    acc = ZERO
+    for k, a in x.items():
+        if k == t.z_index:
+            raise ValueError("z is not in the domain of the odd form")
+        i, ti = t.split(k)
+        for l, b in y.items():
+            if l == t.z_index:
+                raise ValueError("z is not in the domain of the odd form")
+            j, tj = t.split(l)
+            if ti + tj != 1:
+                continue
+            f = t.base.form.get(i, j)
+            if not f:
+                continue
+            term = a * f * b
+            if ti == 1:
+                term = term * sign(t.base.parity[j])
+            acc = acc + term
+    return acc
+
+
 def reference_verify_takiff(t: TakiffAlgebra) -> Report:
-    """`verify_takiff` scanning every basis triple with `odd_form_prime`."""
+    """`verify_takiff` scanning every basis triple with `reference_odd_form_prime`."""
     rep = Report(f"takiff checks: {t.total.name}")
     rep.merge(reference_verify_algebra(t.total))
 
@@ -337,8 +367,8 @@ def reference_verify_takiff(t: TakiffAlgebra) -> Report:
             px = tot.parity[i]
             for j in range(i, 2 * n):
                 y = SparseVector.unit(j)
-                lhs = cocycle_alpha_d(t, x, y)
-                rhs = -sign(px * tot.parity[j]) * cocycle_alpha_d(t, y, x)
+                lhs = reference_odd_form_prime(t, theta_derivative(t, x), y)
+                rhs = -sign(px * tot.parity[j]) * reference_odd_form_prime(t, theta_derivative(t, y), x)
                 if lhs != rhs:
                     yield f"cocycle skewsymmetry fails at ({lab[i]},{lab[j]})"
 
@@ -355,7 +385,7 @@ def reference_verify_takiff(t: TakiffAlgebra) -> Report:
                     wv = SparseVector.unit(w)
                     byw = tot.bracket(y, wv)
                     byw_strip = SparseVector({k: s for k, s in byw.items() if k != z})
-                    if odd_form_prime(t, bxy_strip, wv) != odd_form_prime(t, x, byw_strip):
+                    if reference_odd_form_prime(t, bxy_strip, wv) != reference_odd_form_prime(t, x, byw_strip):
                         yield f"odd form invariance fails at ({lab[i]},{lab[j]},{lab[w]})"
 
     rep.first_failure("odd form invariance", invariance_failures())

@@ -215,6 +215,28 @@ class TestVerify:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0]
 
+    @pytest.mark.parametrize("value", [2, -1, "x", None, True, 1.0])
+    @pytest.mark.parametrize("field", ["algebra", "root"])
+    def test_parity_outside_0_1_is_one_error_line(self, tmp_path, capsys, field, value):
+        alg, ext = copy.deepcopy(_valid_file(1, 1, "algebra")), copy.deepcopy(_valid_file(1, 1, "extension"))
+        if field == "algebra":
+            alg["parity"][1] = ext["base_algebra"]["parity"][1] = value
+            want = f"parity entry 1 is {value!r}"
+        else:
+            alg["root_datum"]["roots"][0]["parity"] = ext["root_datum"]["roots"][0]["parity"] = value
+            want = f"root 0 has parity {value!r}"
+        alg, ext = write(tmp_path / "alg.json", alg), write(tmp_path / "ext.json", ext)
+        argvs = [
+            ["build", "takiff", "--of", alg],
+            ["verify", "takiff", "--alg", ext],
+            ["verify", "highest-weight", "--alg", ext],
+        ] + ([["verify", "algebra", "--alg", alg]] if field == "algebra" else [])
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv + ["--out", tmp_path / "out"]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0], lines
+
     def test_extension_disagreeing_with_its_base_is_rejected(self, gl21_tak, tmp_path, capsys):
         d = load(gl21_tak)
         entry = next(b for b in d["brackets"] if b["k"] == d["layout"]["z"])
@@ -425,6 +447,19 @@ def test_scripts_run(script, want):
     assert want in proc.stdout
 
 
+def test_extension_timer_runs():
+    """The --script timer that `scripts/bench_pair.py` reads ends with a JSON object of float metrics."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_extension_checks.py"), "--reps", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(metrics) == ["takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"]
+    assert all(type(v) is float for v in metrics.values())
+
+
 @functools.lru_cache(maxsize=None)
 def _valid_file(m, n, kind):
     """A valid algebra file (with its root datum) or extension file of gl(m|n)."""
@@ -464,9 +499,9 @@ _BAD_SCALARS = ["1/0", "2-1/0*i", "0/0", "", " ", "abc", "1//2", "1/2/3", "+", "
 # -1, -7, 19, 37 and 10**6 are out of range for every index field of both
 # algebras; 4 and 9 lie just past the end of a gl(1|1) basis and extension
 _OUT_OF_RANGE = [-1, -7, 4, 9, 19, 37, 10**6]
-# fields whose ints the loaders read as indices (an extension's layout.base and
-# layout.theta are written for the reader but never read)
-_INDEX_FIELDS = {"i", "j", "k", "z", "cartan", "space", "positive", "simple", "domain"}
+# fields whose ints the loaders range-check as indices, parities included (an
+# extension's layout.base and layout.theta are written for the reader but never read)
+_INDEX_FIELDS = {"i", "j", "k", "z", "cartan", "space", "positive", "simple", "domain", "parity"}
 
 
 def _index_paths(nodes):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engines import reference_verify_takiff
-from test_superalg import edit_table, edited_form, rescale_basis
+from reference_engines import reference_odd_form_prime, reference_verify_takiff
+from test_superalg import EDIT_SCALARS, edit_table, edited_form, rescale_basis
 from whittak.exactlin import ONE, ZERO, I, Scalar, SparseVector
 from whittak.superalg import build_gl, verify_algebra
 from whittak.takiff import (
@@ -102,6 +102,23 @@ class TestOddForm:
         t, _ = tak(1, 1)
         with pytest.raises(ValueError):
             odd_form_prime(t, SparseVector.unit(t.z_index), SparseVector.unit(0))
+
+    @given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_reference(self, mn, data):
+        a, rd = build_gl(*mn)
+        rescale_basis(a, data)
+        t, _ = build_takiff(a, rd)
+        t.base.form = edited_form(t.base.form, data)
+        keys = st.integers(0, t.total.dim - 1)  # z is the last index
+        vectors = st.dictionaries(keys, EDIT_SCALARS.filter(bool), min_size=1, max_size=4).map(SparseVector)
+        x, y = data.draw(vectors, label="x"), data.draw(vectors, label="y")
+        if t.z_index in x.entries or t.z_index in y.entries:
+            for pairing in (odd_form_prime, reference_odd_form_prime):
+                with pytest.raises(ValueError):
+                    pairing(t, x, y)
+        else:
+            assert odd_form_prime(t, x, y) == reference_odd_form_prime(t, x, y)
 
 
 class TestCocycle:
