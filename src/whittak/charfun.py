@@ -2,7 +2,8 @@
 
 Characters are stored relative to an anchor weight: coefficients are keyed
 by nonnegative integer offsets over the simple roots, kept up to a height
-truncation (height = sum of the offset entries).
+truncation (height = sum of the offset entries). Every module character is
+one product over the module's generators (`_free_character`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from .exactlin import Scalar
 from .fockrep import FockModule, clifford_module_dim
 from .reports import Report
-from .superalg import EVEN, ODD, RootDatum, Weight, weyl_vector
+from .superalg import RootDatum, Weight, weyl_vector
 
 
 @dataclass
@@ -33,11 +34,6 @@ class FormalCharacter:
             return FormalCharacter(self.anchor, self.truncation, self.nsimple, dict(self.coeffs))
         kept = {o: m for o, m in self.coeffs.items() if sum(o) <= new_trunc}
         return FormalCharacter(self.anchor, new_trunc, self.nsimple, kept)
-
-    def scaled(self, k: int) -> "FormalCharacter":
-        return FormalCharacter(
-            self.anchor, self.truncation, self.nsimple, {o: k * m for o, m in self.coeffs.items() if k * m}
-        )
 
 
 def unit_character(anchor: Weight, trunc: int, nsimple: int) -> FormalCharacter:
@@ -89,114 +85,60 @@ def _positive_root_offsets(rd: RootDatum) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _multiply_series(
-    ch: FormalCharacter, offset: tuple[int, ...], coeff_at: list[int] | None, geometric_tail: int | None
-) -> FormalCharacter:
-    """Multiply by sum_k c_k x^(k*offset), exact up to the truncation.
-
-    coeff_at lists the first coefficients; geometric_tail, when set, continues
-    the series with that constant forever.
-    """
-    h = sum(offset)
-    if h <= 0:
-        raise ValueError("character series need a positive-height offset")
-    out: dict[tuple[int, ...], int] = {}
-    for o, m in ch.coeffs.items():
-        base_h = sum(o)
-        k = 0
-        while base_h + k * h <= ch.truncation:
-            if coeff_at is not None and k < len(coeff_at):
-                c = coeff_at[k]
-            elif geometric_tail is not None:
-                c = geometric_tail
-            else:
-                break
-            if c:
+def _free_character(anchor: Weight, trunc: int, nsimple: int, factors: list, dim: int) -> FormalCharacter:
+    """dim e^anchor times (1+x)^odd / (1-x)^even for each (offset, even, odd) in factors, x = e^(-offset):
+    dim times the character of the free supercommutative algebra on `even` even and `odd` odd
+    generators (0 or 1 each) per offset. A factor's x^k coefficient is 1 at k = 0, even + odd at
+    k = 1 and even (1 + odd) beyond."""
+    coeffs = {(0,) * nsimple: dim}
+    for offset, even, odd in factors:
+        h = sum(offset)
+        if h <= 0:
+            raise ValueError("character series need a positive-height offset")
+        out: dict[tuple[int, ...], int] = {}
+        for o, m in coeffs.items():
+            for k in range(1 + (trunc - sum(o)) // h):
+                c = 1 if k == 0 else even + odd if k == 1 else even * (1 + odd)
+                if not c:
+                    break
                 key = tuple(x + k * y for x, y in zip(o, offset))
                 out[key] = out.get(key, 0) + m * c
-            k += 1
-    out = {k2: v for k2, v in out.items() if v}
-    return FormalCharacter(ch.anchor, ch.truncation, ch.nsimple, out)
+        coeffs = out
+    return FormalCharacter(anchor, trunc, nsimple, coeffs)
 
 
 def verma_character(rd: RootDatum, lam: Weight, trunc: int, hatted: bool = True) -> FormalCharacter:
     """Character of the induced highest-weight module.
 
-    For the extended algebra every positive root contributes the pair of an
-    even and an odd generator, (1+x)/(1-x); the plain version contributes a
-    geometric series for even roots and (1+x) for odd ones. The extended
-    character also carries the Clifford-factor dimension.
+    The extended algebra's n- + n-theta gives every positive root an even and
+    an odd generator, (1+x)/(1-x), times the Clifford-factor dimension; the
+    plain n- gives one generator of the root's parity.
     """
-    offsets = _positive_root_offsets(rd)
-    ch = unit_character(lam, trunc, len(rd.simple))
-    for offset, parity in offsets:
-        if hatted:
-            ch = _multiply_series(ch, offset, [1], 2)
-        elif parity == EVEN:
-            ch = _multiply_series(ch, offset, None, 1)
-        else:
-            ch = _multiply_series(ch, offset, [1, 1], None)
-    if hatted:
-        ch = ch.scaled(clifford_module_dim(len(rd.cartan), bool(lam.level)))
-    return ch
+    factors = [(offset, 1, 1) if hatted else (offset, 1 - p, p) for offset, p in _positive_root_offsets(rd)]
+    dim = clifford_module_dim(len(rd.cartan), bool(lam.level)) if hatted else 1
+    return _free_character(lam, trunc, len(rd.simple), factors, dim)
 
 
 def fock_character(f: FockModule, trunc: int) -> FormalCharacter:
-    """Exact census of the module basis by weight, up to the height truncation."""
+    """Character of the module basis by weight, up to the height truncation."""
     if f.twisted:
         raise ValueError("twisted modules are not weight modules")
-    rd = f.rd
-    offsets = _positive_root_offsets(rd)
-    nsimple = len(rd.simple)
-    poly_offsets = [offsets[i][0] for i in f.poly_slots]
-    grass_offsets = [offsets[i][0] for i in f.grass_slots]
-    cliff_factor = 2 ** f.n_cliff
-    anchor = weyl_vector(rd, f.c)
-
-    coeffs: dict[tuple[int, ...], int] = {}
-
-    def walk_poly(slot: int, acc: tuple[int, ...], height: int):
-        if slot == len(poly_offsets):
-            walk_grass(0, acc, height)
-            return
-        off = poly_offsets[slot]
-        h = sum(off)
-        k = 0
-        while height + k * h <= trunc:
-            walk_poly(slot + 1, tuple(a + k * b for a, b in zip(acc, off)), height + k * h)
-            k += 1
-
-    def walk_grass(slot: int, acc: tuple[int, ...], height: int):
-        if slot == len(grass_offsets):
-            coeffs[acc] = coeffs.get(acc, 0) + cliff_factor
-            return
-        walk_grass(slot + 1, acc, height)
-        off = grass_offsets[slot]
-        h = sum(off)
-        if height + h <= trunc:
-            walk_grass(slot + 1, tuple(a + b for a, b in zip(acc, off)), height + h)
-
-    walk_poly(0, (0,) * nsimple, 0)
-    return FormalCharacter(anchor, trunc, nsimple, coeffs)
+    return fock_prefactor_character(f.rd, f.c, trunc)
 
 
 def fock_prefactor_character(rd: RootDatum, c: Scalar, trunc: int) -> FormalCharacter:
-    """Closed-form product matching the Fock census: the simple-character factor.
+    """Character of the Fock module: the simple-character factor.
 
-    2^floor((l+1)/2) e^(shifted weight) prod_even (1+x) prod_odd 1/(1-x).
+    The barred n-theta gives every positive root one generator of the opposite
+    parity: 2^floor((l+1)/2) e^(shifted weight) prod_even (1+x) prod_odd 1/(1-x).
     """
-    offsets = _positive_root_offsets(rd)
-    ch = unit_character(weyl_vector(rd, c), trunc, len(rd.simple))
-    for offset, parity in offsets:
-        if parity == ODD:
-            ch = _multiply_series(ch, offset, None, 1)
-        else:
-            ch = _multiply_series(ch, offset, [1, 1], None)
-    return ch.scaled(clifford_module_dim(len(rd.cartan), True))
+    factors = [(offset, p, 1 - p) for offset, p in _positive_root_offsets(rd)]
+    dim = clifford_module_dim(len(rd.cartan), True)
+    return _free_character(weyl_vector(rd, c), trunc, len(rd.simple), factors, dim)
 
 
 def verify_factorization(f: FockModule, lam: Weight, trunc: int) -> Report:
-    """Extended Verma character equals Fock census times the plain Verma character."""
+    """Extended Verma character equals the Fock character times the plain Verma character."""
     rep = Report(f"character factorization: {f.base.name}, c = {f.c}, height <= {trunc}")
     if lam.level != f.c:
         raise ValueError("the weight's level must match the module's level")

@@ -113,8 +113,7 @@ def _principal_data(t, args):
         h = serialize.vector_from_dict(_load(args.h), t.base)
     else:
         h = _grading_element(t, e)
-    g = graded_nilradical(t, h)
-    return e, h, g
+    return e, graded_nilradical(t, h)
 
 
 def cmd_build(args) -> int:
@@ -190,14 +189,14 @@ def cmd_verify(args) -> int:
         return _emit_report(verify_factorization(f, lam, _trunc(args.trunc)), args.out, args.seed)
 
     if suite == "skryabin":
-        e, h, g = _principal_data(t, args)
+        e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
         solve_dual_elements(t, g, e)
         return _emit_report(verify_skryabin_conditions(g, chi), args.out, args.seed)
 
     if suite == "appendix":
         c = _level(args.c)
-        e, h, g = _principal_data(t, args)
+        e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
         solve_dual_elements(t, g, e)
         f = build_fock(t, c, eta_for_fock(t, chi))
@@ -212,7 +211,7 @@ def cmd_verify(args) -> int:
     elif not args.e:
         raise UsageError("regularity needs --chi or --e")
     else:
-        e, h, g = _principal_data(t, args)
+        e, g = _principal_data(t, args)
         full = nilchar_from_e(t, g, e)
         dom = tuple(k for k in full.domain if t.total.parity[k] == 0)
         chi = nil_character(t.total, dom, {k: v for k, v in full.values.items() if k in dom})

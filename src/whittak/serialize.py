@@ -134,11 +134,14 @@ def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
     total = algebra_from_dict(d)
     base = algebra_from_dict(d["base_algebra"])
     rd = root_datum_from_dict(d["root_datum"], base.dim)
-    z = d["layout"]["z"]
-    # the stored extension must be the one its base algebra and root datum define
+    lay = d["layout"]
+    # the stored extension must be the one its base algebra and root datum define; equal lists may
+    # hold True or 1.0 for 1, so each layout index must also pass the index rule
     t, hat = build_takiff(base, rd)
-    layout = (total.labels, total.parity, z)
-    if not is_index(z, t.total.dim) or layout != (t.total.labels, t.total.parity, t.z_index):
+    n = t.n1
+    want = (t.total.labels, t.total.parity, t.z_index, list(range(n)), list(range(n, 2 * n)))
+    stored = (total.labels, total.parity, lay["z"], lay.get("base"), lay.get("theta"))
+    if stored != want or not all(is_index(k, t.total.dim) for k in [lay["z"], *lay["base"], *lay["theta"]]):
         raise ValueError("the stored extension's basis or layout differs from its base algebra's")
     if total.table != t.total.table:
         for key in sorted(total.table.keys() | t.total.table.keys()):

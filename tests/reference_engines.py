@@ -29,6 +29,12 @@ order. `reference_odd_form_prime` pairs two vectors under the odd form term by
 term, splitting each index into its base index and theta layer, as
 `odd_form_prime` did before the form was written once as the matrix `odd_form`
 builds; `reference_verify_takiff` reads the odd form and the cocycle through it.
+`reference_fock_character` is the census that counted the Fock module's basis
+by weight, walking the polynomial exponents and the Grassmann bits of its
+letter layout (`poly_slots`, `grass_slots`, `n_cliff`), and
+`reference_verma_character` multiplied one series per positive root through
+two knobs (listed first coefficients and a geometric tail), both before every
+character became one product over the module's generators.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import itertools
 import re
 from fractions import Fraction
 
+from whittak.charfun import FormalCharacter, _positive_root_offsets, unit_character
 from whittak.exactlin import (
     ONE,
     ZERO,
@@ -49,10 +56,10 @@ from whittak.exactlin import (
     rank,
     sign,
 )
-from whittak.fockrep import FockIndex, FockModule, ModuleVector
+from whittak.fockrep import FockIndex, FockModule, ModuleVector, clifford_module_dim
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
-from whittak.superalg import SuperAlgebra, is_index
+from whittak.superalg import EVEN, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
 from whittak.takiff import TakiffAlgebra, build_takiff, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
 
@@ -625,3 +632,96 @@ def reference_takiff_from_dict(d: dict) -> TakiffAlgebra:
         if total.table.get(key) != t.total.table.get(key):
             raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
     return t
+
+
+def _reference_multiply_series(
+    ch: FormalCharacter, offset: tuple[int, ...], coeff_at: list[int] | None, geometric_tail: int | None
+) -> FormalCharacter:
+    """Multiply by sum_k c_k x^(k*offset), exact up to the truncation.
+
+    coeff_at lists the first coefficients; geometric_tail, when set, continues
+    the series with that constant forever.
+    """
+    h = sum(offset)
+    if h <= 0:
+        raise ValueError("character series need a positive-height offset")
+    out: dict[tuple[int, ...], int] = {}
+    for o, m in ch.coeffs.items():
+        base_h = sum(o)
+        k = 0
+        while base_h + k * h <= ch.truncation:
+            if coeff_at is not None and k < len(coeff_at):
+                c = coeff_at[k]
+            elif geometric_tail is not None:
+                c = geometric_tail
+            else:
+                break
+            if c:
+                key = tuple(x + k * y for x, y in zip(o, offset))
+                out[key] = out.get(key, 0) + m * c
+            k += 1
+    out = {k2: v for k2, v in out.items() if v}
+    return FormalCharacter(ch.anchor, ch.truncation, ch.nsimple, out)
+
+
+def reference_verma_character(rd: RootDatum, lam: Weight, trunc: int, hatted: bool = True) -> FormalCharacter:
+    """Character of the induced highest-weight module.
+
+    For the extended algebra every positive root contributes the pair of an
+    even and an odd generator, (1+x)/(1-x); the plain version contributes a
+    geometric series for even roots and (1+x) for odd ones. The extended
+    character also carries the Clifford-factor dimension.
+    """
+    offsets = _positive_root_offsets(rd)
+    ch = unit_character(lam, trunc, len(rd.simple))
+    for offset, parity in offsets:
+        if hatted:
+            ch = _reference_multiply_series(ch, offset, [1], 2)
+        elif parity == EVEN:
+            ch = _reference_multiply_series(ch, offset, None, 1)
+        else:
+            ch = _reference_multiply_series(ch, offset, [1, 1], None)
+    if hatted:
+        k = clifford_module_dim(len(rd.cartan), bool(lam.level))
+        scaled = {o: k * m for o, m in ch.coeffs.items() if k * m}
+        ch = FormalCharacter(ch.anchor, ch.truncation, ch.nsimple, scaled)
+    return ch
+
+
+def reference_fock_character(f: FockModule, trunc: int) -> FormalCharacter:
+    """Exact census of the module basis by weight, up to the height truncation."""
+    if f.twisted:
+        raise ValueError("twisted modules are not weight modules")
+    rd = f.rd
+    offsets = _positive_root_offsets(rd)
+    nsimple = len(rd.simple)
+    poly_offsets = [offsets[i][0] for i in f.poly_slots]
+    grass_offsets = [offsets[i][0] for i in f.grass_slots]
+    cliff_factor = 2 ** f.n_cliff
+    anchor = weyl_vector(rd, f.c)
+
+    coeffs: dict[tuple[int, ...], int] = {}
+
+    def walk_poly(slot: int, acc: tuple[int, ...], height: int):
+        if slot == len(poly_offsets):
+            walk_grass(0, acc, height)
+            return
+        off = poly_offsets[slot]
+        h = sum(off)
+        k = 0
+        while height + k * h <= trunc:
+            walk_poly(slot + 1, tuple(a + k * b for a, b in zip(acc, off)), height + k * h)
+            k += 1
+
+    def walk_grass(slot: int, acc: tuple[int, ...], height: int):
+        if slot == len(grass_offsets):
+            coeffs[acc] = coeffs.get(acc, 0) + cliff_factor
+            return
+        walk_grass(slot + 1, acc, height)
+        off = grass_offsets[slot]
+        h = sum(off)
+        if height + h <= trunc:
+            walk_grass(slot + 1, tuple(a + b for a, b in zip(acc, off)), height + h)
+
+    walk_poly(0, (0,) * nsimple, 0)
+    return FormalCharacter(anchor, trunc, nsimple, coeffs)

@@ -1,9 +1,13 @@
 """Formal character arithmetic and the factorization identities."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_engines import reference_fock_character, reference_verma_character
 
 from whittak.charfun import (
     FormalCharacter,
@@ -16,7 +20,7 @@ from whittak.charfun import (
     verify_simple_character_factorization,
     verma_character,
 )
-from whittak.exactlin import ONE, ZERO, Scalar
+from whittak.exactlin import I, ONE, ZERO, Scalar
 from whittak.fockrep import build_fock
 from whittak.superalg import Weight, build_gl, weyl_vector
 from whittak.takiff import build_takiff
@@ -28,6 +32,20 @@ def fock(m, n, c):
     a, rd = build_gl(m, n)
     t, _ = build_takiff(a, rd)
     return build_fock(t, c), rd
+
+
+# every gl(m|n) with m + n <= 5, the purely even and purely odd ones included
+_GL_SHAPES = [(m, k - m) for k in range(1, 6) for m in range(k + 1)]
+_LEVELS = [ONE, Scalar(Fraction(-2, 3)), ONE + I]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_fock(m, n, c):
+    return fock(m, n, c)
+
+
+def same_character(a, b):
+    return (a.anchor, a.truncation, a.nsimple, a.coeffs) == (b.anchor, b.truncation, b.nsimple, b.coeffs)
 
 
 def zero_weight(rd, level=ZERO):
@@ -126,8 +144,9 @@ class TestFockCharacter:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_census_matches_closed_form(self, m, n):
+        # the census walks the module's letter layout; the closed form never reads it
         f, rd = fock(m, n, ONE)
-        census = fock_character(f, 4)
+        census = reference_fock_character(f, 4)
         closed = fock_prefactor_character(rd, ONE, 4)
         assert char_equal(census, closed) == (True, None)
 
@@ -144,6 +163,27 @@ class TestFockCharacter:
         f = build_fock(t, ONE, {0: ONE})
         with pytest.raises(ValueError):
             fock_character(f, 2)
+
+
+class TestAgainstReferenceEngines:
+    """The one product over the generators against the census walk and the two-knob series it replaced."""
+
+    @given(st.sampled_from(_GL_SHAPES), st.sampled_from(_LEVELS), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_fock_character(self, mn, c, trunc):
+        f, _ = cached_fock(*mn, c)
+        assert same_character(fock_character(f, trunc), reference_fock_character(f, trunc))
+
+    @pytest.mark.parametrize("hatted", [True, False])
+    @pytest.mark.parametrize("level", [ZERO, Scalar(Fraction(-2, 3))])
+    @given(st.sampled_from(_GL_SHAPES), st.data(), st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_verma_character(self, hatted, level, mn, data, trunc):
+        _, rd = cached_fock(*mn, ONE)
+        values = st.sampled_from([ZERO, ONE, Scalar(-3), half, I])
+        lam = Weight(tuple(data.draw(values) for _ in rd.cartan), level)
+        ours = verma_character(rd, lam, trunc, hatted=hatted)
+        assert same_character(ours, reference_verma_character(rd, lam, trunc, hatted=hatted))
 
 
 class TestFactorization:

@@ -255,6 +255,23 @@ class TestVerify:
         want = f"error: stored bracket ({entry['i']}, {entry['j']}) differs"
         assert len(lines) == 4 and all(line.startswith(want) for line in lines)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base", [99, "x"]), ("theta", "nonsense"), ("theta", list(range(5, 9))), ("base", [0, True, 2, 3]),
+         ("base", None)],
+    )
+    def test_malformed_layout_is_one_error_line(self, tmp_path, capsys, field, value):
+        ext = copy.deepcopy(_valid_file(1, 1, "extension"))
+        assert ext["layout"][field] == list(range(4) if field == "base" else range(4, 8))
+        if value is None:
+            del ext["layout"][field]
+        else:
+            ext["layout"][field] = value
+        capsys.readouterr()
+        assert run(["verify", "takiff", "--alg", write(tmp_path / "ext.json", ext)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: the stored extension's basis or layout differs from its base algebra's"]
+
     def test_missing_file(self):
         assert run(["verify", "algebra", "--alg", "/nonexistent.json"]) == 2
 
@@ -415,6 +432,22 @@ class TestCliPaths:
         assert run(["character", "--kind", "verma-plain", "--alg", gl21_tak, "--trunc", 3, "--out", out]) == 0
         assert sha(out) == "ab5a2f23e7ff2ba8434ac19569982c543635758e47cb52a2cacaaf6b4dc402be"
 
+    @pytest.mark.parametrize(
+        "mn, argv, want",
+        [
+            ((2, 3), ["character", "--kind", "fock", "--c=-2/3", "--trunc", 8],
+             "5bf258bb11fc826dd7b7981a32c4d725b98d47bada713d2b726f5988d13ee1c9"),
+            ((2, 3), ["character", "--kind", "verma", "--c=1+1*i", "--trunc", 8, "--format", "tsv"],
+             "e0a14295a480b0f81eb7aebbd54d64606e5c45258bfccd8ec8df948df2d1441e"),
+            ((2, 2), ["verify", "factorization", "--c=2/3", "--trunc", 6],
+             "7dcd3c167bbf8ca452f40b0e1097d5d506f3ade6ae63409705a82e5fe42eed50"),
+        ],
+    )
+    def test_character_bytes(self, tmp_path, mn, argv, want):
+        ext, out = write(tmp_path / "ext.json", _valid_file(*mn, "extension")), tmp_path / "out"
+        assert run(argv + ["--alg", ext, "--out", out]) == 0
+        assert sha(out) == want
+
 
 def test_parser_reuse_carries_nothing_over(gl11_tak, tmp_path):
     """A usage error and a call with --seed and --c leave no value behind for
@@ -499,9 +532,8 @@ _BAD_SCALARS = ["1/0", "2-1/0*i", "0/0", "", " ", "abc", "1//2", "1/2/3", "+", "
 # -1, -7, 19, 37 and 10**6 are out of range for every index field of both
 # algebras; 4 and 9 lie just past the end of a gl(1|1) basis and extension
 _OUT_OF_RANGE = [-1, -7, 4, 9, 19, 37, 10**6]
-# fields whose ints the loaders range-check as indices, parities included (an
-# extension's layout.base and layout.theta are written for the reader but never read)
-_INDEX_FIELDS = {"i", "j", "k", "z", "cartan", "space", "positive", "simple", "domain", "parity"}
+# fields whose ints the loaders range-check as indices, parities included
+_INDEX_FIELDS = {"i", "j", "k", "z", "base", "theta", "cartan", "space", "positive", "simple", "domain", "parity"}
 
 
 def _index_paths(nodes):

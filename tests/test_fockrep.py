@@ -15,7 +15,6 @@ from reference_engines import (
 )
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
-    FockIndex,
     FockModule,
     ModuleVector,
     build_fock,

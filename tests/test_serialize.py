@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from reference_engines import reference_takiff_from_dict
 
 from whittak import serialize
-from whittak.exactlin import I, ONE, Scalar, SparseVector
+from whittak.exactlin import I, ONE, Scalar
 from whittak.fockrep import build_fock
-from whittak.superalg import ODD, Weight, build_gl, weyl_vector
+from whittak.superalg import ODD, build_gl, weyl_vector
 from whittak.takiff import build_takiff
 from whittak.wfinite import nil_character
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CZERO, cnum, gl_supercommutator_table, supertrace, unit_matrix, mat_mul
+from oracles import gl_supercommutator_table, supertrace, unit_matrix, mat_mul
 from reference_engines import reference_verify_algebra
 from whittak.exactlin import ONE, ZERO, I, Scalar, SparseMatrix, SparseVector
 from whittak.superalg import (

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from reference_engines import reference_odd_form_prime, reference_verify_takiff
 from test_superalg import EDIT_SCALARS, edit_table, edited_form, rescale_basis
-from whittak.exactlin import ONE, ZERO, I, Scalar, SparseVector
+from whittak.exactlin import ONE, ZERO, SparseVector
 from whittak.superalg import build_gl, verify_algebra
 from whittak.takiff import (
     build_takiff,

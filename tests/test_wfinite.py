@@ -8,7 +8,7 @@ import pytest
 from oracles import rref_dense
 from reference_engines import whittaker_kernel
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
-from whittak.fockrep import build_fock, ModuleVector, natural_module, tensor_with_findim
+from whittak.fockrep import build_fock, natural_module, tensor_with_findim
 from whittak.superalg import ODD, build_gl
 from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
