@@ -36,10 +36,6 @@ class FormalCharacter:
         return FormalCharacter(self.anchor, new_trunc, self.nsimple, kept)
 
 
-def unit_character(anchor: Weight, trunc: int, nsimple: int) -> FormalCharacter:
-    return FormalCharacter(anchor, trunc, nsimple, {(0,) * nsimple: 1})
-
-
 def char_product(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     if a.nsimple != b.nsimple or len(a.anchor.values) != len(b.anchor.values):
         raise ValueError("characters live over different Cartan data")

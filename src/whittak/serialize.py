@@ -131,16 +131,20 @@ def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
     the file's stored total algebra exactly."""
     if "takiff_of" not in d:
         raise ValueError("not an extension file: missing takiff_of")
+    if "form" in d:
+        raise ValueError("an extension file's total algebra carries no form")
+    lay = _mapping(d.get("layout"), "layout")
     total = algebra_from_dict(d)
     base = algebra_from_dict(d["base_algebra"])
+    if d["takiff_of"] != base.name:
+        raise ValueError(f"takiff_of {d['takiff_of']!r} differs from the base algebra's name {base.name!r}")
     rd = root_datum_from_dict(d["root_datum"], base.dim)
-    lay = d["layout"]
     # the stored extension must be the one its base algebra and root datum define; equal lists may
     # hold True or 1.0 for 1, so each layout index must also pass the index rule
     t, hat = build_takiff(base, rd)
     n = t.n1
     want = (t.total.labels, t.total.parity, t.z_index, list(range(n)), list(range(n, 2 * n)))
-    stored = (total.labels, total.parity, lay["z"], lay.get("base"), lay.get("theta"))
+    stored = (total.labels, total.parity, lay.get("z"), lay.get("base"), lay.get("theta"))
     if stored != want or not all(is_index(k, t.total.dim) for k in [lay["z"], *lay["base"], *lay["theta"]]):
         raise ValueError("the stored extension's basis or layout differs from its base algebra's")
     if total.table != t.total.table:

@@ -34,7 +34,13 @@ by weight, walking the polynomial exponents and the Grassmann bits of its
 letter layout (`poly_slots`, `grass_slots`, `n_cliff`), and
 `reference_verma_character` multiplied one series per positive root through
 two knobs (listed first coefficients and a geometric tail), both before every
-character became one product over the module's generators.
+character became one product over the module's generators; `unit_character`
+(the character e^anchor), which that series engine and the character tests
+start from, has no caller left in the package.
+`reference_verify_lift_identities` checks the two lift identities by calling
+`apply_lift` on every vector it meets, as `verify_lift_identities` did before
+it applied each phi(e_i) to each monomial once per call and summed every
+other lift from those actions.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from whittak.charfun import FormalCharacter, _positive_root_offsets, unit_character
+from whittak.charfun import FormalCharacter, _positive_root_offsets
 from whittak.exactlin import (
     ONE,
     ZERO,
@@ -664,6 +670,11 @@ def _reference_multiply_series(
     return FormalCharacter(ch.anchor, ch.truncation, ch.nsimple, out)
 
 
+def unit_character(anchor: Weight, trunc: int, nsimple: int) -> FormalCharacter:
+    """The character e^anchor: coefficient 1 at offset zero."""
+    return FormalCharacter(anchor, trunc, nsimple, {(0,) * nsimple: 1})
+
+
 def reference_verma_character(rd: RootDatum, lam: Weight, trunc: int, hatted: bool = True) -> FormalCharacter:
     """Character of the induced highest-weight module.
 
@@ -725,3 +736,43 @@ def reference_fock_character(f: FockModule, trunc: int) -> FormalCharacter:
 
     walk_poly(0, (0,) * nsimple, 0)
     return FormalCharacter(anchor, trunc, nsimple, coeffs)
+
+
+def reference_verify_lift_identities(f: FockModule, max_degree: int) -> Report:
+    """The two lift identities, exactly, on every basis vector up to degree."""
+    rep = Report(f"lift identities: {f.base.name}, c = {f.c}, degree <= {max_degree}")
+    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
+    base = f.base
+    count = 0
+
+    def failures(others, act, witness):
+        # [phi(s), act(y)] = act([s, y]) for every basis s and every listed (y, parity)
+        nonlocal count
+        for si in range(base.dim):
+            s = SparseVector.unit(si)
+            for k, (y, py) in enumerate(others):
+                br = base.bracket(s, y)
+                sgn = sign(base.parity[si] * py)
+                for v in vectors:
+                    lhs = f.apply_lift(s, act(y, v)) - act(y, f.apply_lift(s, v)).scale(sgn)
+                    rhs = act(br, v)
+                    count += 1
+                    if lhs != rhs:
+                        yield witness(base.labels[si], k)
+
+    duals = [(u, (p + 1) % 2) for u, p in zip(f.dual.lower, f.dual.upper_parity)]
+    rep.first_failure(
+        "commutator with barred duals",
+        failures(
+            duals, f.apply_barred, lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])"
+        ),
+    )
+    units = [(SparseVector.unit(ti), p) for ti, p in enumerate(base.parity)]
+    rep.first_failure(
+        "commutator of two lifts",
+        failures(
+            units, f.apply_lift, lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])"
+        ),
+    )
+    rep.data["identities_checked"] = count
+    return rep

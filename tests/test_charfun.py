@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_engines import reference_fock_character, reference_verma_character
+from reference_engines import reference_fock_character, reference_verma_character, unit_character
 
 from whittak.charfun import (
     FormalCharacter,
@@ -15,7 +15,6 @@ from whittak.charfun import (
     char_product,
     fock_character,
     fock_prefactor_character,
-    unit_character,
     verify_factorization,
     verify_simple_character_factorization,
     verma_character,

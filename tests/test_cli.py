@@ -272,6 +272,25 @@ class TestVerify:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: the stored extension's basis or layout differs from its base algebra's"]
 
+    @pytest.mark.parametrize(
+        "edit, want",
+        [
+            (lambda d: d.update(layout=[1]), "error: layout must be a JSON object, not [1]"),
+            (lambda d: d.pop("layout"), "error: layout must be a JSON object, not None"),
+            (lambda d: d["layout"].pop("z"), "error: the stored extension's basis or layout differs"),
+            (lambda d: d.update(takiff_of="gl(2|1)"), "error: takiff_of 'gl(2|1)' differs from the base"),
+            (lambda d: d.update(form=d["base_algebra"]["form"]), "error: an extension file's total algebra"),
+        ],
+        ids=["layout-list", "layout-missing", "z-missing", "takiff_of", "total-form"],
+    )
+    def test_malformed_extension_names_its_field(self, tmp_path, capsys, edit, want):
+        ext = copy.deepcopy(_valid_file(1, 1, "extension"))
+        edit(ext)
+        capsys.readouterr()
+        assert run(["verify", "takiff", "--alg", write(tmp_path / "ext.json", ext)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(want), lines
+
     def test_missing_file(self):
         assert run(["verify", "algebra", "--alg", "/nonexistent.json"]) == 2
 
@@ -480,17 +499,27 @@ def test_scripts_run(script, want):
     assert want in proc.stdout
 
 
-def test_extension_timer_runs():
-    """The --script timer that `scripts/bench_pair.py` reads ends with a JSON object of float metrics."""
+def _timer_metrics(script: str) -> dict:
+    """The metrics of one --reps 1 run of a --script timer that `scripts/bench_pair.py` reads:
+    its last stdout line must be a JSON object of float metrics."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "time_extension_checks.py"), "--reps", "1"],
+        [sys.executable, str(ROOT / "scripts" / script), "--reps", "1"],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    assert sorted(metrics) == ["takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"]
     assert all(type(v) is float for v in metrics.values())
+    return metrics
+
+
+def test_extension_timer_runs():
+    metrics = _timer_metrics("time_extension_checks.py")
+    assert sorted(metrics) == ["takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"]
+
+
+def test_lift_timer_runs():
+    assert sorted(_timer_metrics("time_lift_checks.py")) == ["gl21_deg1_s", "gl22_deg1_s"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from reference_engines import (
     reference_apply_lift,
     reference_barred_commutators,
     reference_basis_keys,
+    reference_verify_lift_identities,
 )
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
@@ -136,11 +137,7 @@ class TestLift:
         assert rep.passed, rep.to_json()
 
     def test_lift_identities_twisted(self):
-        a, rd = build_gl(2, 1)
-        t, _ = build_takiff(a, rd)
-        odd_slots = [i for i, r in enumerate(rd.positive_roots()) if r.parity == ODD]
-        f = build_fock(t, Scalar(2), {odd_slots[0]: ONE, odd_slots[1]: Scalar(-1)})
-        rep = verify_lift_identities(f, max_degree=1)
+        rep = verify_lift_identities(_twisted_gl21(Scalar(2)), max_degree=1)
         assert rep.passed, rep.to_json()
 
     def test_corrupted_prefactor_caught(self):
@@ -342,6 +339,13 @@ def _natural_tensor_gl21():
     return tensor_with_findim(natural_module(f.base, 2, 1), f)
 
 
+def _twisted_gl21(c):
+    a, rd = build_gl(2, 1)
+    t, _ = build_takiff(a, rd)
+    odd_slots = [i for i, r in enumerate(rd.positive_roots()) if r.parity == ODD]
+    return build_fock(t, c, {odd_slots[0]: ONE, odd_slots[1]: Scalar(-1)})
+
+
 def _twisted_gl12(c):
     from whittak.wfinite import eta_for_fock, graded_nilradical, nilchar_from_e
 
@@ -433,3 +437,73 @@ class TestReplacedRules:
         t = f.takiff
         for x, y, want in reference_barred_commutators(f):
             assert f.c * t.total.bracket(t.embed(x, 1), t.embed(y, 1)).get(t.z_index) == want
+
+
+class _DoubledLift(FockModule):
+    def apply_lift(self, s, v):
+        return super().apply_lift(s, v).scale(Scalar(2))
+
+
+class _ConstantDroppedLift(FockModule):
+    def _lift_table(self, i):
+        quad, linear, _ = super()._lift_table(i)
+        return quad, linear, ZERO
+
+
+class _OddNegatedLift(FockModule):
+    def apply_lift(self, s, v):
+        flipped = SparseVector({i: -x if self.base.parity[i] else x for i, x in s.items()})
+        return super().apply_lift(flipped, v)
+
+
+_CHECK_LEVELS = {
+    "integer": st.integers(-4, 4).filter(bool).map(Scalar),
+    "fraction": st.fractions(-4, 4, max_denominator=5).filter(lambda q: q.denominator > 1).map(Scalar),
+    "gaussian": st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3)),
+}
+
+
+class TestLiftCheckMemo:
+    """verify_lift_identities, which sums every lift from one phi(e_i) action per
+    (i, monomial), against the check that called apply_lift on each vector."""
+
+    @given(
+        st.sampled_from([("gl11", 3), ("gl21", 1), ("gl12.twisted", 1)]),
+        st.sampled_from(sorted(_CHECK_LEVELS)),
+        st.data(),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_report_matches_reference(self, case, level, data):
+        name, top = case
+        c = data.draw(_CHECK_LEVELS[level])
+        deg = data.draw(st.integers(0, top))
+        f = _twisted_gl12(c) if name == "gl12.twisted" else fock(int(name[2]), int(name[3]), c)
+        want = reference_verify_lift_identities(f, deg)
+        assert want.passed
+        assert verify_lift_identities(f, deg).to_json() == want.to_json()
+
+    @pytest.mark.parametrize("planted", [_DoubledLift, _ConstantDroppedLift, _OddNegatedLift])
+    def test_planted_fault_has_the_reference_witness(self, planted):
+        g = _twisted_gl21(Scalar(2))
+        f = planted(g.takiff, g.c, g.eta)
+        want = reference_verify_lift_identities(f, 1)
+        assert not want.passed
+        assert verify_lift_identities(f, 1).to_json() == want.to_json()
+
+    @given(
+        st.sampled_from(["gl11", "gl21", "gl12.twisted"]),
+        st.sampled_from(sorted(_ENGINE_LEVELS)),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_apply_lift_is_linear(self, name, level, data):
+        f, _, keys = _engine_pair(name, level)
+        s = SparseVector(
+            data.draw(st.dictionaries(st.integers(0, f.base.dim - 1), _small_scalars, max_size=4))
+        )
+        v = ModuleVector(data.draw(st.dictionaries(st.sampled_from(keys), _small_scalars, max_size=5)))
+        want = ModuleVector()
+        for i, si in s.items():
+            for key, a in v.items():
+                want = want + f.apply_lift(SparseVector.unit(i), ModuleVector({key: ONE})).scale(si * a)
+        assert f.apply_lift(s, v) == want
