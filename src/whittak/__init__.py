@@ -32,7 +32,6 @@ from .fockrep import (
     ModuleVector,
     build_fock,
     clifford_module_dim,
-    tensor_with_findim,
     verify_highest_weight,
     verify_lift_identities,
     verify_whittaker_covariance,

@@ -54,9 +54,8 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _emit_report(rep: Report, out: str | None, seed: int | None = None) -> int:
-    if seed is not None:
-        rep.seed = seed
+def _emit_report(rep: Report, out: str | None, seed: int) -> int:
+    rep.seed = seed
     _write(rep.to_json() + "\n", out)
     return 0 if rep.passed else 1
 
@@ -191,18 +190,16 @@ def cmd_verify(args) -> int:
     if suite == "skryabin":
         e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
-        solve_dual_elements(t, g, e)
-        return _emit_report(verify_skryabin_conditions(g, chi), args.out, args.seed)
+        duals = solve_dual_elements(t, g, e)
+        return _emit_report(verify_skryabin_conditions(g, chi, duals), args.out, args.seed)
 
     if suite == "appendix":
         c = _level(args.c)
         e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
-        solve_dual_elements(t, g, e)
+        duals = solve_dual_elements(t, g, e)
         f = build_fock(t, c, eta_for_fock(t, chi))
-        rep = appendix_pairing_check(
-            f, g, chi, max_weight=args.weight_bound, find_trunc=_trunc(args.trunc)
-        )
+        rep = appendix_pairing_check(f, g, chi, duals, args.weight_bound, _trunc(args.trunc))
         return _emit_report(rep, args.out, args.seed)
 
     c = _level(args.c)  # regularity

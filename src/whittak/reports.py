@@ -9,9 +9,14 @@ from typing import Iterable
 
 @dataclass
 class Check:
+    """A named check; it passes exactly when it has no witness."""
+
     name: str
-    passed: bool
-    witness: str | None = None
+    witness: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass
@@ -25,17 +30,16 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, witness: str | None = None):
-        self.checks.append(Check(name, passed, witness))
+    def add(self, name: str, witness: str | None):
+        self.checks.append(Check(name, witness))
 
     def first_failure(self, name: str, witnesses: Iterable[str]):
-        """Record a check that passes exactly when `witnesses` yields nothing.
+        """Record a check whose witness is the first one `witnesses` yields, if any.
 
         Only the first witness is taken, so a lazy iterable stops being
         evaluated at the first failure.
         """
-        witness = next(iter(witnesses), None)
-        self.add(name, witness is None, witness)
+        self.add(name, next(iter(witnesses), None))
 
     def merge(self, other: "Report"):
         self.checks.extend(other.checks)
@@ -49,7 +53,7 @@ class Report:
             "title": self.title,
             "pass": self.passed,
             "checks": [
-                {"name": c.name, "pass": c.passed, **({"witness": c.witness} if c.witness else {})}
+                {"name": c.name, "pass": c.passed, **({} if c.passed else {"witness": c.witness})}
                 for c in self.checks
             ],
         }

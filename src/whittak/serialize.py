@@ -39,14 +39,19 @@ def algebra_to_dict(a: SuperAlgebra) -> dict:
     return out
 
 
-def algebra_from_dict(d: dict) -> SuperAlgebra:
-    dim = d["dim"]
-    if dim != len(d["labels"]):
-        raise ValueError(f"dim {dim!r} differs from the number of labels, {len(d['labels'])}")
-    for n, p in enumerate(d["parity"]):
+def algebra_from_dict(d: dict, at: str = "") -> SuperAlgebra:
+    """The algebra a JSON object holds; an error names its field by the path `at` + field name."""
+    d = _mapping(d, at[:-1] or "an algebra file")
+    name = _mapping(d.get("name"), at + "name", str)
+    labels, parity, brackets = (_mapping(d.get(k), at + k, list) for k in ("labels", "parity", "brackets"))
+    form_entries = _mapping(d.get("form", []), at + "form", list)
+    dim = d.get("dim")
+    if dim != len(labels):
+        raise ValueError(f"{at}dim {dim!r} differs from the number of labels, {len(labels)}")
+    for n, p in enumerate(parity):
         if not is_index(p, 2):
-            raise ValueError(f"parity entry {n} is {p!r}, not 0 or 1")
-    for what, entries, fields in (("bracket", d["brackets"], "ijk"), ("form", d.get("form", ()), "ij")):
+            raise ValueError(f"{at}parity entry {n} is {p!r}, not 0 or 1")
+    for what, entries, fields in (("bracket", brackets, "ijk"), ("form", form_entries, "ij")):
         for b in entries:
             for f in fields:
                 if not is_index(b[f], dim):
@@ -60,18 +65,12 @@ def algebra_from_dict(d: dict) -> SuperAlgebra:
         return s
 
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for b in d["brackets"]:
+    for b in brackets:
         table.setdefault((b["i"], b["j"]), {})[b["k"]] = scalar(b["coeff"])
     form = None
     if "form" in d:
-        form = SparseMatrix(dim, dim, {(f["i"], f["j"]): scalar(f["coeff"]) for f in d["form"]})
-    return SuperAlgebra(
-        d["name"],
-        d["labels"],
-        d["parity"],
-        {k: SparseVector(v) for k, v in table.items()},
-        form,
-    )
+        form = SparseMatrix(dim, dim, {(f["i"], f["j"]): scalar(f["coeff"]) for f in form_entries})
+    return SuperAlgebra(name, labels, parity, {k: SparseVector(v) for k, v in table.items()}, form)
 
 
 def root_datum_to_dict(rd: RootDatum) -> dict:
@@ -91,26 +90,29 @@ def root_datum_to_dict(rd: RootDatum) -> dict:
 
 
 def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
-    """Root datum of an algebra of dimension dim, with every index range-checked."""
+    """A file's root datum of an algebra of dimension dim, with every index range-checked."""
+    d = _mapping(d, "root_datum")
+    cartan, roots, positive, simple = (
+        _mapping(d.get(k), f"root_datum.{k}", list) for k in ("cartan", "roots", "positive", "simple")
+    )
     roots = tuple(
-        Root(tuple(Scalar.parse(s) for s in r["covector"]), tuple(r["space"]), r["parity"])
-        for r in d["roots"]
+        Root(tuple(Scalar.parse(s) for s in r["covector"]), tuple(r["space"]), r["parity"]) for r in roots
     )
     for what, indices, bound in (
-        ("cartan", d["cartan"], dim),
+        ("cartan", cartan, dim),
         ("root space", [k for r in roots for k in r.space], dim),
-        ("positive", d["positive"], len(roots)),
-        ("simple", d["simple"], len(roots)),
+        ("positive", positive, len(roots)),
+        ("simple", simple, len(roots)),
     ):
         for k in indices:
             if not is_index(k, bound):
                 raise ValueError(f"root datum {what} index {k!r} outside 0..{bound - 1}")
     for n, r in enumerate(roots):
-        if not r.space or len(r.covector) != len(d["cartan"]):
+        if not r.space or len(r.covector) != len(cartan):
             raise ValueError(f"root {n} needs a root space and one value per Cartan element")
         if not is_index(r.parity, 2):
             raise ValueError(f"root {n} has parity {r.parity!r}, not 0 or 1")
-    return RootDatum(tuple(d["cartan"]), roots, tuple(d["positive"]), tuple(d["simple"]))
+    return RootDatum(tuple(cartan), roots, tuple(positive), tuple(simple))
 
 
 def takiff_to_dict(t: TakiffAlgebra) -> dict:
@@ -133,12 +135,12 @@ def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
         raise ValueError("not an extension file: missing takiff_of")
     if "form" in d:
         raise ValueError("an extension file's total algebra carries no form")
-    lay = _mapping(d.get("layout"), "layout")
     total = algebra_from_dict(d)
-    base = algebra_from_dict(d["base_algebra"])
+    lay = _mapping(d.get("layout"), "layout")
+    base = algebra_from_dict(d.get("base_algebra"), "base_algebra.")
     if d["takiff_of"] != base.name:
         raise ValueError(f"takiff_of {d['takiff_of']!r} differs from the base algebra's name {base.name!r}")
-    rd = root_datum_from_dict(d["root_datum"], base.dim)
+    rd = root_datum_from_dict(d.get("root_datum"), base.dim)
     # the stored extension must be the one its base algebra and root datum define; equal lists may
     # hold True or 1.0 for 1, so each layout index must also pass the index rule
     t, hat = build_takiff(base, rd)
@@ -162,9 +164,13 @@ def weight_from_dict(d: dict) -> Weight:
     return Weight(tuple(Scalar.parse(s) for s in d["values"]), Scalar.parse(d["level"]))
 
 
-def _mapping(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+_JSON_KINDS = {dict: "object", list: "list", str: "string"}
+
+
+def _mapping(obj, what: str, kind: type = dict):
+    """obj when it is a JSON object (or list or string, as `kind` says); else one error naming `what`."""
+    if not isinstance(obj, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, not {obj!r}")
     return obj
 
 

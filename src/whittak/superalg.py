@@ -350,7 +350,7 @@ def verify_algebra(a: SuperAlgebra) -> Report:
         )
 
         r = rank(form)
-        rep.add("form is non-degenerate", r == d, None if r == d else f"rank {r} < {d}")
+        rep.add("form is non-degenerate", None if r == d else f"rank {r} < {d}")
     return rep
 
 
@@ -397,15 +397,26 @@ def verify_root_datum(a: SuperAlgebra, rd: RootDatum) -> Report:
 
     rep.first_failure("root space eigen-equations", eigen_failures())
 
-    covered = set(rd.cartan)
-    for r in rd.roots:
-        covered.update(r.space)
-    rep.add("cartan and root spaces span", covered == set(range(a.dim)))
+    spaces = (*rd.cartan, *(x for r in rd.roots for x in r.space))
+    rep.first_failure(
+        "cartan and root spaces span",
+        [f"{a.labels[k]} is in no root space and not in the Cartan" for k in range(a.dim) if k not in spaces]
+        + [f"index {k!r} is not a basis index" for k in spaces if k not in range(a.dim)],
+    )
 
-    neg = {tuple(-v for v in rd.roots[i].covector) for i in rd.positive}
     allcov = {r.covector for r in rd.roots}
     pos_cov = {rd.roots[i].covector for i in rd.positive}
-    rep.add("negatives are minus positives", allcov == neg | pos_cov and not (neg & pos_cov))
+
+    def negative_failures():
+        for r in rd.roots:
+            minus, positive = tuple(-v for v in r.covector), r.covector in pos_cov
+            cov = ", ".join(str(v) for v in r.covector)
+            if positive and minus not in allcov:
+                yield f"-({cov}) is not a root"
+            elif positive == (minus in pos_cov):
+                yield f"not exactly one of ±({cov}) is positive"
+
+    rep.first_failure("negatives are minus positives", negative_failures())
     return rep
 
 

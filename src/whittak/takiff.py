@@ -36,9 +36,6 @@ class TakiffAlgebra:
         self.z_index = z_index
         self.n1 = base.dim
 
-    def one(self, i: int) -> int:
-        return i
-
     def theta(self, i: int) -> int:
         return self.n1 + i
 
@@ -181,16 +178,20 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
 
 def verify_hat_closure(t: TakiffAlgebra, hat: HatDecomposition) -> Report:
     rep = Report("triangular decomposition closure")
-    nset = set(hat.n_hat)
-    parts = sorted(set(hat.n_hat) | set(hat.h_hat) | set(hat.n_minus_hat))
-    rep.add("partition covers the basis", parts == list(range(t.total.dim)), None)
-    rep.add("z sits in the Cartan part", t.z_index in set(hat.h_hat), None)
+    parts = (*hat.n_hat, *hat.h_hat, *hat.n_minus_hat)
+    nset, covered, lab = set(hat.n_hat), set(parts), t.total.labels
+    rep.first_failure(
+        "partition covers the basis",
+        [f"{lab[k]} is in no part" for k in range(t.total.dim) if k not in covered]
+        + [f"index {k!r} is not a basis index" for k in parts if k not in range(t.total.dim)],
+    )
+    rep.add("z sits in the Cartan part", None if t.z_index in hat.h_hat else f"{lab[t.z_index]} is not in h_hat")
 
     def leaving(left):
         for i in left:
             for j in hat.n_hat:
                 if any(k not in nset for k in t.total.bracket_basis(i, j).entries):
-                    yield f"[{t.total.labels[i]},{t.total.labels[j]}] leaves the radical"
+                    yield f"[{lab[i]},{lab[j]}] leaves the radical"
 
     rep.first_failure("radical is bracket-closed", leaving(hat.n_hat))
     rep.first_failure("cartan part normalizes the radical", leaving(hat.h_hat))

@@ -9,7 +9,7 @@ triangular pairing identities of shifted operator words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlin import (
     ONE,
@@ -155,7 +155,7 @@ def zeta_from_chi(t: TakiffAlgebra, chi: NilCharacter, c: Scalar) -> NilCharacte
     domain = []
     for bidx, corr in _even_positive_corrections(t, c):
         domain.append(bidx)
-        v = chi.value(t.one(bidx))
+        v = chi.value(bidx)
         if corr is not None:
             b1, b2, factor = corr
             v = v - factor * chi.value(b1) * chi.value(b2)
@@ -213,7 +213,6 @@ class GradedNilradical:
     degrees: dict[int, int]
     m_indices: tuple[int, ...]
     u_indices: tuple[int, ...]
-    x_duals: list[SparseVector] | None = None
 
     @property
     def d(self) -> list[int]:
@@ -292,14 +291,12 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
             want = ONE if i == j else ZERO
             if form.pair(ws[i], duals[j]) != want:
                 raise RuntimeError("dual-element system verification failed")
-    g.x_duals = duals
     return duals
 
 
-def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report:
-    """The three normalization conditions of the shifted-word equivalence."""
-    if g.x_duals is None:
-        raise ValueError("dual elements have not been solved")
+def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter, duals: list[SparseVector]) -> Report:
+    """The three normalization conditions of the shifted-word equivalence, on the duals x_j of
+    `solve_dual_elements`."""
     t = g.takiff
     tot = t.total
     mset = set(g.m_indices)
@@ -310,7 +307,7 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report
 
     def diagonal_failures():
         for i, u in enumerate(g.u_indices):
-            br = tot.bracket(SparseVector.unit(u), g.x_duals[i])
+            br = tot.bracket(SparseVector.unit(u), duals[i])
             if not in_m_minus_1(br):
                 yield f"[u_{i}, x_{i}] is not in degree -1 of the negative part"
             if phi.value_of(br) != ONE:
@@ -321,7 +318,7 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report
             for j in range(len(g.u_indices)):
                 if i == j:
                     continue
-                br = tot.bracket(SparseVector.unit(u), g.x_duals[j])
+                br = tot.bracket(SparseVector.unit(u), duals[j])
                 if br and in_m_minus_1(br) and phi.value_of(br):
                     yield f"phi([u_{i}, x_{j}]) = {phi.value_of(br)} != 0"
 
@@ -343,17 +340,22 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter) -> Report
 
 @dataclass
 class WhittakerBasis:
+    """Solutions and their report; the report's data holds the previous dimension and stability."""
+
     vectors: list[ModuleVector]
-    prev_dimension: int
-    report: Report = field(default_factory=lambda: Report("whittaker solve"))
+    report: Report
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
     @property
+    def prev_dimension(self) -> int:
+        return self.report.data["previous_dimension"]
+
+    @property
     def stable(self) -> bool:
-        return self.dimension == self.prev_dimension
+        return self.report.data["stable"]
 
 
 def _generating_subset(algebra: SuperAlgebra, domain) -> list[int]:
@@ -413,7 +415,7 @@ def whittaker_vectors(module, phi: NilCharacter, trunc: int) -> WhittakerBasis:
     rep.data["dimension"] = len(vecs)
     rep.data["previous_dimension"] = prev
     rep.data["stable"] = len(vecs) == prev
-    return WhittakerBasis(vecs, prev, rep)
+    return WhittakerBasis(vecs, rep)
 
 
 # -- multi-index word pairings -------------------------------------------------
@@ -481,15 +483,15 @@ def pairing_word_check(
                 if not w:
                     bad_diag = bad_diag or f"u^{a} x^{a} v = 0"
                     continue
-                coeff = w.coefficient(vac_key) / vac_coeff
+                coeff = w.get(vac_key) / vac_coeff
                 if w != v.scale(coeff) or not coeff:
                     bad_diag = bad_diag or f"u^{a} x^{a} v is not a nonzero multiple of v"
                 else:
                     scalars[str(a)] = str(coeff)
             elif w:
                 bad_tri = bad_tri or f"u^{a} x^{b} v != 0"
-    rep.add("diagonal words return nonzero multiples of v", bad_diag is None, bad_diag)
-    rep.add("higher words annihilate v", bad_tri is None, bad_tri)
+    rep.add("diagonal words return nonzero multiples of v", bad_diag)
+    rep.add("higher words annihilate v", bad_tri)
     rep.data["diagonal_scalars"] = scalars
     rep.data["pairs_checked"] = checked
     return rep
@@ -499,31 +501,21 @@ def appendix_pairing_check(
     module,
     g: GradedNilradical,
     phi: NilCharacter,
+    duals: list[SparseVector],
     max_weight: int,
-    v: ModuleVector | None = None,
-    find_trunc: int = 4,
+    find_trunc: int,
 ) -> Report:
-    """Word-pairing identities over the graded negative part on a module.
+    """Word-pairing identities over the graded negative part on a module, against the duals x_j.
 
-    A strict eigenvector for phi over the whole negative part is required;
-    it is found with the Whittaker solver when not supplied.
+    The words act on a strict eigenvector for phi over the whole negative
+    part, found with the Whittaker solver at truncation find_trunc.
     """
-    if g.x_duals is None:
-        raise ValueError("dual elements have not been solved")
-    if v is None:
-        wb = whittaker_vectors(module, phi, find_trunc)
-        if not wb.vectors:
-            raise ValueError("no Whittaker vector available")
-        v = wb.vectors[0]
-    else:
-        for x in phi.domain:
-            if module.apply_total_index(x, v) != v.scale(phi.value(x)):
-                raise ValueError("the supplied vector is not a Whittaker vector")
+    wb = whittaker_vectors(module, phi, find_trunc)
+    if not wb.vectors:
+        raise ValueError("no Whittaker vector available")
     us = [SparseVector.unit(u) for u in g.u_indices]
     phis = [phi.value(u) for u in g.u_indices]
-    return pairing_word_check(
-        module, us, g.x_duals, g.d, g.odd_mask, phis, v, max_weight
-    )
+    return pairing_word_check(module, us, duals, g.d, g.odd_mask, phis, wb.vectors[0], max_weight)
 
 
 def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
@@ -552,11 +544,7 @@ def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
         (bidx,) = r.space
         if not zeta.value(bidx):
             vanishing.append(zeta.algebra.labels[bidx])
-    rep.add(
-        "nonvanishing on every simple even root vector",
-        not vanishing,
-        None if not vanishing else f"vanishes on {vanishing}",
-    )
+    rep.add("nonvanishing on every simple even root vector", f"vanishes on {vanishing}" if vanishing else None)
     rep.data["simple_even_roots"] = len(simple_evens)
 
     def structural_failures():

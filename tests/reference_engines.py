@@ -41,6 +41,10 @@ start from, has no caller left in the package.
 `apply_lift` on every vector it meets, as `verify_lift_identities` did before
 it applied each phi(e_i) to each monomial once per call and summed every
 other lift from those actions.
+`reference_root_datum_verdicts` and `reference_partition_verdict` are the
+boolean expressions that decided the span and negatives checks of
+`verify_root_datum` and the partition check of `verify_hat_closure` before
+each of them named its first offending basis vector or root.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from whittak.fockrep import FockIndex, FockModule, ModuleVector, clifford_module
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
 from whittak.superalg import EVEN, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
-from whittak.takiff import TakiffAlgebra, build_takiff, theta_derivative
+from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
 
 
@@ -312,7 +316,7 @@ def reference_verify_algebra(a: SuperAlgebra) -> Report:
         rep.first_failure("form is invariant", invariance_failures())
 
         nondeg = rank(form) == d
-        rep.add("form is non-degenerate", nondeg, None if nondeg else f"rank {rank(form)} < {d}")
+        rep.add("form is non-degenerate", None if nondeg else f"rank {rank(form)} < {d}")
     return rep
 
 
@@ -776,3 +780,20 @@ def reference_verify_lift_identities(f: FockModule, max_degree: int) -> Report:
     )
     rep.data["identities_checked"] = count
     return rep
+
+
+def reference_root_datum_verdicts(a: SuperAlgebra, rd: RootDatum) -> tuple[bool, bool]:
+    """(cartan and root spaces span, negatives are minus positives) as set comparisons."""
+    covered = set(rd.cartan)
+    for r in rd.roots:
+        covered.update(r.space)
+    neg = {tuple(-v for v in rd.roots[i].covector) for i in rd.positive}
+    allcov = {r.covector for r in rd.roots}
+    pos_cov = {rd.roots[i].covector for i in rd.positive}
+    return covered == set(range(a.dim)), allcov == neg | pos_cov and not (neg & pos_cov)
+
+
+def reference_partition_verdict(t: TakiffAlgebra, hat: HatDecomposition) -> bool:
+    """Partition covers the basis, as one sorted-list comparison."""
+    parts = sorted(set(hat.n_hat) | set(hat.h_hat) | set(hat.n_minus_hat))
+    return parts == list(range(t.total.dim))

@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from whittak.charfun import (
-    char_equal,
+    char_difference,
     char_product,
     fock_character,
     verify_factorization,
@@ -279,8 +279,7 @@ def test_criterion_07_character_factorization():
     rhs = char_product(
         fock_character(f1, 5), verma_character(rd1, lam1.restrict(), 5, hatted=False)
     )
-    same, _ = char_equal(lhs, rhs)
-    ok &= not same
+    ok &= char_difference(lhs, rhs) is not None
     assert crit(7, ok, "character factorization at heights 6 and 4, canary detected")
 
 
@@ -289,8 +288,8 @@ def test_criterion_08_skryabin_conditions():
     ok = True
     for m, n in ((1, 2), (2, 3)):
         a, rd, t, g, e, chi = principal_data(m, n)
-        solve_dual_elements(t, g, e)
-        rep = verify_skryabin_conditions(g, chi)
+        duals = solve_dual_elements(t, g, e)
+        rep = verify_skryabin_conditions(g, chi, duals)
         ok &= rep.passed
     assert crit(8, ok, "dual-element normalization conditions on gl(1|2) and gl(2|3)")
 
@@ -310,8 +309,8 @@ def test_criterion_09_appendix_pairing():
     found = []
     for c in (ONE, Scalar(2), Scalar(Fraction(-1, 2))):
         a, rd, t, g, e, chi, f, zeta = twisted_principal(1, 1, c)
-        solve_dual_elements(t, g, e)
-        rep = appendix_pairing_check(f, g, chi, max_weight=3, find_trunc=3)
+        duals = solve_dual_elements(t, g, e)
+        rep = appendix_pairing_check(f, g, chi, duals, max_weight=3, find_trunc=3)
         scalars = rep.data["diagonal_scalars"]
         words = enumerate_multiindices(g.d, g.odd_mask, 3)
         ok &= rep.passed and not zeta.values
@@ -322,10 +321,10 @@ def test_criterion_09_appendix_pairing():
         )
 
     a, rd, t, g, e, chi, f, zeta = twisted_principal(1, 2, ONE)
-    solve_dual_elements(t, g, e)
+    duals = solve_dual_elements(t, g, e)
     regular = regularity_check(zeta, rd).passed
     with pytest.raises(ValueError, match="no Whittaker vector") as err:
-        appendix_pairing_check(f, g, chi, max_weight=3, find_trunc=3)
+        appendix_pairing_check(f, g, chi, duals, max_weight=3, find_trunc=3)
     ok &= bool(zeta.values) and regular
     dt = time.monotonic() - t0
     ok &= dt < 120.0

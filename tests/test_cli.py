@@ -280,8 +280,16 @@ class TestVerify:
             (lambda d: d["layout"].pop("z"), "error: the stored extension's basis or layout differs"),
             (lambda d: d.update(takiff_of="gl(2|1)"), "error: takiff_of 'gl(2|1)' differs from the base"),
             (lambda d: d.update(form=d["base_algebra"]["form"]), "error: an extension file's total algebra"),
+            (lambda d: d.pop("base_algebra"), "error: base_algebra must be a JSON object, not None"),
+            (lambda d: d.pop("root_datum"), "error: root_datum must be a JSON object, not None"),
+            (lambda d: d.pop("brackets"), "error: brackets must be a JSON list, not None"),
+            (lambda d: d["base_algebra"].pop("labels"), "error: base_algebra.labels must be a JSON list, not None"),
+            (lambda d: d["root_datum"].update(roots=5), "error: root_datum.roots must be a JSON list, not 5"),
         ],
-        ids=["layout-list", "layout-missing", "z-missing", "takiff_of", "total-form"],
+        ids=[
+            "layout-list", "layout-missing", "z-missing", "takiff_of", "total-form",
+            "base-missing", "root-datum-missing", "brackets-missing", "base-labels-missing", "roots-int",
+        ],
     )
     def test_malformed_extension_names_its_field(self, tmp_path, capsys, edit, want):
         ext = copy.deepcopy(_valid_file(1, 1, "extension"))

@@ -18,11 +18,11 @@ from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
     FockModule,
     ModuleVector,
+    TensorModule,
     build_fock,
     clifford_module_dim,
     cyclicity_spot_check,
     natural_module,
-    tensor_with_findim,
     verify_highest_weight,
     verify_lift_identities,
     verify_relations,
@@ -284,7 +284,7 @@ class TestTensor:
         trivial = type(L)(
             f.base, 1, (0,), [SparseMatrix(1, 1) for _ in range(f.base.dim)]
         )
-        tm = tensor_with_findim(trivial, f)
+        tm = TensorModule(trivial, f)
         v0 = tm.vacuum_line()[0]
         for k in range(tm.takiff.total.dim):
             got = tm.apply_total_index(k, v0)
@@ -298,12 +298,12 @@ class TestTensor:
         L = natural_module(f.base, 1, 1)
         L.actions[0] = SparseMatrix(2, 2, {(0, 1): ONE})
         with pytest.raises(ValueError):
-            tensor_with_findim(L, f)
+            TensorModule(L, f)
 
     def test_natural_module_highest_weight_shift(self):
         f = fock(1, 1, Scalar(3))
         L = natural_module(f.base, 1, 1)
-        tm = tensor_with_findim(L, f)
+        tm = TensorModule(L, f)
         v = tm.vacuum_line()[0]  # highest L-vector tensor vacuum
         rho = weyl_vector(f.rd, f.c)
         for pos, h in enumerate(f.rd.cartan):
@@ -327,7 +327,7 @@ class TestTensor:
     def test_cyclicity_spot_check(self):
         f = fock(1, 1, ONE)
         L = natural_module(f.base, 1, 1)
-        tm = tensor_with_findim(L, f)
+        tm = TensorModule(L, f)
         rep = cyclicity_spot_check(tm, seed=0, samples=20)
         assert rep.passed, rep.to_json()
         assert rep.seed == 0
@@ -336,7 +336,7 @@ class TestTensor:
 @functools.lru_cache(maxsize=None)
 def _natural_tensor_gl21():
     f = fock(2, 1, Scalar(Fraction(-1, 2)))
-    return tensor_with_findim(natural_module(f.base, 2, 1), f)
+    return TensorModule(natural_module(f.base, 2, 1), f)
 
 
 def _twisted_gl21(c):

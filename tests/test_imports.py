@@ -1,6 +1,8 @@
-"""Every module of the package, its tests and its scripts reads each name it imports."""
+"""Every module of the package, its tests and its scripts reads each name it imports, and every
+package name the benchmark traces or expects a call of still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,3 +29,34 @@ def test_no_unread_imports():
     modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert len(modules) > 20
     assert [u for p in modules for u in _unread_imports(p)] == []
+
+
+def _benchmark_names() -> list[str]:
+    """Dotted names under whittak that perfbench needs, read from its source without importing it:
+    each workload's `expect_calls`, and the tracer's `METHODS` and `ELIM` (`UNTRACED` may name stale
+    functions, which are only left unwrapped)."""
+    names = []
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "workloads.py").read_text())):
+        if isinstance(node, ast.keyword) and node.arg == "expect_calls":
+            names += ast.literal_eval(node.value)
+    for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        target = node.targets[0].id if isinstance(node, ast.Assign) else None
+        if target == "METHODS":
+            names += [f"{ast.unparse(t.elts[0])}.{ast.literal_eval(t.elts[1])}" for t in node.value.elts]
+        elif target == "ELIM":
+            names += ast.literal_eval(node.value)
+    return names
+
+
+def _resolves(name: str) -> bool:
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"whittak.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return callable(obj)
+
+
+def test_benchmark_names_resolve():
+    names = _benchmark_names()
+    assert {"fockrep.build_fock", "fockrep.FockModule.apply_lift", "exactlin.EchelonSpan.add"} <= set(names)
+    assert [n for n in names if not _resolves(n)] == []

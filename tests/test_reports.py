@@ -2,18 +2,25 @@
 
 `pinned_reports.json` holds each case's `to_dict()` as produced by the
 verifiers before they reported through `first_failure`; every report must
-still serialize to the same bytes.
+still serialize to the same bytes. The root-datum and hat-decomposition cases
+were pinned when every check came to carry a witness: before that, their
+failing checks had none.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_engines import reference_partition_verdict, reference_root_datum_verdicts
 
 from whittak.exactlin import ONE, Scalar, SparseVector
 from whittak.fockrep import FockModule, verify_lift_identities
 from whittak.reports import Report
-from whittak.superalg import SuperAlgebra, build_gl, verify_algebra
+from whittak.superalg import SuperAlgebra, build_gl, verify_algebra, verify_root_datum
 from whittak.takiff import TakiffAlgebra, build_takiff, verify_hat_closure, verify_takiff
 from whittak.wfinite import (
     graded_nilradical,
@@ -23,6 +30,7 @@ from whittak.wfinite import (
 )
 
 PINNED = Path(__file__).with_name("pinned_reports.json")
+SMALL = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
 class TestFirstFailure:
@@ -41,6 +49,90 @@ class TestFirstFailure:
         rep.first_failure("lazy", witnesses())
         assert not rep.passed
         assert rep.checks[0].witness == "first"
+
+
+class TestWitnessRule:
+    def test_a_check_passes_exactly_when_it_has_no_witness(self):
+        rep = Report("t")
+        rep.add("holds", None)
+        rep.add("fails", "w")
+        assert [c.passed for c in rep.checks] == [True, False]
+        assert not rep.passed and rep.failures() == [rep.checks[1]]
+        assert [c.get("witness") for c in rep.to_dict()["checks"]] == [None, "w"]
+
+
+def _drop_root(rd, i):
+    """rd without root i, its positive and simple indices renumbered."""
+
+    def renumber(idx):
+        return tuple(k - (k > i) for k in idx if k != i)
+
+    return replace(
+        rd, roots=rd.roots[:i] + rd.roots[i + 1 :], positive=renumber(rd.positive), simple=renumber(rd.simple)
+    )
+
+
+def _corrupt_root_datum(rd, kind, draw):
+    """rd with one corruption of the kind; unchanged when there is nothing left to corrupt."""
+    if kind == "dropped cartan index":
+        pool = list(rd.cartan)
+    elif kind == "duplicated positive":
+        pool = list(rd.positive)
+    else:
+        pool = [i for i in range(len(rd.roots)) if kind == "dropped root" or i not in rd.positive]
+    if not pool:
+        return rd
+    k = draw(st.sampled_from(pool))
+    if kind == "dropped cartan index":
+        return replace(rd, cartan=tuple(h for h in rd.cartan if h != k))
+    if kind == "duplicated positive":
+        return replace(rd, positive=rd.positive + (k,))
+    return _drop_root(rd, k)
+
+
+def _corrupt_hat(t, hat, kind, draw):
+    """hat with one corruption of the kind; unchanged when there is nothing left to corrupt."""
+    if kind == "duplicated positive":
+        part, pool = "n_hat", list(hat.n_hat)
+    elif kind == "dropped root":
+        part = draw(st.sampled_from(["n_hat", "n_minus_hat"]))
+        pool = list(getattr(hat, part))
+    else:  # dropped z, or a dropped Cartan index other than z
+        part, pool = "h_hat", [k for k in hat.h_hat if (k == t.z_index) == (kind == "dropped z")]
+    if not pool:
+        return hat
+    k = draw(st.sampled_from(pool))
+    old = getattr(hat, part)
+    return replace(hat, **{part: old + (k,) if kind == "duplicated positive" else tuple(x for x in old if x != k)})
+
+
+class TestWitnessedVerdicts:
+    """The witnessed span, negatives and partition checks fail exactly when the set comparisons
+    they replaced did, on root data and hat decompositions with corruptions stacked."""
+
+    ROOT_KINDS = ["dropped root", "dropped negative", "dropped cartan index", "duplicated positive"]
+    HAT_KINDS = ["dropped z", "dropped cartan index", "dropped root", "duplicated positive"]
+
+    @given(st.sampled_from(SMALL), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_root_datum_verdicts(self, mn, data):
+        a, rd = build_gl(*mn)
+        for kind in data.draw(st.lists(st.sampled_from(self.ROOT_KINDS), max_size=3)):
+            rd = _corrupt_root_datum(rd, kind, data.draw)
+        checks = {c.name: c for c in verify_root_datum(a, rd).checks}
+        span, negatives = checks["cartan and root spaces span"], checks["negatives are minus positives"]
+        assert (span.passed, negatives.passed) == reference_root_datum_verdicts(a, rd)
+
+    @given(st.sampled_from(SMALL), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_partition_verdicts(self, mn, data):
+        a, rd = build_gl(*mn)
+        t, hat = build_takiff(a, rd)
+        for kind in data.draw(st.lists(st.sampled_from(self.HAT_KINDS), max_size=3)):
+            hat = _corrupt_hat(t, hat, kind, data.draw)
+        checks = {c.name: c for c in verify_hat_closure(t, hat).checks}
+        assert checks["partition covers the basis"].passed == reference_partition_verdict(t, hat)
+        assert checks["z sits in the Cartan part"].passed == (t.z_index in hat.h_hat)
 
 
 def _gl21_with_table(edit):
@@ -101,9 +193,9 @@ def _gl12_skryabin(edit):
     h = SparseVector({a.labels.index(f"E_{k}{k}"): Scalar(k - 2) for k in (1, 2, 3)})
     g = graded_nilradical(t, h)
     chi = nilchar_from_e(t, g, e)
-    solve_dual_elements(t, g, e)
-    edit(g.x_duals)
-    return verify_skryabin_conditions(g, chi)
+    duals = solve_dual_elements(t, g, e)
+    edit(duals)
+    return verify_skryabin_conditions(g, chi, duals)
 
 
 def skryabin_scaled_dual():
@@ -120,6 +212,19 @@ def skryabin_mixed_dual():
     return _gl12_skryabin(edit)
 
 
+def root_datum_negative_dropped():
+    # the last root of gl(2|1) is the negative root of E_32; dropping it shifts no index
+    a, rd = build_gl(2, 1)
+    assert a.labels[rd.roots[-1].space[0]] == "E_32" and len(rd.roots) - 1 not in rd.positive
+    return verify_root_datum(a, replace(rd, roots=rd.roots[:-1]))
+
+
+def hat_z_dropped():
+    a, rd = build_gl(2, 1)
+    t, hat = build_takiff(a, rd)
+    return verify_hat_closure(t, replace(hat, h_hat=tuple(k for k in hat.h_hat if k != t.z_index)))
+
+
 CASES = {
     f.__name__: f
     for f in (
@@ -130,6 +235,8 @@ CASES = {
         lift_corrupted_prefactor,
         skryabin_scaled_dual,
         skryabin_mixed_dual,
+        root_datum_negative_dropped,
+        hat_z_dropped,
     )
 }
 
@@ -148,3 +255,9 @@ def test_failing_report_bytes(name, pinned):
     rep = CASES[name]()
     assert not rep.passed
     assert rep.to_json() == json.dumps(pinned[name], sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_failing_pinned_check_has_a_witness(name, pinned):
+    failing = [c for c in pinned[name]["checks"] if not c["pass"]]
+    assert failing and all(c.get("witness") for c in failing)

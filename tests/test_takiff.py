@@ -81,7 +81,7 @@ class TestStructureJoins:
 class TestOddForm:
     def test_one_vs_theta(self):
         t, _ = tak(1, 1)
-        x = SparseVector.unit(t.one(t.base.labels.index("E_12")))
+        x = SparseVector.unit(t.base.labels.index("E_12"))
         y = SparseVector.unit(t.theta(t.base.labels.index("E_21")))
         assert odd_form_prime(t, x, y) == ONE
 
@@ -95,7 +95,7 @@ class TestOddForm:
         # (E_21.th | E_12)' = (-1)^p(E_12) (E_21|E_12) = (-1)(-1) = 1
         t, _ = tak(1, 1)
         x = SparseVector.unit(t.theta(t.base.labels.index("E_21")))
-        y = SparseVector.unit(t.one(t.base.labels.index("E_12")))
+        y = SparseVector.unit(t.base.labels.index("E_12"))
         assert odd_form_prime(t, x, y) == ONE
 
     def test_z_rejected(self):

@@ -8,7 +8,7 @@ import pytest
 from oracles import rref_dense
 from reference_engines import whittaker_kernel
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
-from whittak.fockrep import build_fock, natural_module, tensor_with_findim
+from whittak.fockrep import TensorModule, build_fock, natural_module
 from whittak.superalg import ODD, build_gl
 from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
@@ -163,26 +163,26 @@ class TestSolveDuals:
     def test_skryabin_conditions(self, build):
         a, rd, t, g, e, h = build()
         chi = nilchar_from_e(t, g, e)
-        solve_dual_elements(t, g, e)
-        rep = verify_skryabin_conditions(g, chi)
+        duals = solve_dual_elements(t, g, e)
+        rep = verify_skryabin_conditions(g, chi, duals)
         assert rep.passed, rep.to_json()
 
     def test_zero_phi_fails_diagonal(self):
         a, rd, t, g, e, h = gl12_principal()
-        solve_dual_elements(t, g, e)
+        duals = solve_dual_elements(t, g, e)
         zero_phi = nil_character(t.total, g.m_indices, {})
-        rep = verify_skryabin_conditions(g, zero_phi)
+        rep = verify_skryabin_conditions(g, zero_phi, duals)
         assert not rep.passed
         assert not rep.checks[0].passed
 
     def test_deep_support_fails_condition3(self):
         a, rd, t, g, e, h = gl12_principal()
-        solve_dual_elements(t, g, e)
+        duals = solve_dual_elements(t, g, e)
         deep = a.labels.index("E_13")  # even root vector, degree -2
         assert g.degrees[deep] == -2
         # such a functional is not a character; inject it unchecked
         phi = NilCharacter(t.total, g.m_indices, {deep: ONE})
-        rep = verify_skryabin_conditions(g, phi)
+        rep = verify_skryabin_conditions(g, phi, duals)
         assert not rep.checks[2].passed
 
 
@@ -472,15 +472,9 @@ class TestWordPairing:
 
     def test_appendix_check_errors_without_whittaker_vector(self):
         a, rd, t, g, e, chi, f = gl12_twisted_fock()
-        solve_dual_elements(t, g, e)
+        duals = solve_dual_elements(t, g, e)
         with pytest.raises(ValueError, match="no Whittaker vector"):
-            appendix_pairing_check(f, g, chi, max_weight=2, find_trunc=2)
-
-    def test_supplied_non_whittaker_vector_rejected(self):
-        a, rd, t, g, e, chi, f = gl12_twisted_fock()
-        solve_dual_elements(t, g, e)
-        with pytest.raises(ValueError, match="not a Whittaker vector"):
-            appendix_pairing_check(f, g, chi, max_weight=2, v=f.vacuum())
+            appendix_pairing_check(f, g, chi, duals, max_weight=2, find_trunc=2)
 
 
 def gl11_twisted_fock():
@@ -519,7 +513,7 @@ class TestWhittakerSingleSolve:
     def test_natural_tensor_fock_gl11(self):
         a, rd = build_gl(1, 1)
         t, _ = build_takiff(a, rd)
-        tm = tensor_with_findim(natural_module(a, 1, 1), build_fock(t, Scalar(2)))
+        tm = TensorModule(natural_module(a, 1, 1), build_fock(t, Scalar(2)))
         barred = tuple(t.theta(r.space[0]) for r in rd.positive_roots())
         self.check(tm, nil_character(t.total, barred, {}), (0, 1, 2))
 
@@ -538,7 +532,7 @@ class TestTensorWordPairing:
         # natural module is even, so the pairing report is the bare module's
         t, chi, f = gl11_twisted_fock()
         a, rd = t.base, t.rd
-        tm = tensor_with_findim(natural_module(a, 1, 1), f)
+        tm = TensorModule(natural_module(a, 1, 1), f)
         pos = rd.positive_roots()
         us, xs, ds, odd_mask, phis = [], [], [], [], []
         for i, r in enumerate(pos):
