@@ -6,12 +6,18 @@ Usage:
         [--label NAME] [--seed0 K]
 
 The parent commit is extracted with `git archive` into a temporary directory
-(no worktree is registered). For each workload, pair i runs
+(no worktree is registered). The change side is a copy of this checkout's
+working tree (the files git tracks or would track), identified by its HEAD sha,
+a dirty flag and the `source_sha256` that run.py records. Neither tree holds a
+bytecode cache, and every run has PYTHONDONTWRITEBYTECODE=1, so each side
+compiles the package on every import and `setup_s` (which counts a fresh
+interpreter's `import whittak`) compares like with like. The standard library
+keeps its installed bytecode on both sides.
+
+For each workload, pair i runs
 `python3 perfbench/run.py --workload W --seed K+i --seconds S --trace 0` once in
 each tree, with S the `run_seconds` of BENCHMARK.json; even pairs run the
-parent first and odd pairs the change first. The change side is the working
-tree of this checkout, identified by its HEAD sha, a dirty flag and the
-`source_sha256` that run.py records.
+parent first and odd pairs the change first.
 
 For each --script, pair i runs `python3 PATH` once in each tree, in the same
 alternating order, with the tree as working directory and PYTHONPATH set to the
@@ -19,9 +25,9 @@ tree's `src`. The script's last stdout line must be a JSON object of metric ->
 seconds, lower is better. The same script file times both trees.
 
 Writes BENCH_<label>.json at the repository root with the Python version,
-platform, nproc, both shas, the seeds, every run's metrics, each side's median
-and quartiles per metric, and the change's win counts over the pairs (ties
-count for neither side).
+platform, nproc, the bytecode settings, both shas, the seeds, every run's
+metrics, each side's median and quartiles per metric, and the change's win
+counts over the pairs (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +44,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# every run compiles the package afresh and writes no cache for the next run
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def git(*args: str) -> str:
@@ -53,12 +62,20 @@ def extract(sha: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def snapshot(dest: Path) -> None:
+    """The working tree's files that git tracks or would track, copied under `dest`."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run.py in `tree`: its run record and result lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, env=ENV, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"error: run.py in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -68,7 +85,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def run_script(tree: Path, script: Path) -> dict:
     """One run of a timing script against `tree`'s package: its metric -> seconds object."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(ENV, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, str(script)], cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -143,14 +160,21 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "nproc": os.cpu_count(),
         "seconds": seconds,
+        "bytecode": {
+            "PYTHONDONTWRITEBYTECODE": ENV["PYTHONDONTWRITEBYTECODE"],
+            "trees": "fresh copies without __pycache__: git archive of the parent, "
+                     "the working tree's tracked and unignored files for the change",
+        },
         "parent": {"sha": parent_sha},
         "change": change,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent_tree = Path(tmp)
-        extract(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for tree in trees.values():
+            tree.mkdir()
+        extract(parent_sha, trees["parent"])
+        snapshot(trees["change"])
         for workload in args.workload:
             seeds = [args.seed0 + i for i in range(args.runs)]
 

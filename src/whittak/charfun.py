@@ -8,7 +8,7 @@ one product over the module's generators (`_free_character`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exactlin import Scalar
 from .fockrep import FockModule, clifford_module_dim
@@ -16,12 +16,11 @@ from .reports import Report
 from .superalg import RootDatum, Weight, weyl_vector
 
 
-@dataclass
-class FormalCharacter:
+class FormalCharacter(NamedTuple):
     anchor: Weight
     truncation: int
     nsimple: int
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
+    coeffs: dict[tuple[int, ...], int]
 
     def coefficient(self, offset: tuple[int, ...]) -> int:
         return self.coeffs.get(offset, 0)

@@ -13,7 +13,6 @@ applied to the vacuum, with Koszul signs counted over the odd letters only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactlin import (
@@ -477,8 +476,7 @@ def verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar], max_d
     return rep
 
 
-@dataclass
-class FinDimModule:
+class FinDimModule(NamedTuple):
     """Finite-dimensional module of the base algebra by action matrices."""
 
     algebra: SuperAlgebra

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """A named check; it passes exactly when it has no witness."""
 
     name: str
@@ -19,12 +17,14 @@ class Check:
         return self.witness is None
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    seed: int | None = None
-    data: dict = field(default_factory=dict)
+    """Checks in the order they ran; `seed` and `data` are serialized when set."""
+
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list[Check] = []
+        self.seed: int | None = None
+        self.data: dict = {}
 
     @property
     def passed(self) -> bool:

@@ -161,7 +161,9 @@ def weight_to_dict(w: Weight) -> dict:
 
 
 def weight_from_dict(d: dict) -> Weight:
-    return Weight(tuple(Scalar.parse(s) for s in d["values"]), Scalar.parse(d["level"]))
+    d = _mapping(d, "a weight file")
+    values, level = _mapping(d.get("values"), "values", list), _mapping(d.get("level"), "level", str)
+    return Weight(tuple(Scalar.parse(s) for s in values), Scalar.parse(level))
 
 
 _JSON_KINDS = {dict: "object", list: "list", str: "string"}
@@ -176,10 +178,12 @@ def _mapping(obj, what: str, kind: type = dict):
 
 def vector_from_dict(d: dict, algebra: SuperAlgebra) -> SparseVector:
     """Element given by coordinates keyed by basis label or index."""
-    coords = _mapping(d["coords"] if "coords" in d else d, "element coordinates")
+    coords = _mapping(_mapping(d, "an element").get("coords", d), "element coordinates")
     out = {}
     for key, s in coords.items():
         if isinstance(key, str) and not key.lstrip("-").isdigit():
+            if key not in algebra.labels:
+                raise ValueError(f"element coordinate {key!r} is not a basis label of {algebra.name}")
             idx = algebra.labels.index(key)
         else:
             idx = int(key)
@@ -204,11 +208,10 @@ def nilchar_to_dict(nc: NilCharacter) -> dict:
 
 
 def nilchar_from_dict(d: dict, algebra: SuperAlgebra) -> NilCharacter:
-    return nil_character(
-        algebra,
-        tuple(d["domain"]),
-        {int(i): Scalar.parse(s) for i, s in _mapping(d["values"], "character values").items()},
-    )
+    d = _mapping(d, "a character file")
+    domain = _mapping(d.get("domain"), "character domain", list)
+    values = _mapping(d.get("values"), "character values")
+    return nil_character(algebra, tuple(domain), {int(i): Scalar.parse(s) for i, s in values.items()})
 
 
 def character_to_dict(ch) -> dict:

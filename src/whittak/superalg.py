@@ -8,7 +8,7 @@ gradings and centralizers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import (
     ONE,
@@ -93,8 +93,7 @@ _EMPTY = SparseVector()
 _ZERO_PAIR = (0, 0)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root as a covector on the Cartan basis plus its root space."""
 
     covector: tuple[Scalar, ...]
@@ -102,8 +101,7 @@ class Root:
     parity: int
 
 
-@dataclass
-class RootDatum:
+class RootDatum(NamedTuple):
     cartan: tuple[int, ...]
     roots: tuple[Root, ...]
     positive: tuple[int, ...]
@@ -148,8 +146,7 @@ class RootDatum:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Covector on the Cartan basis together with the central level."""
 
     values: tuple[Scalar, ...]

@@ -12,15 +12,14 @@ Fock construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import ONE, ZERO, Scalar, SparseMatrix, SparseVector, add_term, rank, sign
 from .reports import Report
 from .superalg import EVEN, RootDatum, SuperAlgebra, form_invariance_failures, verify_algebra
 
 
-@dataclass
-class HatDecomposition:
+class HatDecomposition(NamedTuple):
     n_hat: tuple[int, ...]
     h_hat: tuple[int, ...]
     n_minus_hat: tuple[int, ...]
@@ -198,8 +197,7 @@ def verify_hat_closure(t: TakiffAlgebra, hat: HatDecomposition) -> Report:
     return rep
 
 
-@dataclass
-class DualBasis:
+class DualBasis(NamedTuple):
     """Root vectors with (E_a|F_a) = 1 and an orthonormal Cartan basis.
 
     upper[k] and lower[k] are dual under the form: (upper[i]|lower[j]) = d_ij.

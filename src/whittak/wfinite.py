@@ -9,7 +9,7 @@ triangular pairing identities of shifted operator words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import (
     ONE,
@@ -29,8 +29,7 @@ from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, grading_by_adh, 
 from .takiff import TakiffAlgebra, odd_form
 
 
-@dataclass
-class NilCharacter:
+class NilCharacter(NamedTuple):
     """Linear functional on a bracket-closed nilpotent index set.
 
     Vanishes on commutators and on odd basis elements; both are enforced by
@@ -204,8 +203,7 @@ def hat_eta(t: TakiffAlgebra, eta: NilCharacter, c: Scalar) -> NilCharacter:
     return nil_character(t.total, domain, vals)
 
 
-@dataclass
-class GradedNilradical:
+class GradedNilradical(NamedTuple):
     """Negative part of the ad-h grading with its ordered homogeneous basis."""
 
     takiff: TakiffAlgebra
@@ -338,8 +336,7 @@ def verify_skryabin_conditions(g: GradedNilradical, phi: NilCharacter, duals: li
 # -- Whittaker solving --------------------------------------------------------
 
 
-@dataclass
-class WhittakerBasis:
+class WhittakerBasis(NamedTuple):
     """Solutions and their report; the report's data holds the previous dimension and stability."""
 
     vectors: list[ModuleVector]

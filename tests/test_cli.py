@@ -416,6 +416,22 @@ class TestInputIndices:
         ):
             self._one_error(capsys, argv + ["--alg", gl11_tak, "--weight", lam], "the weight has 1 values")
 
+    @pytest.mark.parametrize(
+        "argv, doc, want",
+        [
+            (["verify", "factorization", "--weight"], {"values": ["1", "0"]},
+             "level must be a JSON string, not None"),
+            (["whittaker", "--trunc", 1, "--chi"], {"values": {}},
+             "character domain must be a JSON list, not None"),
+            (["verify", "skryabin", "--e"], {"coords": {"E_99": "1"}},
+             "element coordinate 'E_99' is not a basis label of gl(1|1)"),
+        ],
+        ids=["weight-level-missing", "character-domain-missing", "element-label-unknown"],
+    )
+    def test_input_file_errors_name_the_field(self, gl11_tak, tmp_path, capsys, argv, doc, want):
+        path = write(tmp_path / "in.json", doc)
+        self._one_error(capsys, argv + [path, "--alg", gl11_tak], f"error: {want}")
+
 
 class TestCliPaths:
     """Suites and options that no other test runs, pinned to the bytes they emit."""
@@ -528,6 +544,10 @@ def test_extension_timer_runs():
 
 def test_lift_timer_runs():
     assert sorted(_timer_metrics("time_lift_checks.py")) == ["gl21_deg1_s", "gl22_deg1_s"]
+
+
+def test_cold_start_timer_runs():
+    assert sorted(_timer_metrics("time_cold_start.py")) == ["cli_build_gl11_s", "import_whittak_s"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
-"""Every module of the package, its tests and its scripts reads each name it imports, and every
-package name the benchmark traces or expects a call of still exists."""
+"""Every module of the package, its tests and its scripts reads each name it imports, every
+package name the benchmark traces or expects a call of still exists, and importing the package
+loads only what its cold start needs."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +63,13 @@ def test_benchmark_names_resolve():
     names = _benchmark_names()
     assert {"fockrep.build_fock", "fockrep.FockModule.apply_lift", "exactlin.EchelonSpan.add"} <= set(names)
     assert [n for n in names if not _resolves(n)] == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter's `import whittak` and the CLI module, which every CLI process pays for,
+    compile neither module (nor `ast`, `dis` and `tokenize`, which `inspect` imports)."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import whittak.cli; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert {"whittak", "whittak.cli", "whittak.wfinite"} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

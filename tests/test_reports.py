@@ -8,7 +8,6 @@ failing checks had none.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,6 +50,19 @@ class TestFirstFailure:
         assert rep.checks[0].witness == "first"
 
 
+class TestReportState:
+    def test_reports_do_not_share_checks_or_data(self):
+        a, b = Report("x"), Report("x")
+        a.add("holds", None)
+        a.data["k"] = 1
+        assert (b.checks, b.data, b.seed) == ([], {}, None)
+
+    def test_seed_is_assignable_and_serialized(self):
+        rep = Report("x")
+        rep.seed = 3
+        assert rep.to_dict() == {"title": "x", "pass": True, "checks": [], "seed": 3}
+
+
 class TestWitnessRule:
     def test_a_check_passes_exactly_when_it_has_no_witness(self):
         rep = Report("t")
@@ -67,8 +79,8 @@ def _drop_root(rd, i):
     def renumber(idx):
         return tuple(k - (k > i) for k in idx if k != i)
 
-    return replace(
-        rd, roots=rd.roots[:i] + rd.roots[i + 1 :], positive=renumber(rd.positive), simple=renumber(rd.simple)
+    return rd._replace(
+        roots=rd.roots[:i] + rd.roots[i + 1 :], positive=renumber(rd.positive), simple=renumber(rd.simple)
     )
 
 
@@ -84,9 +96,9 @@ def _corrupt_root_datum(rd, kind, draw):
         return rd
     k = draw(st.sampled_from(pool))
     if kind == "dropped cartan index":
-        return replace(rd, cartan=tuple(h for h in rd.cartan if h != k))
+        return rd._replace(cartan=tuple(h for h in rd.cartan if h != k))
     if kind == "duplicated positive":
-        return replace(rd, positive=rd.positive + (k,))
+        return rd._replace(positive=rd.positive + (k,))
     return _drop_root(rd, k)
 
 
@@ -103,7 +115,7 @@ def _corrupt_hat(t, hat, kind, draw):
         return hat
     k = draw(st.sampled_from(pool))
     old = getattr(hat, part)
-    return replace(hat, **{part: old + (k,) if kind == "duplicated positive" else tuple(x for x in old if x != k)})
+    return hat._replace(**{part: old + (k,) if kind == "duplicated positive" else tuple(x for x in old if x != k)})
 
 
 class TestWitnessedVerdicts:
@@ -216,13 +228,13 @@ def root_datum_negative_dropped():
     # the last root of gl(2|1) is the negative root of E_32; dropping it shifts no index
     a, rd = build_gl(2, 1)
     assert a.labels[rd.roots[-1].space[0]] == "E_32" and len(rd.roots) - 1 not in rd.positive
-    return verify_root_datum(a, replace(rd, roots=rd.roots[:-1]))
+    return verify_root_datum(a, rd._replace(roots=rd.roots[:-1]))
 
 
 def hat_z_dropped():
     a, rd = build_gl(2, 1)
     t, hat = build_takiff(a, rd)
-    return verify_hat_closure(t, replace(hat, h_hat=tuple(k for k in hat.h_hat if k != t.z_index)))
+    return verify_hat_closure(t, hat._replace(h_hat=tuple(k for k in hat.h_hat if k != t.z_index)))
 
 
 CASES = {

@@ -1,5 +1,6 @@
 """gl(m|n) builders, structural verification, spans, gradings, centralizers."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from whittak.exactlin import ONE, ZERO, I, Scalar, SparseMatrix, SparseVector
 from whittak.superalg import (
     EVEN,
     ODD,
+    Root,
+    Weight,
     build_gl,
     centralizer_dim,
     gl_parity_sequence,
@@ -341,3 +344,26 @@ class TestCentralizer:
             unit(a, "E_21"),
         )
         assert centralizer_dim(a, e) == 5
+
+
+class TestRecords:
+    """Roots and weights are immutable hashable values; weights add and subtract componentwise."""
+
+    def test_root_and_weight_are_hashable_and_frozen(self):
+        _, rd = build_gl(2, 1)
+        r = rd.roots[0]
+        assert len({r, Root(r.covector, r.space, r.parity), rd.roots[1]}) == 2
+        w = Weight((ONE, half, I), ONE)
+        assert {w: 1}[Weight((ONE, half, I), ONE)] == 1
+        for record, name in ((r, "parity"), (w, "level"), (w, "values")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ZERO)
+
+    def test_weight_arithmetic(self):
+        a, b = Weight((ONE, half), ONE), Weight((half, I), half)
+        assert a + b == Weight((ONE + half, half + I), ONE + half)
+        assert a - b == Weight((half, half - I), half)
+        assert Weight((ONE,)).level == ZERO and a.restrict() == Weight((ONE, half))
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="different Cartans"):
+                op(a, Weight((ONE,)))

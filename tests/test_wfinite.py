@@ -7,8 +7,9 @@ import pytest
 
 from oracles import rref_dense
 from reference_engines import whittaker_kernel
+from test_acceptance import barred_odd_domain, clifford_words, same_span, twisted_principal
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
-from whittak.fockrep import TensorModule, build_fock, natural_module
+from whittak.fockrep import TensorModule, build_fock, clifford_module_dim, natural_module
 from whittak.superalg import ODD, build_gl
 from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
@@ -546,3 +547,25 @@ class TestTensorWordPairing:
         assert bare.passed and bare.data["pairs_checked"] > 1
         tensor = pairing_word_check(tm, us, xs, ds, odd_mask, phis, tm.vacuum_line()[0], 3)
         assert tensor.to_json() == bare.to_json()
+
+
+@pytest.mark.parametrize("m, n, words", [(2, 1, 4), (2, 3, 8), (3, 2, 8)])
+def test_principal_whittaker_answers(m, n, words):
+    """Criterion 11's answers on the larger principal gl(m|n), at truncation 4.
+
+    zeta of the full-radical character is nonzero and regular, so that
+    character has no Whittaker vector; the hat-matched character has zeta = 0,
+    and its Whittaker space is stable and spanned by the Clifford words on the
+    twisted vacuum. The systems reach 11,898 x 1,666 on gl(2|3).
+    """
+    a, rd, t, g, e, chi, f, zeta = twisted_principal(m, n, ONE)
+    assert zeta.values and regularity_check(zeta, rd).passed
+    assert whittaker_vectors(f, chi, 4).dimension == 0
+    dom = barred_odd_domain(t, rd)
+    hatted = hat_eta(t, nil_character(t.total, dom, {k: chi.value(k) for k in dom}), f.c)
+    assert not zeta_from_chi(t, hatted, f.c).values
+    wb = whittaker_vectors(f, hatted, 4)
+    cliff = clifford_words(f)
+    assert len(cliff) == clifford_module_dim(len(rd.cartan), True) == words
+    assert wb.dimension == words and wb.stable
+    assert same_span(wb.vectors, cliff)
