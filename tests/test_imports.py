@@ -66,8 +66,8 @@ def test_benchmark_names_resolve():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter's `import whittak` and the CLI module, which every CLI process pays for,
-    compile neither module (nor `ast`, `dis` and `tokenize`, which `inspect` imports)."""
+    """A fresh interpreter that imports the package and its CLI module, as every CLI process does,
+    loads neither module (nor, through `inspect`, `ast`, `dis` and `tokenize`)."""
     code = "import sys; sys.path.insert(0, sys.argv[1]); import whittak.cli; print(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True)
     loaded = set(ast.literal_eval(proc.stdout))

@@ -558,7 +558,7 @@ def test_principal_whittaker_answers(m, n, words):
     and its Whittaker space is stable and spanned by the Clifford words on the
     twisted vacuum. The systems reach 11,898 x 1,666 on gl(2|3).
     """
-    a, rd, t, g, e, chi, f, zeta = twisted_principal(m, n, ONE)
+    _, rd, t, _, _, chi, f, zeta = twisted_principal(m, n, ONE)
     assert zeta.values and regularity_check(zeta, rd).passed
     assert whittaker_vectors(f, chi, 4).dimension == 0
     dom = barred_odd_domain(t, rd)
