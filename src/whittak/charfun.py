@@ -143,32 +143,3 @@ def verify_factorization(f: FockModule, lam: Weight, trunc: int) -> Report:
     rep.add("coefficientwise equality", char_difference(lhs, rhs))
     rep.data["truncation"] = trunc
     return rep
-
-
-def verify_simple_character_factorization(
-    rd: RootDatum,
-    c: Scalar,
-    ch_ls: FormalCharacter,
-    lam: Weight,
-    trunc: int,
-    ch_l: FormalCharacter | None = None,
-) -> Report:
-    """Simple-character identity: emit the right side, compare when given.
-
-    The right side is the Clifford-dimension prefactor times the supplied
-    restricted simple character; its anchor must come out at lam.
-    """
-    rep = Report("simple character identity")
-    rhs = char_product(fock_prefactor_character(rd, c, trunc), ch_ls.truncated(trunc))
-    rep.data["rhs"] = {
-        "anchor": [str(v) for v in rhs.anchor.values] + [str(rhs.anchor.level)],
-        "terms": [{"offset": list(o), "mult": m} for o, m in rhs.terms()],
-        "truncation": rhs.truncation,
-    }
-    rep.add(
-        "right side anchored at the requested weight",
-        None if rhs.anchor == lam else f"anchor {_weight_str(rhs.anchor)} != {_weight_str(lam)}",
-    )
-    if ch_l is not None:
-        rep.add("matches the supplied character", char_difference(rhs, ch_l))
-    return rep

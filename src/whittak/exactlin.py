@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 _REAL = r"[+-]?\d+(?:/\d+)?"
@@ -25,7 +27,9 @@ class Scalar:
     """A Gaussian rational (a + b*i)/d held as three ints.
 
     The form is normal: d > 0 and gcd(a, b, d) = 1, with zero as (0, 0, 1), so
-    equality and hashing compare the ints directly.
+    equality and hashing compare the ints directly. Each part given to the
+    constructor is an int or a `fractions.Fraction`; a float, a str or a bool
+    raises TypeError (text goes through `Scalar.parse`).
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -34,12 +38,12 @@ class Scalar:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
-            re, im = Fraction(re), Fraction(im)
             # both parts are in lowest terms, so over the lcm of their
             # denominators no prime divides a, b and d at once
-            q, s = re.denominator, im.denominator
+            p, q = _part(re)
+            r, s = _part(im)
             d = math.lcm(q, s)
-            a, b = re.numerator * (d // q), im.numerator * (d // s)
+            a, b = p * (d // q), r * (d // s)
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
@@ -49,11 +53,15 @@ class Scalar:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        return _fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        return _fraction(self._b, self._d)
+
+    def as_int(self) -> int | None:
+        """The value as an int when it is a rational integer, else None."""
+        return self._a if self._d == 1 and not self._b else None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -206,6 +214,23 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
         b //= g
         d //= g
     return _scalar(a, b, d)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d). The first call imports `fractions` and rebinds this name to the class, so
+    `import whittak` does not load the module and later calls run no import statement."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(n, d)
+
+
+def _part(x) -> tuple[int, int]:
+    """Numerator and denominator of an int or a Fraction, in lowest terms with a positive denominator."""
+    if type(x) is bool or type(getattr(x, "numerator", None)) is not int:
+        raise TypeError(f"a Scalar part must be an int or a Fraction, not {x!r}")
+    return x.numerator, x.denominator
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -370,16 +395,6 @@ class SparseMatrix:
                 if s is not None:
                     acc = acc + a * s * b
         return acc
-
-    def mul_vec(self, v: SparseVector) -> SparseVector:
-        cols = {}
-        for (r, c), s in self.entries.items():
-            cols.setdefault(c, []).append((r, s))
-        out: dict[int, Scalar] = {}
-        for c, coeff in v.items():
-            for r, s in cols.get(c, ()):
-                add_term(out, r, s * coeff)
-        return SparseVector(out)
 
     def row_dicts(self) -> list[dict[int, Scalar]]:
         rows: list[dict[int, Scalar]] = [dict() for _ in range(self.rows)]

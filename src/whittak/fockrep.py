@@ -12,14 +12,12 @@ applied to the vacuum, with Koszul signs counted over the odd letters only.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .exactlin import (
     I,
     ONE,
     ZERO,
-    EchelonSpan,
     Scalar,
     SparseMatrix,
     SparseVector,
@@ -28,7 +26,7 @@ from .exactlin import (
     sign,
 )
 from .reports import Report
-from .superalg import EVEN, ODD, SuperAlgebra, gl_parity_sequence, weyl_vector
+from .superalg import EVEN, ODD, weyl_vector
 from .takiff import TakiffAlgebra, dual_bases
 
 
@@ -473,151 +471,4 @@ def verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar], max_d
                     yield f"(X - value) not nilpotent within 8 steps at {ix}"
 
     rep.first_failure("local nilpotency up to the bound", nilpotency_failures())
-    return rep
-
-
-class FinDimModule(NamedTuple):
-    """Finite-dimensional module of the base algebra by action matrices."""
-
-    algebra: SuperAlgebra
-    dim: int
-    parity: tuple[int, ...]
-    actions: list[SparseMatrix]
-
-    def check_relations(self) -> Report:
-        rep = Report("finite-dimensional module relations")
-        a = self.algebra
-
-        def failures():
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    lhs = _mat_comm(self.actions[i], self.actions[j], sign(a.parity[i] * a.parity[j]))
-                    want: dict[tuple[int, int], Scalar] = {}
-                    for k, s in a.bracket_basis(i, j).items():
-                        for rc, v in self.actions[k].entries.items():
-                            add_term(want, rc, s * v)
-                    if lhs.entries != want:
-                        yield f"bracket relation fails at ({a.labels[i]},{a.labels[j]})"
-
-        rep.first_failure("action matrices satisfy the brackets", failures())
-        return rep
-
-
-def _mat_comm(x: SparseMatrix, y: SparseMatrix, koszul: Scalar) -> SparseMatrix:
-    """xy - koszul * yx, joining each left entry only with the right entries of its row."""
-    out: dict[tuple[int, int], Scalar] = {}
-    x_rows, y_rows = x.row_dicts(), y.row_dicts()
-    for (r, k), s in x.entries.items():
-        for c, t in y_rows[k].items():
-            add_term(out, (r, c), s * t)
-    neg = -koszul
-    for (r, k), s in y.entries.items():
-        for c, t in x_rows[k].items():
-            add_term(out, (r, c), neg * s * t)
-    return SparseMatrix(x.rows, y.cols, out)
-
-
-def natural_module(a: SuperAlgebra, m: int, n: int) -> FinDimModule:
-    """Column action of gl(m|n) matrix units on the natural superspace."""
-    d = m + n
-    rowp = gl_parity_sequence(m, n)
-    actions = []
-    for i in range(a.dim):
-        r, c = divmod(i, d)
-        actions.append(SparseMatrix(d, d, {(r, c): ONE}))
-    return FinDimModule(a, d, tuple(rowp), actions)
-
-
-class TensorModule:
-    """L (x) Fock with the barred part acting on the Fock factor only."""
-
-    def __init__(self, L: FinDimModule, f: FockModule):
-        rep = L.check_relations()
-        if not rep.passed:
-            raise ValueError(rep.failures()[0].witness)
-        self.L = L
-        self.f = f
-        self.takiff = f.takiff
-        self.c = f.c
-
-    def vacuum_line(self) -> list[ModuleVector]:
-        vac = next(iter(self.f.vacuum().terms))
-        return [ModuleVector({(l, vac): ONE}) for l in range(self.L.dim)]
-
-    def basis_keys(self, max_degree: int):
-        return [
-            (l, ix)
-            for l in range(self.L.dim)
-            for ix in self.f.basis_keys(max_degree)
-        ]
-
-    def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
-        t = self.takiff
-        if k == t.z_index:
-            return v.scale(self.c)
-        i, th = t.split(k)
-        rows: dict[int, dict[FockIndex, Scalar]] = {}
-        for (l, ix), coeff in v.items():
-            rows.setdefault(l, {})[ix] = coeff
-        out: dict = {}
-        px = t.total.parity[k]
-        for l, row in rows.items():
-            if not th:
-                for l2, s in self.L.actions[i].column(l).items():
-                    for ix, coeff in row.items():
-                        add_term(out, (l2, ix), coeff * s)
-            sgn = sign(px * self.L.parity[l])
-            for ix2, s in self.f.apply_total_index(k, ModuleVector._of(row)).items():
-                add_term(out, (l, ix2), sgn * s)
-        return ModuleVector._of(out)
-
-
-def cyclicity_spot_check(tm: TensorModule, seed: int = 0, samples: int = 20) -> Report:
-    """Randomized cyclicity probe: words of bounded length reach the vacuum level.
-
-    For each random nonzero vector of degree <= 2, the span of its images
-    under operator words of length <= 3 must contain a nonzero vector
-    supported on degree-zero module keys.
-    """
-    rng = random.Random(seed)
-    rep = Report(f"cyclicity spot check: {tm.f.base.name}, c = {tm.c}")
-    rep.seed = seed
-    keys = tm.basis_keys(2)
-    ops = list(range(tm.takiff.total.dim))
-    pool = [Scalar(k) for k in (-2, -1, 1, 2)] + [I]
-
-    failures = 0
-    for trial in range(samples):
-        n_terms = rng.randint(1, 3)
-        terms = {}
-        for _ in range(n_terms):
-            terms[rng.choice(keys)] = rng.choice(pool)
-        v = ModuleVector(terms)
-        if not v:
-            continue
-
-        span = EchelonSpan()
-        frontier = [v]
-        span.add(v)
-        for _ in range(3):
-            new_frontier = []
-            for w in frontier:
-                for op in ops:
-                    img = tm.apply_total_index(op, w)
-                    if img and span.add(img):
-                        new_frontier.append(img)
-            frontier = new_frontier
-            if not frontier:
-                break
-
-        # the span misses the vacuum level exactly when a basis of it stays
-        # independent with the degree-zero keys dropped
-        above = EchelonSpan()
-        if all(
-            above.add(ModuleVector({k: s for k, s in row.items() if k[1].degree}))
-            for row in span.pivots.values()
-        ):
-            failures += 1
-    witness = f"{failures} samples failed" if failures else None
-    rep.add(f"all {samples} sampled vectors reach the vacuum level", witness)
     return rep

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .charfun import FormalCharacter
 from .exactlin import Scalar, SparseMatrix, SparseVector
-from .fockrep import FockIndex, ModuleVector
 from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index
 from .takiff import HatDecomposition, TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
@@ -194,24 +192,24 @@ def vector_from_dict(d: dict, algebra: SuperAlgebra) -> SparseVector:
 
 
 def vectors_from_dict(d: dict, algebra: SuperAlgebra) -> list[SparseVector]:
-    if "vectors" in d:
-        return [vector_from_dict(v, algebra) for v in d["vectors"]]
+    """The elements of a `vectors` list, or the one element the object holds."""
+    if "vectors" in _mapping(d, "a vectors file"):
+        return [vector_from_dict(v, algebra) for v in _mapping(d["vectors"], "vectors", list)]
     return [vector_from_dict(d, algebra)]
-
-
-def nilchar_to_dict(nc: NilCharacter) -> dict:
-    return {
-        "algebra": nc.algebra.name,
-        "domain": list(nc.domain),
-        "values": {str(i): str(s) for i, s in sorted(nc.values.items())},
-    }
 
 
 def nilchar_from_dict(d: dict, algebra: SuperAlgebra) -> NilCharacter:
     d = _mapping(d, "a character file")
     domain = _mapping(d.get("domain"), "character domain", list)
     values = _mapping(d.get("values"), "character values")
-    return nil_character(algebra, tuple(domain), {int(i): Scalar.parse(s) for i, s in values.items()})
+    parsed = {}
+    for key, s in values.items():
+        try:
+            i = int(key)
+        except ValueError:
+            raise ValueError(f"character value key {key!r} is not a basis index") from None
+        parsed[i] = Scalar.parse(s)
+    return nil_character(algebra, tuple(domain), parsed)
 
 
 def character_to_dict(ch) -> dict:
@@ -220,13 +218,6 @@ def character_to_dict(ch) -> dict:
         "truncation": ch.truncation,
         "terms": [{"offset": list(o), "mult": m} for o, m in ch.terms()],
     }
-
-
-def character_from_dict(d: dict):
-    anchor = weight_from_dict(d["anchor"])
-    terms = {tuple(t["offset"]): t["mult"] for t in d["terms"]}
-    nsimple = len(d["terms"][0]["offset"]) if d["terms"] else 0
-    return FormalCharacter(anchor, d["truncation"], nsimple, terms)
 
 
 def module_vector_to_dict(f, v) -> list:
@@ -252,26 +243,3 @@ def module_vector_to_dict(f, v) -> list:
                     cliff.append(f"b{k + 1}")
         out.append({"poly": poly, "grass": grass, "cliff": cliff, "coeff": str(s)})
     return out
-
-
-def module_vector_from_dict(f, terms: list):
-    label_to_poly = {
-        f.base.labels[f.positives[p].space[0]]: k for k, p in enumerate(f.poly_slots)
-    }
-    label_to_grass = {
-        f.base.labels[f.positives[p].space[0]]: k for k, p in enumerate(f.grass_slots)
-    }
-    out = {}
-    for term in terms:
-        poly = [0] * len(f.poly_slots)
-        for lab, mexp in term.get("poly", {}).items():
-            poly[label_to_poly[lab]] = mexp
-        grass = [0] * len(f.grass_slots)
-        for lab in term.get("grass", []):
-            grass[label_to_grass[lab]] = 1
-        cliff = [0] * f.n_cliff
-        for lab in term.get("cliff", []):
-            cliff[f.n_cliff - 1 if lab == "w" else int(lab[1:]) - 1] = 1
-        idx = FockIndex(tuple(poly), tuple(grass), tuple(cliff))
-        out[idx] = Scalar.parse(term["coeff"])
-    return ModuleVector(out)

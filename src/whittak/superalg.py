@@ -140,9 +140,10 @@ class RootDatum(NamedTuple):
             return None
         coords = [0] * len(simples)
         for c, s in sol.items():
-            if s.im or s.re.denominator != 1 or s.re < 0:
+            k = s.as_int()
+            if k is None or k < 0:
                 return None
-            coords[c] = int(s.re)
+            coords[c] = k
         return tuple(coords)
 
 
@@ -511,9 +512,10 @@ def grading_by_adh(a: SuperAlgebra, h: SparseVector) -> tuple[int, ...]:
         if img.entries.keys() - {j}:
             raise ValueError(f"the basis is not an eigenbasis for ad h: {a.labels[j]}")
         lam = img.get(j)
-        if lam.im or lam.re.denominator != 1:
+        k = lam.as_int()
+        if k is None:
             raise ValueError(f"ad h eigenvalue {lam} on {a.labels[j]} is not an integer")
-        degrees.append(int(lam.re))
+        degrees.append(k)
     return tuple(degrees)
 
 

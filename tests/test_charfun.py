@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from modules import verify_simple_character_factorization
 from reference_engines import reference_fock_character, reference_verma_character, unit_character
 
 from whittak.charfun import (
@@ -16,7 +17,6 @@ from whittak.charfun import (
     fock_character,
     fock_prefactor_character,
     verify_factorization,
-    verify_simple_character_factorization,
     verma_character,
 )
 from whittak.exactlin import I, ONE, ZERO, Scalar

@@ -425,12 +425,19 @@ class TestInputIndices:
              "character domain must be a JSON list, not None"),
             (["verify", "skryabin", "--e"], {"coords": {"E_99": "1"}},
              "element coordinate 'E_99' is not a basis label of gl(1|1)"),
+            (["whittaker", "--chi"], {"domain": [5], "values": {"E_12": "1"}},
+             "character value key 'E_12' is not a basis index"),
+            (["build", "span", "--gens"], {"vectors": 5}, "vectors must be a JSON list, not 5"),
+            (["build", "span", "--gens"], 5, "a vectors file must be a JSON object, not 5"),
         ],
-        ids=["weight-level-missing", "character-domain-missing", "element-label-unknown"],
+        ids=["weight-level-missing", "character-domain-missing", "element-label-unknown",
+             "character-value-key-label", "vectors-not-a-list", "vectors-file-not-an-object"],
     )
     def test_input_file_errors_name_the_field(self, gl11_tak, tmp_path, capsys, argv, doc, want):
         path = write(tmp_path / "in.json", doc)
-        self._one_error(capsys, argv + [path, "--alg", gl11_tak], f"error: {want}")
+        # build span reads its algebra from --in
+        alg = "--in" if argv[0] == "build" else "--alg"
+        self._one_error(capsys, argv + [path, alg, gl11_tak], f"error: {want}")
 
 
 class TestCliPaths:

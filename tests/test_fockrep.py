@@ -14,15 +14,13 @@ from reference_engines import (
     reference_basis_keys,
     reference_verify_lift_identities,
 )
+from modules import TensorModule, cyclicity_spot_check, natural_module
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import (
     FockModule,
     ModuleVector,
-    TensorModule,
     build_fock,
     clifford_module_dim,
-    cyclicity_spot_check,
-    natural_module,
     verify_highest_weight,
     verify_lift_identities,
     verify_relations,

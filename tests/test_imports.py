@@ -1,6 +1,7 @@
 """Every module of the package, its tests and its scripts reads each name it imports, every
-package name the benchmark traces or expects a call of still exists, and importing the package
-loads only what its cold start needs."""
+package name the benchmark traces or expects a call of still exists, every function and class of
+the package is reached from outside the tests, and importing the package loads only what its cold
+start needs."""
 
 import ast
 import importlib
@@ -65,11 +66,56 @@ def test_benchmark_names_resolve():
     assert [n for n in names if not _resolves(n)] == []
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_fractions():
     """A fresh interpreter that imports the package and its CLI module, as every CLI process does,
-    loads neither module (nor, through `inspect`, `ast`, `dis` and `tokenize`)."""
+    loads none of `dataclasses`, `inspect` (nor, through it, `ast`, `dis` and `tokenize`),
+    `fractions`, `decimal` and `numbers`."""
     code = "import sys; sys.path.insert(0, sys.argv[1]); import whittak.cli; print(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True)
     loaded = set(ast.literal_eval(proc.stdout))
     assert {"whittak", "whittak.cli", "whittak.wfinite"} <= loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal", "numbers"} == set()
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """The plain and attribute names that the code under `node` reads or binds."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def _unreached_src_names(root: Path) -> list[str]:
+    """Module-level functions and classes of the package under `root` that nothing but the tests
+    reaches. The roots are the scripts, perfbench, the package's `__init__` exports and every
+    module's top-level statements other than imports and definitions; a definition is reached when
+    a root or the body of a reached definition names it. Names are matched by text, so a name
+    defined in two modules counts as one."""
+    defs: dict[str, set[str]] = {}  # name -> the names its body reads
+    roots: set[str] = set()
+    for path in sorted((root / "src" / "whittak").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, set()).update(_read_names(node) - {node.name})
+            elif isinstance(node, ast.ImportFrom):
+                if path.name == "__init__.py":
+                    roots |= {alias.name for alias in node.names}
+            else:
+                roots |= _read_names(node)
+    for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        roots |= _read_names(ast.parse(path.read_text()))
+    reached: set[str] = set()
+    frontier = roots & defs.keys()
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(defs[n] for n in frontier)) & defs.keys() - reached
+    return sorted(defs.keys() - reached)
+
+
+def test_src_names_are_reached():
+    """No module-level function or class of the package is reached only from the tests: test-only
+    code lives under tests/ (`modules.py`, `reference_engines.py`, `oracles.py`)."""
+    assert _unreached_src_names(ROOT) == []

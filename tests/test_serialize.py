@@ -7,6 +7,7 @@ from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from modules import character_from_dict, module_vector_from_dict, nilchar_to_dict
 from reference_engines import reference_takiff_from_dict
 
 from whittak import serialize
@@ -145,7 +146,7 @@ def test_nilchar_roundtrip():
     t, _ = build_takiff(a, rd)
     bars = tuple(t.theta(rd.roots[i].space[0]) for i in rd.positive if rd.roots[i].parity == ODD)
     nc = nil_character(t.total, bars, {bars[0]: I, bars[1]: Scalar(2)})
-    d = serialize.nilchar_to_dict(nc)
+    d = nilchar_to_dict(nc)
     nc2 = serialize.nilchar_from_dict(json.loads(json.dumps(d)), t.total)
     assert nc2.domain == nc.domain and nc2.values == nc.values
 
@@ -160,7 +161,7 @@ def test_module_vector_roundtrip():
     for h in f.dual.H:
         v = v + f.apply_barred(h, v).scale(I)
     d = serialize.module_vector_to_dict(f, v)
-    v2 = serialize.module_vector_from_dict(f, json.loads(json.dumps(d)))
+    v2 = module_vector_from_dict(f, json.loads(json.dumps(d)))
     assert v2 == v
 
 
@@ -171,6 +172,6 @@ def test_character_roundtrip():
     t, _ = build_takiff(a, rd)
     ch = fock_character(build_fock(t, ONE), 4)
     d = serialize.character_to_dict(ch)
-    ch2 = serialize.character_from_dict(json.loads(json.dumps(d)))
+    ch2 = character_from_dict(json.loads(json.dumps(d)))
     assert ch2.anchor == ch.anchor
     assert ch2.coeffs == ch.coeffs

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from modules import TensorModule, natural_module
 from oracles import rref_dense
 from reference_engines import whittaker_kernel
 from test_acceptance import barred_odd_domain, clifford_words, same_span, twisted_principal
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
-from whittak.fockrep import TensorModule, build_fock, clifford_module_dim, natural_module
+from whittak.fockrep import build_fock, clifford_module_dim
 from whittak.superalg import ODD, build_gl
 from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
