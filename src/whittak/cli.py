@@ -1,8 +1,8 @@
 """Command-line front end: build algebra files, run verifiers, solve, tabulate.
 
 Subcommands: build, verify, whittaker, character. Reports are JSON with a
-top-level "pass" field; the exit code is 0 exactly when it is true. All
-randomness is seeded through --seed (default 0) and recorded in reports.
+top-level "pass" field; the exit code is 0 exactly when it is true. No
+command draws random numbers: --seed (default 0) is only recorded in reports.
 """
 
 from __future__ import annotations
@@ -60,13 +60,17 @@ def _emit_report(rep: Report, out: str | None, seed: int) -> int:
     return 0 if rep.passed else 1
 
 
+def _nonnegative(value: int, what: str) -> int:
+    if value < 0:
+        raise UsageError(f"{what} must be nonnegative")
+    return value
+
+
 def _trunc(value: int) -> int:
     cap = int(os.environ.get("STL_MAX_TRUNC", DEFAULT_MAX_TRUNC))
     if value > cap:
         raise UsageError(f"truncation {value} exceeds the cap {cap} (STL_MAX_TRUNC)")
-    if value < 0:
-        raise UsageError("truncation must be nonnegative")
-    return value
+    return _nonnegative(value, "truncation")
 
 
 def _load_takiff(path: str):
@@ -159,7 +163,8 @@ def cmd_verify(args) -> int:
 
     if suite == "fock-lift":
         f = build_fock(t, _level(args.c), _eta_dict(t, args))
-        return _emit_report(verify_lift_identities(f, args.deg), args.out, args.seed)
+        rep = verify_lift_identities(f, _nonnegative(args.deg, "--deg"))
+        return _emit_report(rep, args.out, args.seed)
 
     if suite == "highest-weight":
         f = build_fock(t, _level(args.c))
@@ -177,9 +182,8 @@ def cmd_verify(args) -> int:
             r = t.rd.roots[pidx]
             if r.parity == 0:
                 chi_hat[i] = hatted.value(r.space[0])
-        return _emit_report(
-            verify_whittaker_covariance(f, chi_hat, max_degree=args.deg), args.out, args.seed
-        )
+        rep = verify_whittaker_covariance(f, chi_hat, _nonnegative(args.deg, "--deg"))
+        return _emit_report(rep, args.out, args.seed)
 
     if suite == "factorization":
         c = _level(args.c)
@@ -199,7 +203,8 @@ def cmd_verify(args) -> int:
         chi = nilchar_from_e(t, g, e)
         duals = solve_dual_elements(t, g, e)
         f = build_fock(t, c, eta_for_fock(t, chi))
-        rep = appendix_pairing_check(f, g, chi, duals, args.weight_bound, _trunc(args.trunc))
+        bound = _nonnegative(args.weight_bound, "--weight-bound")
+        rep = appendix_pairing_check(f, g, chi, duals, bound, _trunc(args.trunc))
         return _emit_report(rep, args.out, args.seed)
 
     c = _level(args.c)  # regularity

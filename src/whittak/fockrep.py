@@ -8,11 +8,10 @@ All operator actions are exact and lazy; nothing is materialized as a matrix.
 Sign conventions are fixed by the canonical word order
     poly letters (even) . grass letters . b_1 ... b_K . w
 applied to the vacuum, with Koszul signs counted over the odd letters only.
+A monomial's key is the tuple of its letter exponents in that order.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .exactlin import (
     I,
@@ -28,20 +27,6 @@ from .exactlin import (
 from .reports import Report
 from .superalg import EVEN, ODD, weyl_vector
 from .takiff import TakiffAlgebra, dual_bases
-
-
-class FockIndex(NamedTuple):
-    poly: tuple[int, ...]
-    grass: tuple[int, ...]
-    cliff: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.poly) + sum(self.grass) + sum(self.cliff)
-
-    @property
-    def parity(self) -> int:
-        return (sum(self.grass) + sum(self.cliff)) % 2
 
 
 class ModuleVector(SparseVector):
@@ -85,7 +70,6 @@ class FockModule:
         ell = len(self.dual.H)
         self.n_pairs = ell // 2
         self.has_w = bool(ell % 2)
-        self.n_cliff = self.n_pairs + (1 if self.has_w else 0)
 
         H = self.dual.H
         self.a_vecs = [H[2 * k] + H[2 * k + 1].scale(I) for k in range(self.n_pairs)]
@@ -99,21 +83,24 @@ class FockModule:
                 if self.base.form_pair(x, y):
                     raise ValueError("annihilator span is not isotropic")
 
-        # One letter per slot, in the column order below: (odd, position,
-        # creates, factor on lowering or None). Even letters are polynomial
-        # exponents. Odd positions run over the grass letters, then the
-        # Clifford letters, so one Koszul sign serves both. Ebar_i lowers with
+        # The letter layout in key order, (kind, label) per letter: a root
+        # letter is labelled by its root vector, a Clifford letter b1... or w.
+        roots = [("poly", p) for p in self.poly_slots] + [("grass", p) for p in self.grass_slots]
+        self.letters = [(kind, self.base.labels[self.positives[p].space[0]]) for kind, p in roots]
+        self.letters += [("cliff", f"b{k + 1}") for k in range(self.n_pairs)]
+        self.letters += [("cliff", "w")] if self.has_w else []
+
+        # One letter per slot, in the column order below: (odd, position in
+        # the key, creates, factor on lowering or None). Ebar_i lowers with
         # (-1)^p(E_i) c, a_k with 2c, and w, the unpaired Clifford letter,
         # both creates and lowers, since w . w = c/2.
-        ng = len(self.grass_slots)
-        root_letter = {p: (False, k) for k, p in enumerate(self.poly_slots)}
-        root_letter.update({p: (True, k) for k, p in enumerate(self.grass_slots)})
+        root_letter = {p: (kind == "grass", n) for n, (kind, p) in enumerate(roots)}
         self.slots: list[tuple[bool, int, bool, Scalar | None]] = (
             [root_letter[i] + (False, c * sign(r.parity)) for i, r in enumerate(self.positives)]
             + [root_letter[i] + (True, None) for i in range(npos)]
-            + [(True, ng + k, False, two_c) for k in range(self.n_pairs)]
-            + [(True, ng + k, True, None) for k in range(self.n_pairs)]
-            + ([(True, ng + self.n_pairs, True, c / Scalar(2))] if self.has_w else [])
+            + [(True, npos + k, False, two_c) for k in range(self.n_pairs)]
+            + [(True, npos + k, True, None) for k in range(self.n_pairs)]
+            + ([(True, npos + self.n_pairs, True, c / Scalar(2))] if self.has_w else [])
         )
         cols = (
             [self.dual.E[i] for i in range(npos)]
@@ -142,52 +129,34 @@ class FockModule:
         return any(self.eta.values())
 
     def vacuum(self) -> ModuleVector:
-        idx = FockIndex(
-            (0,) * len(self.poly_slots), (0,) * len(self.grass_slots), (0,) * self.n_cliff
-        )
-        return ModuleVector({idx: ONE})
+        return ModuleVector({(0,) * len(self.letters): ONE})
 
-    def basis_keys(self, max_degree: int) -> list[FockIndex]:
+    def basis_keys(self, max_degree: int) -> list[tuple[int, ...]]:
         """Monomials of degree <= max_degree, by degree then exponents."""
         # one unit of degree per letter; the Grassmann and Clifford letters are odd
-        npoly, ng = len(self.poly_slots), len(self.grass_slots)
-        nodd = ng + self.n_cliff
-        walk = enumerate_multiindices([1] * (npoly + nodd), [False] * npoly + [True] * nodd, max_degree)
-        out = [FockIndex(e[:npoly], e[npoly : npoly + ng], e[npoly + ng :]) for e in walk]
-        out.sort(key=lambda ix: (ix.degree, ix.poly, ix.grass, ix.cliff))
-        return out
+        odd = [kind != "poly" for kind, _ in self.letters]
+        keys = enumerate_multiindices([1] * len(odd), odd, max_degree)
+        return sorted(keys, key=lambda key: (sum(key), key))
 
     # -- adapted letter actions ----------------------------------------------
 
     def _apply_slot(self, t: int, coeff: Scalar, v: ModuleVector | dict, out: dict) -> None:
         """Add coeff times the action of slot t on v into out."""
         odd, pos, creates, lower = self.slots[t]
-        ng = len(self.grass_slots)
-        for idx, s in v.items():
-            if odd:
-                word = idx.grass + idx.cliff
-                if word[pos]:
-                    if lower is None:
-                        continue
-                    s, bit = s * coeff * lower, 0
-                elif creates:
-                    s, bit = s * coeff, 1
-                else:
-                    continue
-                if sum(word[:pos]) % 2:
-                    s = -s
-                word = word[:pos] + (bit,) + word[pos + 1 :]
-                key = FockIndex(idx.poly, word[:ng], word[ng:])
+        first_odd = len(self.poly_slots)
+        for key, s in v.items():
+            m = key[pos]
+            if creates and not (odd and m):
+                s, m = s * coeff, m + 1
+            elif m and lower is not None:
+                s = s * coeff * lower if m == 1 else s * coeff * lower * Scalar(m)
+                m -= 1
             else:
-                m = idx.poly[pos]
-                if creates:
-                    s, m = s * coeff, m + 1
-                elif m:
-                    s, m = s * coeff * lower * Scalar(m), m - 1
-                else:
-                    continue
-                key = FockIndex(idx.poly[:pos] + (m,) + idx.poly[pos + 1 :], idx.grass, idx.cliff)
-            add_term(out, key, s)
+                continue
+            # Koszul sign: the odd exponents before pos (none before an even letter)
+            if sum(key[first_odd:pos]) % 2:
+                s = -s
+            add_term(out, key[:pos] + (m,) + key[pos + 1 :], s)
 
     def _adapted(self, x: SparseVector) -> tuple[list[tuple[int, Scalar]], Scalar]:
         """Slot coordinates of x (x) theta, and the scalar its twist adds."""
@@ -253,7 +222,7 @@ class FockModule:
         """Action of x (x) theta for any x in the base algebra."""
         if not v or not x:
             return ModuleVector()
-        out: dict[FockIndex, Scalar] = {}
+        out: dict[tuple, Scalar] = {}
         coords, twist = self._adapted(x)
         for t, coeff in coords:
             self._apply_slot(t, coeff, v, out)
@@ -266,11 +235,11 @@ class FockModule:
         """Lifted action of s (x) 1, by linearity over s from the lift tables."""
         if not v or not s:
             return ModuleVector()
-        out: dict[FockIndex, Scalar] = {}
+        out: dict[tuple, Scalar] = {}
         for i, si in s.items():
             quad, linear, const = self._lift_table(i)
             for t2, outer in quad:
-                w: dict[FockIndex, Scalar] = {}
+                w: dict[tuple, Scalar] = {}
                 self._apply_slot(t2, si, v, w)
                 if w:
                     for t1, coeff in outer:
@@ -356,10 +325,10 @@ def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
     vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     base = f.base
     count = 0
-    lifted: dict[tuple[int, FockIndex], ModuleVector] = {}
+    lifted: dict[tuple[int, tuple], ModuleVector] = {}
 
     def lift(s: SparseVector, v: ModuleVector) -> ModuleVector:
-        out: dict[FockIndex, Scalar] = {}
+        out: dict[tuple, Scalar] = {}
         for i, si in s.items():
             for key, a in v.items():
                 phi = lifted.get((i, key))

@@ -179,7 +179,7 @@ def vector_from_dict(d: dict, algebra: SuperAlgebra) -> SparseVector:
     coords = _mapping(_mapping(d, "an element").get("coords", d), "element coordinates")
     out = {}
     for key, s in coords.items():
-        if isinstance(key, str) and not key.lstrip("-").isdigit():
+        if isinstance(key, str) and not key.lstrip("-").isdecimal():
             if key not in algebra.labels:
                 raise ValueError(f"element coordinate {key!r} is not a basis label of {algebra.name}")
             idx = algebra.labels.index(key)
@@ -223,23 +223,13 @@ def character_to_dict(ch) -> dict:
 def module_vector_to_dict(f, v) -> list:
     """Fock module vector as a list of labelled monomial terms."""
     out = []
-    for idx, s in sorted(v.items(), key=lambda kv: (kv[0].degree, kv[0])):
-        poly = {}
-        for k, mexp in enumerate(idx.poly):
-            if mexp:
-                root = f.positives[f.poly_slots[k]]
-                poly[f.base.labels[root.space[0]]] = mexp
-        grass = [
-            f.base.labels[f.positives[f.grass_slots[k]].space[0]]
-            for k, bit in enumerate(idx.grass)
-            if bit
-        ]
-        cliff = []
-        for k, bit in enumerate(idx.cliff):
-            if bit:
-                if f.has_w and k == f.n_cliff - 1:
-                    cliff.append("w")
+    for key, s in sorted(v.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = {"poly": {}, "grass": [], "cliff": [], "coeff": str(s)}
+        for (kind, label), m in zip(f.letters, key):
+            if m:
+                if kind == "poly":
+                    term["poly"][label] = m
                 else:
-                    cliff.append(f"b{k + 1}")
-        out.append({"poly": poly, "grass": grass, "cliff": cliff, "coeff": str(s)})
+                    term[kind].append(label)
+        out.append(term)
     return out

@@ -24,7 +24,7 @@ from whittak.charfun import (
     fock_prefactor_character,
 )
 from whittak.exactlin import I, ONE, EchelonSpan, Scalar, SparseMatrix, SparseVector, add_term, sign
-from whittak.fockrep import FockIndex, FockModule, ModuleVector
+from whittak.fockrep import FockModule, ModuleVector
 from whittak.reports import Report
 from whittak.serialize import weight_from_dict
 from whittak.superalg import RootDatum, SuperAlgebra, Weight, gl_parity_sequence
@@ -123,7 +123,7 @@ class TensorModule:
         if k == t.z_index:
             return v.scale(self.c)
         i, th = t.split(k)
-        rows: dict[int, dict[FockIndex, Scalar]] = {}
+        rows: dict[int, dict[tuple, Scalar]] = {}
         for (l, ix), coeff in v.items():
             rows.setdefault(l, {})[ix] = coeff
         out: dict = {}
@@ -181,7 +181,7 @@ def cyclicity_spot_check(tm: TensorModule, seed: int = 0, samples: int = 20) -> 
         # independent with the degree-zero keys dropped
         above = EchelonSpan()
         if all(
-            above.add(ModuleVector({k: s for k, s in row.items() if k[1].degree}))
+            above.add(ModuleVector({k: s for k, s in row.items() if sum(k[1])}))
             for row in span.pivots.values()
         ):
             failures += 1
@@ -235,23 +235,14 @@ def character_from_dict(d: dict):
 
 
 def module_vector_from_dict(f, terms: list):
-    label_to_poly = {
-        f.base.labels[f.positives[p].space[0]]: k for k, p in enumerate(f.poly_slots)
-    }
-    label_to_grass = {
-        f.base.labels[f.positives[p].space[0]]: k for k, p in enumerate(f.grass_slots)
-    }
+    position = {letter: n for n, letter in enumerate(f.letters)}
     out = {}
     for term in terms:
-        poly = [0] * len(f.poly_slots)
+        key = [0] * len(f.letters)
         for lab, mexp in term.get("poly", {}).items():
-            poly[label_to_poly[lab]] = mexp
-        grass = [0] * len(f.grass_slots)
-        for lab in term.get("grass", []):
-            grass[label_to_grass[lab]] = 1
-        cliff = [0] * f.n_cliff
-        for lab in term.get("cliff", []):
-            cliff[f.n_cliff - 1 if lab == "w" else int(lab[1:]) - 1] = 1
-        idx = FockIndex(tuple(poly), tuple(grass), tuple(cliff))
-        out[idx] = Scalar.parse(term["coeff"])
+            key[position["poly", lab]] = mexp
+        for kind in ("grass", "cliff"):
+            for lab in term.get(kind, []):
+                key[position[kind, lab]] = 1
+        out[tuple(key)] = Scalar.parse(term["coeff"])
     return ModuleVector(out)

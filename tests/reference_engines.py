@@ -3,7 +3,9 @@
 `ReferenceFock` is the five-branch letter engine that `FockModule` used before
 its slots became one letter rule: one hand-written branch per slot kind, the
 Koszul sign counted separately over the grass and the Clifford letters, and a
-fresh vector for every slot. `reference_apply_lift` is the lift that
+fresh vector for every slot. It splits each flat key into its polynomial,
+Grassmann and Clifford exponents, as the module stored them before a key
+became one exponent tuple, and joins them again for the result. `reference_apply_lift` is the lift that
 `FockModule.apply_lift` computed before it compiled each phi(e_i) into a slot
 table: it sums phi(bar[s, u^j]) phi(bar u_j) / 2c over j on every call, with
 two barred actions and one bracket per dual index. `whittaker_kernel` solves
@@ -20,7 +22,7 @@ member vectors. `reference_parse` is the scalar reader that split a string
 into signed terms by hand and matched each with its own regex before one
 regex held the whole grammar. `reference_basis_keys` lists Fock monomials by
 a product over the Grassmann and Clifford bits and a recursive walk over the
-polynomial exponents. `reference_barred_commutators` holds the hand-written
+polynomial exponents, sorted as three exponent tuples and then joined. `reference_barred_commutators` holds the hand-written
 barred commutator constants that `verify_relations` used before it read them
 from the extension's bracket table. `reference_takiff_from_dict` is the
 exact extension-file loader before it compared the stored and rebuilt bracket
@@ -31,7 +33,7 @@ term, splitting each index into its base index and theta layer, as
 builds; `reference_verify_takiff` reads the odd form and the cocycle through it.
 `reference_fock_character` is the census that counted the Fock module's basis
 by weight, walking the polynomial exponents and the Grassmann bits of its
-letter layout (`poly_slots`, `grass_slots`, `n_cliff`), and
+letter layout (`poly_slots`, `grass_slots` and the Clifford letter count), and
 `reference_verma_character` multiplied one series per positive root through
 two knobs (listed first coefficients and a geometric tail), both before every
 character became one product over the module's generators; `unit_character`
@@ -52,6 +54,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from whittak.charfun import FormalCharacter, _positive_root_offsets
 from whittak.exactlin import (
@@ -66,12 +69,33 @@ from whittak.exactlin import (
     rank,
     sign,
 )
-from whittak.fockrep import FockIndex, FockModule, ModuleVector, clifford_module_dim
+from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
 from whittak.superalg import EVEN, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
 from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
+
+
+class FockParts(NamedTuple):
+    """A flat Fock key split into its polynomial, Grassmann and Clifford exponents."""
+
+    poly: tuple[int, ...]
+    grass: tuple[int, ...]
+    cliff: tuple[int, ...]
+
+
+def _n_cliff(f: FockModule) -> int:
+    return f.n_pairs + f.has_w
+
+
+def split_key(f: FockModule, key: tuple[int, ...]) -> FockParts:
+    npoly, ng = len(f.poly_slots), len(f.grass_slots)
+    return FockParts(key[:npoly], key[npoly : npoly + ng], key[npoly + ng :])
+
+
+def _join(poly, grass, cliff) -> tuple[int, ...]:
+    return tuple(poly) + tuple(grass) + tuple(cliff)
 
 
 class ReferenceFock:
@@ -101,25 +125,26 @@ class ReferenceFock:
         self.two_c = Scalar(2) * f.c
 
     @staticmethod
-    def _odd_before_grass(idx: FockIndex, gi: int) -> int:
+    def _odd_before_grass(idx: FockParts, gi: int) -> int:
         return sum(idx.grass[:gi])
 
     @staticmethod
-    def _odd_before_cliff(idx: FockIndex, ci: int) -> int:
+    def _odd_before_cliff(idx: FockParts, ci: int) -> int:
         return sum(idx.grass) + sum(idx.cliff[:ci])
 
     def apply_slot(self, slot: tuple, v: ModuleVector) -> ModuleVector:
         f = self.f
         kind, k = slot
-        out: dict[FockIndex, Scalar] = {}
+        out: dict[tuple, Scalar] = {}
         c = f.c
-        for idx, coeff in v.items():
+        for key, coeff in v.items():
+            idx = split_key(f, key)
             if kind == "F":
                 if k in self.poly_of:
                     pi = self.poly_of[k]
                     poly = list(idx.poly)
                     poly[pi] += 1
-                    add_term(out, FockIndex(tuple(poly), idx.grass, idx.cliff), coeff)
+                    add_term(out, _join(tuple(poly), idx.grass, idx.cliff), coeff)
                 else:
                     gi = self.grass_of[k]
                     if idx.grass[gi]:
@@ -127,7 +152,7 @@ class ReferenceFock:
                     s = sign(self._odd_before_grass(idx, gi))
                     grass = list(idx.grass)
                     grass[gi] = 1
-                    add_term(out, FockIndex(idx.poly, tuple(grass), idx.cliff), coeff * s)
+                    add_term(out, _join(idx.poly, tuple(grass), idx.cliff), coeff * s)
             elif kind == "E":
                 beta = sign(f.positives[k].parity)
                 if k in self.poly_of:
@@ -139,7 +164,7 @@ class ReferenceFock:
                     poly[pi] -= 1
                     add_term(
                         out,
-                        FockIndex(tuple(poly), idx.grass, idx.cliff),
+                        _join(tuple(poly), idx.grass, idx.cliff),
                         coeff * c * beta * Scalar(m),
                     )
                 else:
@@ -149,31 +174,31 @@ class ReferenceFock:
                     s = sign(self._odd_before_grass(idx, gi))
                     grass = list(idx.grass)
                     grass[gi] = 0
-                    add_term(out, FockIndex(idx.poly, tuple(grass), idx.cliff), coeff * c * beta * s)
+                    add_term(out, _join(idx.poly, tuple(grass), idx.cliff), coeff * c * beta * s)
             elif kind == "b":
                 if idx.cliff[k]:
                     continue
                 s = sign(self._odd_before_cliff(idx, k))
                 cliff = list(idx.cliff)
                 cliff[k] = 1
-                add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * s)
+                add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * s)
             elif kind == "a":
                 if not idx.cliff[k]:
                     continue
                 s = sign(self._odd_before_cliff(idx, k))
                 cliff = list(idx.cliff)
                 cliff[k] = 0
-                add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * self.two_c * s)
+                add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * self.two_c * s)
             else:  # w, the unpaired Clifford letter: w . w = c/2
-                wi = f.n_cliff - 1
+                wi = _n_cliff(f) - 1
                 s = sign(self._odd_before_cliff(idx, wi))
                 cliff = list(idx.cliff)
                 if idx.cliff[wi]:
                     cliff[wi] = 0
-                    add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * self.half_c * s)
+                    add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * self.half_c * s)
                 else:
                     cliff[wi] = 1
-                    add_term(out, FockIndex(idx.poly, idx.grass, tuple(cliff)), coeff * s)
+                    add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * s)
         return ModuleVector(out)
 
     def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
@@ -202,7 +227,7 @@ def reference_apply_lift(f: FockModule, s: SparseVector, v: ModuleVector) -> Mod
     """Lifted action of s (x) 1 via the dual-basis formula, evaluated afresh."""
     if not v or not s:
         return ModuleVector()
-    out: dict[FockIndex, Scalar] = {}
+    out: dict[tuple, Scalar] = {}
     for j in range(f.dual.q):
         w = f.apply_barred(f.dual.lower[j], v)
         if not w:
@@ -579,7 +604,7 @@ def reference_parse(text: str) -> Scalar:
     return Scalar(re_part, im_part)
 
 
-def reference_basis_keys(f: FockModule, max_degree: int) -> list[FockIndex]:
+def reference_basis_keys(f: FockModule, max_degree: int) -> list[tuple[int, ...]]:
     """Monomials of degree <= max_degree, by degree then exponents."""
 
     def exponents_up_to(n: int, total: int):
@@ -592,14 +617,14 @@ def reference_basis_keys(f: FockModule, max_degree: int) -> list[FockIndex]:
 
     out = []
     for grass in itertools.product((0, 1), repeat=len(f.grass_slots)):
-        for cliff in itertools.product((0, 1), repeat=f.n_cliff):
+        for cliff in itertools.product((0, 1), repeat=_n_cliff(f)):
             room = max_degree - sum(grass) - sum(cliff)
             if room < 0:
                 continue
             for poly in exponents_up_to(len(f.poly_slots), room):
-                out.append(FockIndex(poly, grass, cliff))
-    out.sort(key=lambda ix: (ix.degree, ix.poly, ix.grass, ix.cliff))
-    return out
+                out.append(FockParts(poly, grass, cliff))
+    out.sort(key=lambda ix: (sum(ix.poly) + sum(ix.grass) + sum(ix.cliff), ix.poly, ix.grass, ix.cliff))
+    return [_join(*ix) for ix in out]
 
 
 def reference_barred_commutators(f: FockModule) -> list[tuple[SparseVector, SparseVector, Scalar]]:
@@ -712,7 +737,7 @@ def reference_fock_character(f: FockModule, trunc: int) -> FormalCharacter:
     nsimple = len(rd.simple)
     poly_offsets = [offsets[i][0] for i in f.poly_slots]
     grass_offsets = [offsets[i][0] for i in f.grass_slots]
-    cliff_factor = 2 ** f.n_cliff
+    cliff_factor = 2 ** _n_cliff(f)
     anchor = weyl_vector(rd, f.c)
 
     coeffs: dict[tuple[int, ...], int] = {}

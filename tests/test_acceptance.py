@@ -204,7 +204,8 @@ def test_criterion_04_clifford_dimension():
     for (m, n), ell in (((1, 1), 2), ((2, 1), 3), ((2, 2), 4), ((2, 3), 5), ((3, 3), 6)):
         _, _, t = takiff_of(m, n)
         f = build_fock(t, ONE)
-        ok &= 2 ** f.n_cliff == clifford_module_dim(ell, True)
+        n_cliff = sum(kind == "cliff" for kind, _ in f.letters)
+        ok &= 2 ** n_cliff == clifford_module_dim(ell, True)
     assert crit(4, ok, "Clifford factor dimensions, formula and realization")
 
 

@@ -299,6 +299,22 @@ class TestVerify:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(want), lines
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["fock-lift", "--deg=-1"], "--deg must be nonnegative"),
+            (["appendix", "--weight-bound=-1"], "--weight-bound must be nonnegative"),
+            (["whittaker-covariance", "--deg=-5"], "--deg must be nonnegative"),
+        ],
+    )
+    def test_negative_size_flags_are_one_error_line(self, gl11_tak, tmp_path, capsys, argv, want):
+        # a negative bound would check nothing and pass
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1"}})
+        eta = write(tmp_path / "eta.json", _GL11_ETA)
+        capsys.readouterr()
+        assert run(["verify", *argv, "--alg", gl11_tak, "--e", e, "--eta", eta]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
     def test_missing_file(self):
         assert run(["verify", "algebra", "--alg", "/nonexistent.json"]) == 2
 
@@ -425,12 +441,15 @@ class TestInputIndices:
              "character domain must be a JSON list, not None"),
             (["verify", "skryabin", "--e"], {"coords": {"E_99": "1"}},
              "element coordinate 'E_99' is not a basis label of gl(1|1)"),
+            (["verify", "skryabin", "--e"], {"coords": {"\u00b2": "1"}},
+             "element coordinate '\u00b2' is not a basis label of gl(1|1)"),
             (["whittaker", "--chi"], {"domain": [5], "values": {"E_12": "1"}},
              "character value key 'E_12' is not a basis index"),
             (["build", "span", "--gens"], {"vectors": 5}, "vectors must be a JSON list, not 5"),
             (["build", "span", "--gens"], 5, "a vectors file must be a JSON object, not 5"),
         ],
         ids=["weight-level-missing", "character-domain-missing", "element-label-unknown",
+             "element-label-superscript-digit",
              "character-value-key-label", "vectors-not-a-list", "vectors-file-not-an-object"],
     )
     def test_input_file_errors_name_the_field(self, gl11_tak, tmp_path, capsys, argv, doc, want):
@@ -476,6 +495,16 @@ class TestCliPaths:
         # the supplied h and the solved one grade the extension alike
         assert out.read_bytes() == solved.read_bytes()
         assert sha(out) == "95b779bcf5d838b42a86699ecda6a57e57e45f42b40b5416d8d7fa605002ad3e"
+
+    def test_whittaker_vectors(self, gl21_tak, tmp_path):
+        # bar E_12 is index 10 of the gl(2|1) extension; the 20 vectors use
+        # polynomial, Grassmann, b1 and w letters
+        eta = write(tmp_path / "eta.json", {"domain": [10], "values": {"10": "1"}})
+        out = tmp_path / "wh.json"
+        argv = ["whittaker", "--alg", gl21_tak, "--chi", eta, "--eta", eta, "--c", "1/2", "--trunc", 3]
+        assert run(argv + ["--out", out]) == 0
+        assert load(out)["dimension"] == 20
+        assert sha(out) == "41733f8d5128c1729f94b6c0c4083972f0f846e1069b89c60c39ca54025a2f8c"
 
     def test_plain_verma_character(self, gl21_tak, tmp_path):
         out = tmp_path / "c.json"
