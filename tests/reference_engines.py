@@ -5,10 +5,11 @@ its slots became one letter rule: one hand-written branch per slot kind, the
 Koszul sign counted separately over the grass and the Clifford letters, and a
 fresh vector for every slot. It splits each flat key into its polynomial,
 Grassmann and Clifford exponents, as the module stored them before a key
-became one exponent tuple, and joins them again for the result. `reference_apply_lift` is the lift that
-`FockModule.apply_lift` computed before it compiled each phi(e_i) into a slot
-table: it sums phi(bar[s, u^j]) phi(bar u_j) / 2c over j on every call, with
-two barred actions and one bracket per dual index. `whittaker_kernel` solves
+became one exponent tuple, and joins them again for the result.
+`reference_apply_lift` is the lift that `FockModule.apply_lift` computed
+before it compiled each phi(e_i) into a slot table: it sums
+phi(bar[s, u^j]) phi(bar u_j) / 2c over j on every call, with two barred
+actions and one bracket per dual index. `whittaker_kernel` solves
 one truncation of the Whittaker system from scratch.
 `reference_verify_algebra` and `reference_verify_takiff` check super Jacobi
 and form invariance by scanning every basis triple, as the structure checks did before they joined the sparse
@@ -22,10 +23,11 @@ member vectors. `reference_parse` is the scalar reader that split a string
 into signed terms by hand and matched each with its own regex before one
 regex held the whole grammar. `reference_basis_keys` lists Fock monomials by
 a product over the Grassmann and Clifford bits and a recursive walk over the
-polynomial exponents, sorted as three exponent tuples and then joined. `reference_barred_commutators` holds the hand-written
-barred commutator constants that `verify_relations` used before it read them
-from the extension's bracket table. `reference_takiff_from_dict` is the
-exact extension-file loader before it compared the stored and rebuilt bracket
+polynomial exponents, sorted as three exponent tuples and then joined.
+`reference_barred_commutators` holds the hand-written barred commutator
+constants that `verify_relations` used before it read them from the
+extension's bracket table. `reference_takiff_from_dict` is the exact
+extension-file loader before it compared the stored and rebuilt bracket
 tables in one step: it walks every bracket key of both tables in sorted
 order. `reference_odd_form_prime` pairs two vectors under the odd form term by
 term, splitting each index into its base index and theta layer, as
@@ -89,7 +91,7 @@ def _n_cliff(f: FockModule) -> int:
     return f.n_pairs + f.has_w
 
 
-def split_key(f: FockModule, key: tuple[int, ...]) -> FockParts:
+def _split(f: FockModule, key: tuple[int, ...]) -> FockParts:
     npoly, ng = len(f.poly_slots), len(f.grass_slots)
     return FockParts(key[:npoly], key[npoly : npoly + ng], key[npoly + ng :])
 
@@ -138,13 +140,13 @@ class ReferenceFock:
         out: dict[tuple, Scalar] = {}
         c = f.c
         for key, coeff in v.items():
-            idx = split_key(f, key)
+            idx = _split(f, key)
             if kind == "F":
                 if k in self.poly_of:
                     pi = self.poly_of[k]
                     poly = list(idx.poly)
                     poly[pi] += 1
-                    add_term(out, _join(tuple(poly), idx.grass, idx.cliff), coeff)
+                    add_term(out, _join(poly, idx.grass, idx.cliff), coeff)
                 else:
                     gi = self.grass_of[k]
                     if idx.grass[gi]:
@@ -152,7 +154,7 @@ class ReferenceFock:
                     s = sign(self._odd_before_grass(idx, gi))
                     grass = list(idx.grass)
                     grass[gi] = 1
-                    add_term(out, _join(idx.poly, tuple(grass), idx.cliff), coeff * s)
+                    add_term(out, _join(idx.poly, grass, idx.cliff), coeff * s)
             elif kind == "E":
                 beta = sign(f.positives[k].parity)
                 if k in self.poly_of:
@@ -164,7 +166,7 @@ class ReferenceFock:
                     poly[pi] -= 1
                     add_term(
                         out,
-                        _join(tuple(poly), idx.grass, idx.cliff),
+                        _join(poly, idx.grass, idx.cliff),
                         coeff * c * beta * Scalar(m),
                     )
                 else:
@@ -174,31 +176,31 @@ class ReferenceFock:
                     s = sign(self._odd_before_grass(idx, gi))
                     grass = list(idx.grass)
                     grass[gi] = 0
-                    add_term(out, _join(idx.poly, tuple(grass), idx.cliff), coeff * c * beta * s)
+                    add_term(out, _join(idx.poly, grass, idx.cliff), coeff * c * beta * s)
             elif kind == "b":
                 if idx.cliff[k]:
                     continue
                 s = sign(self._odd_before_cliff(idx, k))
                 cliff = list(idx.cliff)
                 cliff[k] = 1
-                add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * s)
+                add_term(out, _join(idx.poly, idx.grass, cliff), coeff * s)
             elif kind == "a":
                 if not idx.cliff[k]:
                     continue
                 s = sign(self._odd_before_cliff(idx, k))
                 cliff = list(idx.cliff)
                 cliff[k] = 0
-                add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * self.two_c * s)
+                add_term(out, _join(idx.poly, idx.grass, cliff), coeff * self.two_c * s)
             else:  # w, the unpaired Clifford letter: w . w = c/2
                 wi = _n_cliff(f) - 1
                 s = sign(self._odd_before_cliff(idx, wi))
                 cliff = list(idx.cliff)
                 if idx.cliff[wi]:
                     cliff[wi] = 0
-                    add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * self.half_c * s)
+                    add_term(out, _join(idx.poly, idx.grass, cliff), coeff * self.half_c * s)
                 else:
                     cliff[wi] = 1
-                    add_term(out, _join(idx.poly, idx.grass, tuple(cliff)), coeff * s)
+                    add_term(out, _join(idx.poly, idx.grass, cliff), coeff * s)
         return ModuleVector(out)
 
     def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
