@@ -12,7 +12,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from whittak.charfun import fock_character, verify_factorization, verma_character
 from whittak.exactlin import Scalar
-from whittak.fockrep import build_fock
 from whittak.superalg import build_gl, weyl_vector
 from whittak.takiff import build_takiff
 
@@ -35,12 +34,11 @@ def main():
     c = Scalar.parse(args.c)
     a, rd = build_gl(args.m, args.n)
     t, _ = build_takiff(a, rd)
-    f = build_fock(t, c)
     lam = weyl_vector(rd, c)
 
-    show("module census", fock_character(f, args.trunc))
+    show("Fock character", fock_character(rd, c, args.trunc))
     show("extended Verma at the shifted weight", verma_character(rd, lam, args.trunc, hatted=True))
-    rep = verify_factorization(f, lam, args.trunc)
+    rep = verify_factorization(t, c, lam, args.trunc)
     print(rep.summary())
     return 0 if rep.passed else 1
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactlin import Scalar
-from .fockrep import FockModule, clifford_module_dim
+from .fockrep import clifford_module_dim
 from .reports import Report
 from .superalg import RootDatum, Weight, weyl_vector
+from .takiff import TakiffAlgebra
 
 
 class FormalCharacter(NamedTuple):
@@ -114,15 +115,8 @@ def verma_character(rd: RootDatum, lam: Weight, trunc: int, hatted: bool = True)
     return _free_character(lam, trunc, len(rd.simple), factors, dim)
 
 
-def fock_character(f: FockModule, trunc: int) -> FormalCharacter:
-    """Character of the module basis by weight, up to the height truncation."""
-    if f.twisted:
-        raise ValueError("twisted modules are not weight modules")
-    return fock_prefactor_character(f.rd, f.c, trunc)
-
-
-def fock_prefactor_character(rd: RootDatum, c: Scalar, trunc: int) -> FormalCharacter:
-    """Character of the Fock module: the simple-character factor.
+def fock_character(rd: RootDatum, c: Scalar, trunc: int) -> FormalCharacter:
+    """Character of the Fock module at level c: the simple-character factor.
 
     The barred n-theta gives every positive root one generator of the opposite
     parity: 2^floor((l+1)/2) e^(shifted weight) prod_even (1+x) prod_odd 1/(1-x).
@@ -132,14 +126,14 @@ def fock_prefactor_character(rd: RootDatum, c: Scalar, trunc: int) -> FormalChar
     return _free_character(weyl_vector(rd, c), trunc, len(rd.simple), factors, dim)
 
 
-def verify_factorization(f: FockModule, lam: Weight, trunc: int) -> Report:
+def verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight, trunc: int) -> Report:
     """Extended Verma character equals the Fock character times the plain Verma character."""
-    rep = Report(f"character factorization: {f.base.name}, c = {f.c}, height <= {trunc}")
-    if lam.level != f.c:
+    rep = Report(f"character factorization: {t.base.name}, c = {c}, height <= {trunc}")
+    if lam.level != c:
         raise ValueError("the weight's level must match the module's level")
-    lhs = verma_character(f.rd, lam, trunc, hatted=True)
-    shifted = (lam - weyl_vector(f.rd)).restrict()
-    rhs = char_product(fock_character(f, trunc), verma_character(f.rd, shifted, trunc, hatted=False))
+    lhs = verma_character(t.rd, lam, trunc, hatted=True)
+    shifted = (lam - weyl_vector(t.rd)).restrict()
+    rhs = char_product(fock_character(t.rd, c, trunc), verma_character(t.rd, shifted, trunc, hatted=False))
     rep.add("coefficientwise equality", char_difference(lhs, rhs))
     rep.data["truncation"] = trunc
     return rep

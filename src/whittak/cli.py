@@ -25,7 +25,6 @@ from .wfinite import (
     eta_for_fock,
     graded_nilradical,
     hat_eta,
-    nil_character,
     nilchar_from_e,
     regularity_check,
     solve_dual_elements,
@@ -187,9 +186,8 @@ def cmd_verify(args) -> int:
 
     if suite == "factorization":
         c = _level(args.c)
-        f = build_fock(t, c)
         lam = _weight(t, args.weight, weyl_vector(t.rd, c))
-        return _emit_report(verify_factorization(f, lam, _trunc(args.trunc)), args.out, args.seed)
+        return _emit_report(verify_factorization(t, c, lam, _trunc(args.trunc)), args.out, args.seed)
 
     if suite == "skryabin":
         e, g = _principal_data(t, args)
@@ -214,9 +212,7 @@ def cmd_verify(args) -> int:
         raise UsageError("regularity needs --chi or --e")
     else:
         e, g = _principal_data(t, args)
-        full = nilchar_from_e(t, g, e)
-        dom = tuple(k for k in full.domain if t.total.parity[k] == 0)
-        chi = nil_character(t.total, dom, {k: v for k, v in full.values.items() if k in dom})
+        chi = nilchar_from_e(t, g, e)
     zeta = zeta_from_chi(t, chi, c)
     return _emit_report(regularity_check(zeta, t.rd), args.out, args.seed)
 
@@ -249,7 +245,7 @@ def cmd_character(args) -> int:
     c = _level(args.c)
     trunc = _trunc(args.trunc)
     if args.kind == "fock":
-        ch = fock_character(build_fock(t, c), trunc)
+        ch = fock_character(t.rd, c, trunc)
     elif args.kind == "verma":
         ch = verma_character(t.rd, _weight(t, args.weight, weyl_vector(t.rd, c)), trunc, hatted=True)
     else:

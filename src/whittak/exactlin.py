@@ -284,8 +284,8 @@ class SparseVector:
         return v
 
     @staticmethod
-    def unit(i: int, coeff: Scalar = ONE) -> "SparseVector":
-        return SparseVector._of({i: coeff}) if coeff else SparseVector()
+    def unit(i: int) -> "SparseVector":
+        return SparseVector._of({i: ONE})
 
     def get(self, i: int) -> Scalar:
         return self.entries.get(i, ZERO)

@@ -427,10 +427,10 @@ def verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar], max_d
     )
 
     def nilpotency_failures():
+        keys = f.basis_keys(max_degree)
         for i in f.grass_slots:
-            X = f.dual.E[i]
-            val = chi_hat.get(i, ZERO)
-            for ix in f.basis_keys(max_degree):
+            X, val = f.dual.E[i], chi_hat.get(i, ZERO)
+            for ix in keys:
                 y = ModuleVector({ix: ONE})
                 steps = 0
                 while y and steps < 8:

@@ -21,7 +21,7 @@ from whittak.charfun import (
     _weight_str,
     char_difference,
     char_product,
-    fock_prefactor_character,
+    fock_character,
 )
 from whittak.exactlin import I, ONE, EchelonSpan, Scalar, SparseMatrix, SparseVector, add_term, sign
 from whittak.fockrep import FockModule, ModuleVector
@@ -204,7 +204,7 @@ def verify_simple_character_factorization(
     restricted simple character; its anchor must come out at lam.
     """
     rep = Report("simple character identity")
-    rhs = char_product(fock_prefactor_character(rd, c, trunc), ch_ls.truncated(trunc))
+    rhs = char_product(fock_character(rd, c, trunc), ch_ls.truncated(trunc))
     rep.data["rhs"] = {
         "anchor": [str(v) for v in rhs.anchor.values] + [str(rhs.anchor.level)],
         "terms": [{"offset": list(o), "mult": m} for o, m in rhs.terms()],

@@ -265,20 +265,18 @@ def test_criterion_07_character_factorization():
     """Verma factorization to heights 6 and 4; the shift canary must fail."""
     ok = True
     _, rd1, t1 = takiff_of(1, 1)
-    f1 = build_fock(t1, ONE)
-    ok &= verify_factorization(f1, weyl_vector(rd1, ONE), 6).passed
+    ok &= verify_factorization(t1, ONE, weyl_vector(rd1, ONE), 6).passed
 
     c = Scalar(2)
     _, rd2, t2 = takiff_of(2, 1)
-    f2 = build_fock(t2, c)
     lam = Weight((Scalar(1), ZERO, Scalar(-1)), c)
-    ok &= verify_factorization(f2, lam, 4).passed
+    ok &= verify_factorization(t2, c, lam, 4).passed
 
     # canary: dropping the shift must produce a mismatch
     lam1 = weyl_vector(rd1, ONE)
     lhs = verma_character(rd1, lam1, 5, hatted=True)
     rhs = char_product(
-        fock_character(f1, 5), verma_character(rd1, lam1.restrict(), 5, hatted=False)
+        fock_character(rd1, ONE, 5), verma_character(rd1, lam1.restrict(), 5, hatted=False)
     )
     ok &= char_difference(lhs, rhs) is not None
     assert crit(7, ok, "character factorization at heights 6 and 4, canary detected")

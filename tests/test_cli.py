@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whittak import serialize
+from whittak import cli, serialize
 from whittak.cli import main
 from whittak.exactlin import Scalar
 from whittak.superalg import ODD, build_gl, weyl_vector
@@ -526,6 +526,48 @@ class TestCliPaths:
         ext, out = write(tmp_path / "ext.json", _valid_file(*mn, "extension")), tmp_path / "out"
         assert run(argv + ["--alg", ext, "--out", out]) == 0
         assert sha(out) == want
+
+    @pytest.mark.parametrize(
+        "mn, c, want",
+        [
+            ((1, 2), "--c=1", "3d3315deb7872f7741237f5078fc7796babcfa62f3e0d47cc0e2d7ae58cadeb7"),
+            ((2, 3), "--c=-2/3", "e98036600161460351538f61c32ea80cb5ef0b5f6752af5b8267758b8ee46431"),
+        ],
+    )
+    def test_regularity_from_a_principal_element(self, tmp_path, mn, c, want):
+        labels = ["E_21"] + [f"E_{k + 1}{k}" for k in range(2, sum(mn))]
+        e = write(tmp_path / "e.json", {"coords": {lab: "1" for lab in labels}})
+        ext, out = write(tmp_path / "ext.json", _valid_file(*mn, "extension")), tmp_path / "out"
+        assert run(["verify", "regularity", "--alg", ext, "--e", e, c, "--out", out]) == 0
+        assert sha(out) == want
+
+    def test_whittaker_covariance_with_an_even_positive_root(self, gl21_tak, tmp_path):
+        # barred E_12 and E_23 (indices 10 and 14 of the gl(2|1) extension);
+        # the hat value on E_13 is nonzero
+        eta = write(tmp_path / "eta.json", {"domain": [10, 14], "values": {"10": "1", "14": "1"}})
+        out = tmp_path / "rep.json"
+        argv = ["verify", "whittaker-covariance", "--alg", gl21_tak, "--c", "2", "--deg", 2, "--eta", eta]
+        assert run(argv + ["--out", out]) == 0
+        assert sha(out) == "3ca8095a1ade7e16f9ae4519ac21e147e47ed624947d2e5f80bc25e3d593a94f"
+
+    def test_characters_build_no_fock_module(self, gl21_tak, tmp_path, monkeypatch):
+        # the Fock character is a function of the root datum and the level
+        argvs = [
+            ["character", "--kind", "fock", "--c", "1", "--trunc", 4],
+            ["verify", "factorization", "--c", "2", "--trunc", 4],
+        ]
+        plain = []
+        for n, argv in enumerate(argvs):
+            assert run(argv + ["--alg", gl21_tak, "--out", tmp_path / f"plain{n}"]) == 0
+            plain.append((tmp_path / f"plain{n}").read_bytes())
+
+        def no_module(*args, **kwargs):
+            raise RuntimeError("build_fock called")
+
+        monkeypatch.setattr(cli, "build_fock", no_module)
+        for n, argv in enumerate(argvs):
+            assert run(argv + ["--alg", gl21_tak, "--out", tmp_path / f"patched{n}"]) == 0
+            assert (tmp_path / f"patched{n}").read_bytes() == plain[n]
 
 
 def test_parser_reuse_carries_nothing_over(gl11_tak, tmp_path):

@@ -168,9 +168,8 @@ def test_module_vector_roundtrip():
 def test_character_roundtrip():
     from whittak.charfun import fock_character
 
-    a, rd = build_gl(1, 1)
-    t, _ = build_takiff(a, rd)
-    ch = fock_character(build_fock(t, ONE), 4)
+    _, rd = build_gl(1, 1)
+    ch = fock_character(rd, ONE, 4)
     d = serialize.character_to_dict(ch)
     ch2 = character_from_dict(json.loads(json.dumps(d)))
     assert ch2.anchor == ch.anchor
