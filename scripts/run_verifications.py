@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from whittak.exactlin import Scalar
-from whittak.fockrep import build_fock, verify_highest_weight, verify_lift_identities, verify_relations
+from whittak.fockrep import build_fock, verify_highest_weight, verify_lift_identities
 from whittak.superalg import build_gl, verify_algebra, verify_root_datum
 from whittak.takiff import build_takiff, verify_hat_closure, verify_takiff
 
@@ -39,13 +39,12 @@ def main():
             checks["extension"] = verify_takiff(t).passed
             checks["triangular"] = verify_hat_closure(t, hat).passed
             f = build_fock(t, c)
-            checks["relations"] = verify_relations(f, args.deg).passed
             checks["lift"] = verify_lift_identities(f, min(args.deg, 2)).passed
             checks["vacuum"] = verify_highest_weight(f).passed
             dt = time.monotonic() - t0
             rows.append((a.name, checks, dt))
 
-    names = ["algebra", "roots", "extension", "triangular", "relations", "lift", "vacuum"]
+    names = ["algebra", "roots", "extension", "triangular", "lift", "vacuum"]
     print(f"{'algebra':10s} " + " ".join(f"{n:>10s}" for n in names) + "    time")
     ok = True
     for name, checks, dt in rows:

@@ -130,7 +130,7 @@ def verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight, trunc: int) -
     """Extended Verma character equals the Fock character times the plain Verma character."""
     rep = Report(f"character factorization: {t.base.name}, c = {c}, height <= {trunc}")
     if lam.level != c:
-        raise ValueError("the weight's level must match the module's level")
+        raise ValueError("the weight's level must match the level c")
     lhs = verma_character(t.rd, lam, trunc, hatted=True)
     shifted = (lam - weyl_vector(t.rd)).restrict()
     rhs = char_product(fock_character(t.rd, c, trunc), verma_character(t.rd, shifted, trunc, hatted=False))

@@ -130,7 +130,7 @@ def cmd_build(args) -> int:
         a = serialize.algebra_from_dict(d)
         if "root_datum" not in d:
             raise UsageError("the input file carries no root datum")
-        rd = serialize.root_datum_from_dict(d["root_datum"], a.dim)
+        rd = serialize.root_datum_from_dict(d["root_datum"], a)
         t, _ = build_takiff(a, rd)
         _write(serialize.dumps(serialize.takiff_to_dict(t)), args.out)
         return 0

@@ -87,8 +87,8 @@ def root_datum_to_dict(rd: RootDatum) -> dict:
     }
 
 
-def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
-    """A file's root datum of an algebra of dimension dim, with every index range-checked."""
+def root_datum_from_dict(d: dict, a: SuperAlgebra) -> RootDatum:
+    """A file's root datum of the algebra a: every index in range, every root of its vectors' parity."""
     d = _mapping(d, "root_datum")
     cartan, roots, positive, simple = (
         _mapping(d.get(k), f"root_datum.{k}", list) for k in ("cartan", "roots", "positive", "simple")
@@ -97,8 +97,8 @@ def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
         Root(tuple(Scalar.parse(s) for s in r["covector"]), tuple(r["space"]), r["parity"]) for r in roots
     )
     for what, indices, bound in (
-        ("cartan", cartan, dim),
-        ("root space", [k for r in roots for k in r.space], dim),
+        ("cartan", cartan, a.dim),
+        ("root space", [k for r in roots for k in r.space], a.dim),
         ("positive", positive, len(roots)),
         ("simple", simple, len(roots)),
     ):
@@ -110,6 +110,11 @@ def root_datum_from_dict(d: dict, dim: int) -> RootDatum:
             raise ValueError(f"root {n} needs a root space and one value per Cartan element")
         if not is_index(r.parity, 2):
             raise ValueError(f"root {n} has parity {r.parity!r}, not 0 or 1")
+        for k in r.space:
+            if a.parity[k] != r.parity:
+                raise ValueError(
+                    f"root {n} has parity {r.parity}, but its root vector {a.labels[k]} has parity {a.parity[k]}"
+                )
     return RootDatum(tuple(cartan), roots, tuple(positive), tuple(simple))
 
 
@@ -138,7 +143,7 @@ def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
     base = algebra_from_dict(d.get("base_algebra"), "base_algebra.")
     if d["takiff_of"] != base.name:
         raise ValueError(f"takiff_of {d['takiff_of']!r} differs from the base algebra's name {base.name!r}")
-    rd = root_datum_from_dict(d.get("root_datum"), base.dim)
+    rd = root_datum_from_dict(d.get("root_datum"), base)
     # the stored extension must be the one its base algebra and root datum define; equal lists may
     # hold True or 1.0 for 1, so each layout index must also pass the index rule
     t, hat = build_takiff(base, rd)

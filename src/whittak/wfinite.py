@@ -224,10 +224,10 @@ class GradedNilradical(NamedTuple):
 def graded_nilradical(t: TakiffAlgebra, h: SparseVector) -> GradedNilradical:
     """Grade the extended algebra by ad h and collect the degree <= -1 part."""
     degrees = dict(enumerate(grading_by_adh(t.total, t.embed(h, 0))))
-    m = tuple(sorted(k for k, deg in degrees.items() if deg <= -1))
+    negative = {k for k, deg in degrees.items() if deg <= -1}
+    m = tuple(sorted(negative))
     for i, j in itertools.product(m, m):
-        br = t.total.bracket_basis(i, j)
-        if any(k not in set(m) for k in br.entries):
+        if not t.total.bracket_basis(i, j).entries.keys() <= negative:
             raise ValueError("negative part is not bracket-closed")
     u_order = tuple(sorted(m, key=lambda k: (t.total.parity[k], k)))
     return GradedNilradical(t, h, degrees, m, u_order)

@@ -25,8 +25,15 @@ regex held the whole grammar. `reference_basis_keys` lists Fock monomials by
 a product over the Grassmann and Clifford bits and a recursive walk over the
 polynomial exponents, sorted as three exponent tuples and then joined.
 `reference_barred_commutators` holds the hand-written barred commutator
-constants that `verify_relations` used before it read them from the
-extension's bracket table. `reference_takiff_from_dict` is the exact
+constants that the relation check used before it read them from the
+extension's bracket table. `reference_verify_relations` is that check, the
+operator loop that applied every ordered pair of barred generators to every
+basis vector up to a degree bound; a Fock module now checks the same
+relations once, exactly and at every degree, as its slot table, so the loop
+stays as the operator-level cross-check of `apply_barred`. `reference_fock_guards`
+holds the two guards that construction ran before the slot table replaced
+them: the dual bases' pairing loop and the isotropy loop of the annihilator
+span. `reference_takiff_from_dict` is the exact
 extension-file loader before it compared the stored and rebuilt bracket
 tables in one step: it walks every bracket key of both tables in sorted
 order. `reference_odd_form_prime` pairs two vectors under the odd form term by
@@ -60,6 +67,7 @@ from typing import NamedTuple
 
 from whittak.charfun import FormalCharacter, _positive_root_offsets
 from whittak.exactlin import (
+    I,
     ONE,
     ZERO,
     Scalar,
@@ -74,8 +82,8 @@ from whittak.exactlin import (
 from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
-from whittak.superalg import EVEN, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
-from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, theta_derivative
+from whittak.superalg import EVEN, ODD, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
+from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, dual_bases, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
 
 
@@ -230,7 +238,7 @@ def reference_apply_lift(f: FockModule, s: SparseVector, v: ModuleVector) -> Mod
     if not v or not s:
         return ModuleVector()
     out: dict[tuple, Scalar] = {}
-    for j in range(f.dual.q):
+    for j in range(len(f.dual.upper)):
         w = f.apply_barred(f.dual.lower[j], v)
         if not w:
             continue
@@ -653,12 +661,65 @@ def reference_barred_commutators(f: FockModule) -> list[tuple[SparseVector, Spar
     return [(x, y, expected(kx, ix, ky, iy)) for kx, ix, x in gens for ky, iy, y in gens]
 
 
+def reference_verify_relations(f: FockModule, max_degree: int) -> Report:
+    """Defining commutators of the barred generators as operator identities.
+
+    [xbar, ybar] must act by c times the z-coefficient of the extension's
+    bracket [x (x) theta, y (x) theta]; checked on every basis vector up to
+    the degree bound.
+    """
+    rep = Report(f"barred generator relations: {f.base.name}, c = {f.c}")
+    t = f.takiff
+    vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
+    npos = len(f.positives)
+    gens: list[tuple[str, int, SparseVector, int]] = []
+    for i in range(npos):
+        p = f.positives[i].parity
+        gens.append(("E", i, f.dual.E[i], p ^ 1))
+        gens.append(("F", i, f.dual.F[i], p ^ 1))
+    for i, h in enumerate(f.dual.H):
+        gens.append(("H", i, h, ODD))
+
+    def failures():
+        for kx, ix, x, px in gens:
+            for ky, iy, y, py in gens:
+                want = f.c * t.total.bracket(t.embed(x, 1), t.embed(y, 1)).get(t.z_index)
+                for v in vectors:
+                    lhs = f.apply_barred(x, f.apply_barred(y, v)) - f.apply_barred(
+                        y, f.apply_barred(x, v)
+                    ).scale(sign(px * py))
+                    if lhs != v.scale(want):
+                        yield f"[{kx}bar[{ix}], {ky}bar[{iy}]] mismatch on {next(iter(v.terms))}"
+
+    rep.first_failure("generator commutator table", failures())
+    return rep
+
+
+def reference_fock_guards(a: SuperAlgebra, rd: RootDatum) -> None:
+    """The two checks a Fock module's construction made before it checked its slot table:
+    the dual bases' q x q pairing (upper[i]|lower[j]) = d_ij, and the isotropy of the
+    annihilator span (the E_i and the a_k) under the form. Raises ValueError as they did."""
+    db = dual_bases(a, rd)
+    for i in range(len(db.upper)):
+        for j in range(len(db.lower)):
+            want = ONE if i == j else ZERO
+            got = a.form_pair(db.upper[i], db.lower[j])
+            if got != want:
+                raise ValueError(f"dual basis pairing ({i},{j}) = {got}, expected {want}")
+    H = db.H
+    iso = db.E + [H[2 * k] + H[2 * k + 1].scale(I) for k in range(len(H) // 2)]
+    for x in iso:
+        for y in iso:
+            if a.form_pair(x, y):
+                raise ValueError("annihilator span is not isotropic")
+
+
 def reference_takiff_from_dict(d: dict) -> TakiffAlgebra:
     if "takiff_of" not in d:
         raise ValueError("not an extension file: missing takiff_of")
     total = algebra_from_dict(d)
     base = algebra_from_dict(d["base_algebra"])
-    rd = root_datum_from_dict(d["root_datum"], base.dim)
+    rd = root_datum_from_dict(d["root_datum"], base)
     z = d["layout"]["z"]
     # the stored extension must be the one its base algebra and root datum define
     t, _ = build_takiff(base, rd)

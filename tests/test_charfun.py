@@ -56,13 +56,13 @@ def zero_weight(rd, level=ZERO):
 
 class TestProduct:
     def test_unit(self):
-        _, rd = fock(2, 1, ONE)
+        _, rd = extension(2, 1)
         a = verma_character(rd, zero_weight(rd, ONE), 4)
         u = unit_character(zero_weight(rd), 4, len(rd.simple))
         assert char_difference(char_product(a, u), a) is None
 
     def test_binomial_square(self):
-        _, rd = fock(1, 1, ONE)
+        _, rd = extension(1, 1)
         one_plus = FormalCharacter(zero_weight(rd), 5, 1, {(0,): 1, (1,): 1})
         sq = char_product(one_plus, one_plus)
         assert sq.coefficient((0,)) == 1
@@ -71,8 +71,8 @@ class TestProduct:
         assert sq.coefficient((3,)) == 0
 
     def test_cartan_mismatch_rejected(self):
-        _, rd1 = fock(1, 1, ONE)
-        _, rd2 = fock(2, 1, ONE)
+        _, rd1 = extension(1, 1)
+        _, rd2 = extension(2, 1)
         a = unit_character(zero_weight(rd1), 3, len(rd1.simple))
         b = unit_character(zero_weight(rd2), 3, len(rd2.simple))
         with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ class TestProduct:
 
     def test_associative_commutative_random(self):
         rng = random.Random(0)
-        _, rd = fock(2, 1, ONE)
+        _, rd = extension(2, 1)
         n = len(rd.simple)
 
         def rand_char():
@@ -101,7 +101,7 @@ class TestProduct:
 
 class TestVerma:
     def test_gl11_extended(self):
-        _, rd = fock(1, 1, ONE)
+        _, rd = extension(1, 1)
         lam = weyl_vector(rd, ONE)
         ch = verma_character(rd, lam, 5, hatted=True)
         assert ch.coefficient((0,)) == 2
@@ -109,21 +109,21 @@ class TestVerma:
             assert ch.coefficient((k,)) == 4
 
     def test_gl20_classical(self):
-        _, rd = fock(2, 0, ONE)
+        _, rd = extension(2, 0)
         lam = zero_weight(rd)
         ch = verma_character(rd, lam, 5, hatted=False)
         for k in range(6):
             assert ch.coefficient((k,)) == 1
 
     def test_truncation_monotone(self):
-        _, rd = fock(2, 1, ONE)
+        _, rd = extension(2, 1)
         lam = zero_weight(rd, ONE)
         ch5 = verma_character(rd, lam, 5, hatted=True)
         ch3 = verma_character(rd, lam, 3, hatted=True)
         assert char_difference(ch5.truncated(3), ch3) is None
 
     def test_zero_level_drops_clifford_factor(self):
-        _, rd = fock(1, 1, ONE)
+        _, rd = extension(1, 1)
         ch = verma_character(rd, zero_weight(rd), 3, hatted=True)
         assert ch.coefficient((0,)) == 1
 
@@ -220,7 +220,7 @@ class TestSimpleCharacterIdentity:
         assert rep.passed, rep.to_json()
 
     def test_typical_weight_reduces_to_verma_factorization(self):
-        _, rd = fock(2, 1, ONE)
+        _, rd = extension(2, 1)
         lam = Weight((Scalar(2), ZERO, Scalar(-1)), ONE)
         rho = weyl_vector(rd)
         shifted = Weight(tuple(a - b for a, b in zip(lam.values, rho.values)), ZERO)
@@ -231,7 +231,7 @@ class TestSimpleCharacterIdentity:
         assert rep.passed, rep.to_json()
 
     def test_zero_character_gives_zero(self):
-        _, rd = fock(1, 1, ONE)
+        _, rd = extension(1, 1)
         empty = FormalCharacter(zero_weight(rd), 4, len(rd.simple), {})
         rep = verify_simple_character_factorization(
             rd, ONE, empty, weyl_vector(rd, ONE), 4

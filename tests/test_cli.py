@@ -237,6 +237,25 @@ class TestVerify:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0], lines
 
+    def test_root_parity_must_match_its_root_vector(self, tmp_path, capsys):
+        # root 0 of gl(2|1) is spanned by the odd E_12; a file that calls it even is one error line
+        alg, ext = copy.deepcopy(_valid_file(2, 1, "algebra")), copy.deepcopy(_valid_file(2, 1, "extension"))
+        assert alg["labels"][alg["root_datum"]["roots"][0]["space"][0]] == "E_12"
+        alg["root_datum"]["roots"][0]["parity"] = ext["root_datum"]["roots"][0]["parity"] = 0
+        alg, ext = write(tmp_path / "alg.json", alg), write(tmp_path / "ext.json", ext)
+        for argv in (
+            ["build", "takiff", "--of", alg],
+            ["verify", "takiff", "--alg", ext],
+            ["verify", "highest-weight", "--alg", ext],
+            ["verify", "factorization", "--alg", ext],
+            ["character", "--kind", "fock", "--alg", ext],
+        ):
+            capsys.readouterr()
+            assert run(argv + ["--out", tmp_path / "out"]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: root 0 has parity 0, but its root vector E_12 has parity 1"
+            ], argv
+
     def test_extension_disagreeing_with_its_base_is_rejected(self, gl21_tak, tmp_path, capsys):
         d = load(gl21_tak)
         entry = next(b for b in d["brackets"] if b["k"] == d["layout"]["z"])
@@ -599,6 +618,20 @@ def test_scripts_run(script, want):
     )
     assert proc.returncode == 0, proc.stderr
     assert want in proc.stdout
+
+
+def test_run_verifications_columns():
+    """The verification battery over gl(m|n), m + n <= 2: its table has one column per check."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verifications.py"), "--max-size", "2", "--deg", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = lines[0].split()
+    assert header[0] == "algebra" and header[-1] == "time"
+    assert header[1:-1] == ["algebra", "roots", "extension", "triangular", "lift", "vacuum"]
+    assert lines[-1] == "all checks passed"
 
 
 def _timer_metrics(script: str) -> dict:

@@ -4,7 +4,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engines import (
@@ -12,21 +12,23 @@ from reference_engines import (
     reference_apply_lift,
     reference_barred_commutators,
     reference_basis_keys,
+    reference_fock_guards,
     reference_verify_lift_identities,
+    reference_verify_relations,
 )
 from modules import TensorModule, cyclicity_spot_check, natural_module
-from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
+from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector
 from whittak.fockrep import (
     FockModule,
     ModuleVector,
+    _check_barred_relations,
     build_fock,
     clifford_module_dim,
     verify_highest_weight,
     verify_lift_identities,
-    verify_relations,
     verify_whittaker_covariance,
 )
-from whittak.superalg import ODD, build_gl, weyl_vector
+from whittak.superalg import ODD, SuperAlgebra, build_gl, weyl_vector
 from whittak.takiff import build_takiff
 
 half = Scalar(Fraction(1, 2))
@@ -94,8 +96,14 @@ class TestBarredRelations:
 
     @pytest.mark.parametrize("m,n,c", [(1, 1, Scalar(1)), (2, 1, Scalar(2)), (1, 2, Scalar(-1, 1))])
     def test_relations_hold(self, m, n, c):
-        rep = verify_relations(fock(m, n, c), max_degree=2)
-        assert rep.passed, rep.to_json()
+        # the operator loop on built modules, untwisted and twisted on every odd positive root
+        a, rd = build_gl(m, n)
+        odd = [i for i, r in enumerate(rd.positive_roots()) if r.parity == ODD]
+        for eta in (None, {i: Scalar(k + 2, 1 - k) for k, i in enumerate(odd)}):
+            f = fock(m, n, c, eta)
+            assert f.twisted == bool(eta)
+            rep = reference_verify_relations(f, max_degree=2)
+            assert rep.passed, rep.to_json()
 
     def test_twisted_vacuum_eigenvalue(self):
         # (Ebar_beta - eta(Ebar_beta))|0> = 0 for a twisted odd simple
@@ -108,6 +116,99 @@ class TestBarredRelations:
         for i in odd_slots:
             got = f.apply_barred(f.dual.E[i], vac)
             assert got == vac.scale(f.eta[i])
+
+
+def _columns(f):
+    """The adapted columns of f's slots, in slot order."""
+    return f.dual.E + f.dual.F + f.a_vecs + f.b_vecs + ([f.w_vec] if f.has_w else [])
+
+
+def _planted(f, t, lower):
+    """f's slot table with slot t lowering by `lower`."""
+    slots = list(f.slots)
+    slots[t] = slots[t][:3] + (lower,)
+    return slots
+
+
+def _perturbed(m, n, i, j, delta, partner):
+    """gl(m|n) with delta added to its form entry (i, j), and with the supersymmetric
+    partner entry (j, i) changed to match when `partner` is set."""
+    a, rd = build_gl(m, n)
+    entries = dict(a.form.entries)
+    entries[i, j] = entries.get((i, j), ZERO) + delta
+    if partner and i != j:
+        sgn = -ONE if a.parity[i] and a.parity[j] else ONE
+        entries[j, i] = entries.get((j, i), ZERO) + sgn * delta
+    return SuperAlgebra(a.name, a.labels, a.parity, a.table, SparseMatrix(a.dim, a.dim, entries)), rd
+
+
+_GL_UP_TO_4 = [(m, k - m) for k in range(1, 5) for m in range(k + 1)]
+
+
+class TestSlotTable:
+    """The barred relations checked once, as the slot table, when a module is built."""
+
+    @given(
+        st.sampled_from(_GL_UP_TO_4),
+        st.integers(0, 15),
+        st.integers(0, 15),
+        st.sampled_from([ONE, Scalar(-1), Scalar(Fraction(1, 2)), I]),
+        st.booleans(),
+        st.sampled_from([ONE, Scalar(-2, 1)]),
+    )
+    @example((2, 0), 0, 0, ONE, True, ONE).via("orthonormalization fails: (E_11|E_11) = 2")
+    @example((1, 1), 1, 2, ONE, False, ONE).via("pairing fails: (E_12|E_21) = 2, (E_21|E_12) = -1")
+    @example((1, 1), 1, 2, ONE, True, Scalar(-2, 1)).via("accepted: (E_12|E_21) = 2, (E_21|E_12) = -2")
+    @settings(max_examples=150, deadline=None)
+    def test_rejects_exactly_when_the_old_guards_did(self, mn, i, j, delta, partner, c):
+        m, n = mn
+        dim = (m + n) ** 2
+        a, rd = _perturbed(m, n, i % dim, j % dim, delta, partner)
+        try:
+            t, _ = build_takiff(a, rd)
+        except ValueError:
+            return  # a degenerate form builds no extension
+        try:
+            reference_fock_guards(a, rd)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            build_fock(t, c)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert (got is None) == (want is None), (got, want)
+        if want is not None and not want.startswith("dual basis pairing"):
+            assert got == want  # a construction error of the dual bases, raised by both
+
+    @pytest.mark.parametrize(
+        "m,n,slot,lower",
+        [
+            (1, 1, "a", ONE),  # a_1 lowers with c in place of 2c
+            (1, 1, "E", ONE),  # the odd root E_12 lowers with c in place of (-1)^p c = -c
+            (2, 1, "w", ONE),  # w lowers with c in place of c/2
+        ],
+    )
+    def test_planted_slot_factor_raises(self, m, n, slot, lower):
+        f = fock(m, n, ONE)
+        npos = len(f.positives)
+        t = {"E": 0, "a": 2 * npos, "w": 2 * npos + 2 * f.n_pairs}[slot]
+        assert f.slots[t][3] != lower
+        _check_barred_relations(f.slots, _columns(f), f.takiff, f.c)
+        with pytest.raises(ValueError, match=rf"^slots \d+ and \d+ supercommute") as err:
+            _check_barred_relations(_planted(f, t, lower), _columns(f), f.takiff, f.c)
+        assert f"slots {t} and " in str(err.value) or f" and {t} supercommute" in str(err.value)
+
+    def test_flipped_positive_root_parity_raises(self):
+        # the slot factors read the root datum's parities, the extension the algebra's
+        a, rd = build_gl(2, 1)
+        for k in rd.positive:
+            roots = list(rd.roots)
+            roots[k] = roots[k]._replace(parity=roots[k].parity ^ 1)
+            t, _ = build_takiff(a, rd._replace(roots=tuple(roots)))
+            with pytest.raises(ValueError, match=r"^slots \d+ and \d+ supercommute"):
+                build_fock(t, ONE)
 
 
 class TestLift:

@@ -161,9 +161,9 @@ class TestDualBases:
     def test_pairing_is_identity(self, m, n):
         a, rd = build_gl(m, n)
         db = dual_bases(a, rd)
-        assert db.q == a.dim
-        for i in range(db.q):
-            for j in range(db.q):
+        assert len(db.upper) == a.dim
+        for i in range(len(db.upper)):
+            for j in range(len(db.upper)):
                 want = ONE if i == j else ZERO
                 assert a.form_pair(db.upper[i], db.lower[j]) == want
 
@@ -176,7 +176,7 @@ class TestDualBases:
             for u in db.lower:
                 br = a.bracket(s, u)
                 recon = SparseVector()
-                for j in range(db.q):
+                for j in range(len(db.upper)):
                     coeff = a.form_pair(db.upper[j], br)
                     if coeff:
                         recon = recon + db.lower[j].scale(coeff)
