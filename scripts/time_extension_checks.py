@@ -5,10 +5,13 @@ Usage: PYTHONPATH=src python3 scripts/time_extension_checks.py [--reps 30]
 
 Builds the gl(2|3) extension file as `build takiff` writes it, then times
 `serialize.takiff_from_dict` on it, `verify_algebra` on the extension and
-`verify_takiff`, each as the median of --reps calls in this process. The last
-stdout line is a JSON object of metric -> seconds (lower is better), the form
-`scripts/bench_pair.py --script` reads. The package is imported from
-PYTHONPATH, so the same script times any checkout's `src`.
+`verify_takiff`, each as the median of --reps calls in this process.
+`load_gl22_s` and `load_gl23_s` time what one CLI call pays to load the
+gl(2|2) and gl(2|3) extension files: `json.loads` of the written text plus
+`takiff_from_dict`. The last stdout line is a JSON object of metric -> seconds
+(lower is better), the form `scripts/bench_pair.py --script` reads. The
+package is imported from PYTHONPATH, so the same script times any checkout's
+`src`.
 """
 
 import argparse
@@ -35,16 +38,22 @@ def main():
     ap.add_argument("--reps", type=int, default=30, help="calls per metric")
     args = ap.parse_args()
 
-    a, rd = build_gl(2, 3)
-    t, _ = build_takiff(a, rd)
-    d = json.loads(serialize.dumps(serialize.takiff_to_dict(t)))
+    texts = {}
+    for m, n in ((2, 2), (2, 3)):  # gl(2|3) last: t is its extension below
+        a, rd = build_gl(m, n)
+        t, _ = build_takiff(a, rd)
+        texts[f"gl{m}{n}"] = serialize.dumps(serialize.takiff_to_dict(t))
+    d = json.loads(texts["gl23"])
     if not verify_takiff(t).passed:
         raise SystemExit("error: the gl(2|3) extension fails verify_takiff")
-    print(json.dumps({
+    metrics = {
         "takiff_from_dict_s": median_time(lambda: serialize.takiff_from_dict(d), args.reps),
         "verify_algebra_s": median_time(lambda: verify_algebra(t.total), args.reps),
         "verify_takiff_s": median_time(lambda: verify_takiff(t), args.reps),
-    }, sort_keys=True))
+    }
+    for key, text in texts.items():
+        metrics[f"load_{key}_s"] = median_time(lambda: serialize.takiff_from_dict(json.loads(text)), args.reps)
+    print(json.dumps(metrics, sort_keys=True))
 
 
 if __name__ == "__main__":

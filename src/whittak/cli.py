@@ -282,20 +282,9 @@ def make_parser() -> argparse.ArgumentParser:
     bspan.add_argument("--out")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument(
-        "suite",
-        choices=[
-            "algebra",
-            "takiff",
-            "fock-lift",
-            "highest-weight",
-            "whittaker-covariance",
-            "factorization",
-            "skryabin",
-            "appendix",
-            "regularity",
-        ],
-    )
+    v.add_argument("suite", choices=(
+        "algebra takiff fock-lift highest-weight whittaker-covariance factorization skryabin appendix regularity"
+    ).split())
     v.add_argument("--alg", required=True)
     v.add_argument("--e")
     v.add_argument("--h")

@@ -7,6 +7,7 @@ byte-stable (sorted keys, fixed separators).
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .exactlin import Scalar, SparseMatrix, SparseVector
 from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index
@@ -23,13 +24,7 @@ def algebra_to_dict(a: SuperAlgebra) -> dict:
     for (i, j), v in sorted(a.table.items()):
         for k, s in sorted(v.items()):
             brackets.append({"i": i, "j": j, "k": k, "coeff": str(s)})
-    out = {
-        "name": a.name,
-        "dim": a.dim,
-        "labels": a.labels,
-        "parity": a.parity,
-        "brackets": brackets,
-    }
+    out = {"name": a.name, "dim": a.dim, "labels": a.labels, "parity": a.parity, "brackets": brackets}
     if a.form is not None:
         out["form"] = [
             {"i": i, "j": j, "coeff": str(s)} for (i, j), s in sorted(a.form.entries.items())
@@ -37,65 +32,92 @@ def algebra_to_dict(a: SuperAlgebra) -> dict:
     return out
 
 
-def algebra_from_dict(d: dict, at: str = "") -> SuperAlgebra:
-    """The algebra a JSON object holds; an error names its field by the path `at` + field name."""
+def algebra_from_dict(d: dict, at: str = "", memo: dict[str, Scalar] | None = None) -> SuperAlgebra:
+    """The algebra a JSON object holds; an error names its field by the path `at` + field name.
+    `memo` holds the Scalar of each coefficient text of one load, shared by all its readers."""
+    name, labels, parity, brackets, form = _algebra_parts(d, at, {} if memo is None else memo)
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for (i, j, k), s in brackets.items():
+        table.setdefault((i, j), {})[k] = s
+    return SuperAlgebra(name, labels, parity, {key: SparseVector._of(row) for key, row in table.items()}, form)
+
+
+def _algebra_parts(d: dict, at: str, memo: dict[str, Scalar]):
+    """algebra_from_dict's name, labels, parity, {(i, j, k): coefficient} brackets and form."""
     d = _mapping(d, at[:-1] or "an algebra file")
     name = _mapping(d.get("name"), at + "name", str)
     labels, parity, brackets = (_mapping(d.get(k), at + k, list) for k in ("labels", "parity", "brackets"))
-    form_entries = _mapping(d.get("form", []), at + "form", list)
+    form = _mapping(d.get("form", []), at + "form", list)
     dim = d.get("dim")
     if dim != len(labels):
         raise ValueError(f"{at}dim {dim!r} differs from the number of labels, {len(labels)}")
     for n, p in enumerate(parity):
         if not is_index(p, 2):
             raise ValueError(f"{at}parity entry {n} is {p!r}, not 0 or 1")
-    for what, entries, fields in (("bracket", brackets, "ijk"), ("form", form_entries, "ij")):
-        for b in entries:
-            for f in fields:
-                if not is_index(b[f], dim):
-                    raise ValueError(f"{what} entry {b} has {f} = {b[f]!r} outside 0..{dim - 1}")
-    parsed: dict[str, Scalar] = {}  # one Scalar per distinct coefficient text
+    brackets = _records(brackets, at + "brackets", "ijk", dim, memo)
+    form = _records(form, at + "form", "ij", dim, memo)
+    if len(parity) != dim:
+        raise ValueError("labels and parity lengths differ")
+    return name, labels, parity, brackets, SparseMatrix(dim, dim, form) if "form" in d else None
 
-    def scalar(text) -> Scalar:
-        s = parsed.get(text) if isinstance(text, str) else None
-        if s is None:  # a non-string raises here, in Scalar.parse's words
-            s = parsed[text] = Scalar.parse(text)
-        return s
 
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for b in brackets:
-        table.setdefault((b["i"], b["j"]), {})[b["k"]] = scalar(b["coeff"])
-    form = None
-    if "form" in d:
-        form = SparseMatrix(dim, dim, {(f["i"], f["j"]): scalar(f["coeff"]) for f in form_entries})
-    return SuperAlgebra(name, labels, parity, {k: SparseVector(v) for k, v in table.items()}, form)
+def _records(entries: list, at: str, fields: str, dim: int, memo: dict[str, Scalar]) -> dict[tuple, Scalar]:
+    """The {index tuple: coefficient} map of a bracket or form list, in one pass over its records:
+    every index obeys the index rule, a key's last record wins and a zero drops the key."""
+    key_of, out, what = itemgetter(*fields), {}, "bracket" if fields == "ijk" else "form"
+    for n, b in enumerate(entries):
+        try:
+            key = key_of(b)  # (i, j, k) of a bracket, (i, j) of a form entry
+            if not (is_index(key[0], dim) and is_index(key[1], dim) and is_index(key[-1], dim)):
+                f, k = next((f, k) for f, k in zip(fields, key) if not is_index(k, dim))
+                raise ValueError(f"{what} entry {b} has {f} = {k!r} outside 0..{dim - 1}")
+            s = _scalar(memo, b["coeff"])
+        except (KeyError, TypeError):
+            _unreadable(f"{at}[{n}]", b, (*fields, "coeff"))
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _scalar(memo: dict[str, Scalar], text) -> Scalar:
+    """Scalar.parse(text), once per distinct text of one load; a non-string raises in parse's words."""
+    s = memo.get(text) if isinstance(text, str) else None
+    if s is None:
+        s = memo[text] = Scalar.parse(text)
+    return s
+
+
+def _unreadable(at: str, record, fields: tuple[str, ...], lists: tuple[str, ...] = ()):
+    """Raise the error of the record at path `at` whose reading raised KeyError or TypeError: it is
+    no JSON object, it lacks a field, or one of its `lists` fields holds no list."""
+    _mapping(record, at)
+    for f in fields:
+        if f not in record:
+            raise ValueError(f"{at}.{f} is missing")
+        if f in lists:
+            _mapping(record[f], f"{at}.{f}", list)
+    raise  # anything else propagates as it was raised
 
 
 def root_datum_to_dict(rd: RootDatum) -> dict:
-    return {
-        "cartan": list(rd.cartan),
-        "roots": [
-            {
-                "covector": [str(s) for s in r.covector],
-                "space": list(r.space),
-                "parity": r.parity,
-            }
-            for r in rd.roots
-        ],
-        "positive": list(rd.positive),
-        "simple": list(rd.simple),
-    }
+    roots = [{"covector": [*map(str, r.covector)], "space": [*r.space], "parity": r.parity} for r in rd.roots]
+    return {"cartan": list(rd.cartan), "roots": roots, "positive": list(rd.positive), "simple": list(rd.simple)}
 
 
-def root_datum_from_dict(d: dict, a: SuperAlgebra) -> RootDatum:
-    """A file's root datum of the algebra a: every index in range, every root of its vectors' parity."""
-    d = _mapping(d, "root_datum")
-    cartan, roots, positive, simple = (
-        _mapping(d.get(k), f"root_datum.{k}", list) for k in ("cartan", "roots", "positive", "simple")
-    )
-    roots = tuple(
-        Root(tuple(Scalar.parse(s) for s in r["covector"]), tuple(r["space"]), r["parity"]) for r in roots
-    )
+def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | None = None) -> RootDatum:
+    """A file's root datum of the algebra a: every index in range, every root of its vectors' parity.
+    `memo` is the load's coefficient memo, as for algebra_from_dict."""
+    d, memo = _mapping(d, "root_datum"), {} if memo is None else memo
+    fields = ("cartan", "roots", "positive", "simple")
+    cartan, records, positive, simple = (_mapping(d.get(k), f"root_datum.{k}", list) for k in fields)
+    roots = []
+    for n, r in enumerate(records):
+        try:
+            roots.append(Root(tuple([_scalar(memo, s) for s in r["covector"]]), tuple(r["space"]), r["parity"]))
+        except (KeyError, TypeError):
+            _unreadable(f"root_datum.roots[{n}]", r, ("covector", "space", "parity"), ("covector", "space"))
     for what, indices, bound in (
         ("cartan", cartan, a.dim),
         ("root space", [k for r in roots for k in r.space], a.dim),
@@ -115,17 +137,13 @@ def root_datum_from_dict(d: dict, a: SuperAlgebra) -> RootDatum:
                 raise ValueError(
                     f"root {n} has parity {r.parity}, but its root vector {a.labels[k]} has parity {a.parity[k]}"
                 )
-    return RootDatum(tuple(cartan), roots, tuple(positive), tuple(simple))
+    return RootDatum(tuple(cartan), tuple(roots), tuple(positive), tuple(simple))
 
 
 def takiff_to_dict(t: TakiffAlgebra) -> dict:
     out = algebra_to_dict(t.total)
     out["takiff_of"] = t.base.name
-    out["layout"] = {
-        "base": list(range(t.n1)),
-        "theta": list(range(t.n1, 2 * t.n1)),
-        "z": t.z_index,
-    }
+    out["layout"] = {"base": list(range(t.n1)), "theta": list(range(t.n1, 2 * t.n1)), "z": t.z_index}
     out["base_algebra"] = algebra_to_dict(t.base)
     out["root_datum"] = root_datum_to_dict(t.rd)
     return out
@@ -133,29 +151,30 @@ def takiff_to_dict(t: TakiffAlgebra) -> dict:
 
 def takiff_from_dict(d: dict) -> tuple[TakiffAlgebra, HatDecomposition]:
     """build_takiff's pair (t, hat) of the file's base algebra and root datum, which must define
-    the file's stored total algebra exactly."""
+    the file's stored total algebra exactly: its bracket map is compared with the built table's."""
     if "takiff_of" not in d:
         raise ValueError("not an extension file: missing takiff_of")
     if "form" in d:
         raise ValueError("an extension file's total algebra carries no form")
-    total = algebra_from_dict(d)
+    memo: dict[str, Scalar] = {}  # one Scalar per distinct coefficient text of the file
+    _, labels, parity, brackets, _ = _algebra_parts(d, "", memo)
     lay = _mapping(d.get("layout"), "layout")
-    base = algebra_from_dict(d.get("base_algebra"), "base_algebra.")
+    base = algebra_from_dict(d.get("base_algebra"), "base_algebra.", memo)
     if d["takiff_of"] != base.name:
         raise ValueError(f"takiff_of {d['takiff_of']!r} differs from the base algebra's name {base.name!r}")
-    rd = root_datum_from_dict(d.get("root_datum"), base)
+    rd = root_datum_from_dict(d.get("root_datum"), base, memo)
     # the stored extension must be the one its base algebra and root datum define; equal lists may
     # hold True or 1.0 for 1, so each layout index must also pass the index rule
     t, hat = build_takiff(base, rd)
     n = t.n1
     want = (t.total.labels, t.total.parity, t.z_index, list(range(n)), list(range(n, 2 * n)))
-    stored = (total.labels, total.parity, lay.get("z"), lay.get("base"), lay.get("theta"))
+    stored = (labels, parity, lay.get("z"), lay.get("base"), lay.get("theta"))
     if stored != want or not all(is_index(k, t.total.dim) for k in [lay["z"], *lay["base"], *lay["theta"]]):
         raise ValueError("the stored extension's basis or layout differs from its base algebra's")
-    if total.table != t.total.table:
-        for key in sorted(total.table.keys() | t.total.table.keys()):
-            if total.table.get(key) != t.total.table.get(key):
-                raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
+    built = {(i, j, k): s for (i, j), v in t.total.table.items() for k, s in v.entries.items()}
+    if brackets != built:
+        key = min(key[:2] for key in brackets.keys() | built.keys() if brackets.get(key) != built.get(key))
+        raise ValueError(f"stored bracket {key} differs from the one its base algebra defines")
     return t, hat
 
 

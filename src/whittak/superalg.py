@@ -228,16 +228,8 @@ def build_gl(m: int, n: int) -> tuple[SuperAlgebra, RootDatum]:
         if out:
             table[(i, j)] = SparseVector(out)
 
-    form = SparseMatrix(
-        d * d,
-        d * d,
-        {
-            (idx(a, b), idx(b, a)): sign(rowp[a])
-            for a in range(d)
-            for b in range(d)
-        },
-    )
-    alg = SuperAlgebra(f"gl({m}|{n})", labels, parity, table, form)
+    form = {(idx(a, b), idx(b, a)): sign(rowp[a]) for a in range(d) for b in range(d)}
+    alg = SuperAlgebra(f"gl({m}|{n})", labels, parity, table, SparseMatrix(d * d, d * d, form))
 
     cartan = tuple(idx(a, a) for a in range(d))
     roots = []

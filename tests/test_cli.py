@@ -304,10 +304,23 @@ class TestVerify:
             (lambda d: d.pop("brackets"), "error: brackets must be a JSON list, not None"),
             (lambda d: d["base_algebra"].pop("labels"), "error: base_algebra.labels must be a JSON list, not None"),
             (lambda d: d["root_datum"].update(roots=5), "error: root_datum.roots must be a JSON list, not 5"),
+            (lambda d: d["root_datum"]["roots"][1].pop("covector"), "error: root_datum.roots[1].covector is missing"),
+            (
+                lambda d: d["root_datum"]["roots"].insert(0, ["1", "-1"]),
+                "error: root_datum.roots[0] must be a JSON object, not ['1', '-1']",
+            ),
+            (
+                lambda d: d["root_datum"]["roots"][0].update(space=3),
+                "error: root_datum.roots[0].space must be a JSON list, not 3",
+            ),
+            (lambda d: d["brackets"][2].pop("k"), "error: brackets[2].k is missing"),
+            (lambda d: d["brackets"][0].pop("coeff"), "error: brackets[0].coeff is missing"),
+            (lambda d: d["base_algebra"]["form"][1].pop("j"), "error: base_algebra.form[1].j is missing"),
         ],
         ids=[
             "layout-list", "layout-missing", "z-missing", "takiff_of", "total-form",
             "base-missing", "root-datum-missing", "brackets-missing", "base-labels-missing", "roots-int",
+            "root-no-covector", "root-list", "root-space-int", "bracket-no-k", "bracket-no-coeff", "form-no-j",
         ],
     )
     def test_malformed_extension_names_its_field(self, tmp_path, capsys, edit, want):
@@ -650,7 +663,9 @@ def _timer_metrics(script: str) -> dict:
 
 def test_extension_timer_runs():
     metrics = _timer_metrics("time_extension_checks.py")
-    assert sorted(metrics) == ["takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"]
+    assert sorted(metrics) == [
+        "load_gl22_s", "load_gl23_s", "takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"
+    ]
 
 
 def test_lift_timer_runs():
