@@ -38,7 +38,6 @@ from .fockrep import (
 )
 from .charfun import (
     FormalCharacter,
-    char_product,
     fock_character,
     verify_factorization,
     verma_character,

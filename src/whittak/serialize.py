@@ -74,6 +74,9 @@ def _records(entries: list, at: str, fields: str, dim: int, memo: dict[str, Scal
             s = _scalar(memo, b["coeff"])
         except (KeyError, TypeError):
             _unreadable(f"{at}[{n}]", b, (*fields, "coeff"))
+        except ValueError:  # the index rule's error, or a coefficient that is no string
+            _mapping(b.get("coeff", ""), f"{at}[{n}].coeff", str)
+            raise
         if s:
             out[key] = s
         else:
@@ -82,7 +85,7 @@ def _records(entries: list, at: str, fields: str, dim: int, memo: dict[str, Scal
 
 
 def _scalar(memo: dict[str, Scalar], text) -> Scalar:
-    """Scalar.parse(text), once per distinct text of one load; a non-string raises in parse's words."""
+    """Scalar.parse(text), once per distinct text of one load; a non-string's record reader names it."""
     s = memo.get(text) if isinstance(text, str) else None
     if s is None:
         s = memo[text] = Scalar.parse(text)
@@ -114,10 +117,17 @@ def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | Non
     cartan, records, positive, simple = (_mapping(d.get(k), f"root_datum.{k}", list) for k in fields)
     roots = []
     for n, r in enumerate(records):
+        at = f"root_datum.roots[{n}]"
         try:
+            if not isinstance(r["covector"], list):  # a string would be read one character at a time
+                raise TypeError
             roots.append(Root(tuple([_scalar(memo, s) for s in r["covector"]]), tuple(r["space"]), r["parity"]))
         except (KeyError, TypeError):
-            _unreadable(f"root_datum.roots[{n}]", r, ("covector", "space", "parity"), ("covector", "space"))
+            _unreadable(at, r, ("covector", "space", "parity"), ("covector", "space"))
+        except ValueError:  # a coefficient that does not parse, or is no string
+            for k, s in enumerate(r["covector"]):
+                _mapping(s, f"{at}.covector[{k}]", str)
+            raise
     for what, indices, bound in (
         ("cartan", cartan, a.dim),
         ("root space", [k for r in roots for k in r.space], a.dim),

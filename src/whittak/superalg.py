@@ -17,12 +17,12 @@ from .exactlin import (
     Scalar,
     SparseMatrix,
     SparseVector,
+    _rref,
     add_term,
     invert,
     numerators,
     rank,
     sign,
-    solve,
 )
 from .reports import Report
 
@@ -122,29 +122,21 @@ class RootDatum(NamedTuple):
                 return i
         return None
 
-    def simple_coordinates(self, root: Root) -> tuple[int, ...] | None:
-        """Nonnegative integer coordinates of a positive root over the simples."""
-        simples = self.simple_roots()
-        mat = SparseMatrix(
-            len(self.cartan),
-            len(simples),
-            {
-                (r, c): s.covector[r]
-                for c, s in enumerate(simples)
-                for r in range(len(self.cartan))
-                if s.covector[r]
-            },
-        )
-        sol = solve(mat, SparseVector({r: v for r, v in enumerate(root.covector) if v}))
-        if sol is None:
-            return None
-        coords = [0] * len(simples)
-        for c, s in sol.items():
-            k = s.as_int()
-            if k is None or k < 0:
-                return None
-            coords[c] = k
-        return tuple(coords)
+    def positive_offsets(self) -> list[tuple[int, ...]]:
+        """Each positive root's nonnegative integer coordinates over the simples, read from one
+        reduced echelon form of [simple roots | positive roots]; raises if a root has none."""
+        ns, pos = len(self.simple), self.positive_roots()
+        cols = self.simple_roots() + pos
+        rows = ({c: r.covector[t] for c, r in enumerate(cols) if r.covector[t]} for t in range(len(self.cartan)))
+        pivots, out = _rref(rows), []
+        for j, r in enumerate(pos, ns):
+            # a row zero on the simples but not at column j makes root j unspanned; else the column's
+            # values on the rows are its coordinates, free ones zero
+            coords = {p: row[j].as_int() for p, row in pivots.items() if j in row}
+            if any(k is None or k < 0 or p >= ns for p, k in coords.items()):
+                raise ValueError(f"positive root {r.covector} is not a simple combination")
+            out.append(tuple(coords.get(p, 0) for p in range(ns)))
+        return out
 
 
 class Weight(NamedTuple):

@@ -52,6 +52,13 @@ start from, has no caller left in the package.
 `apply_lift` on every vector it meets, as `verify_lift_identities` did before
 it applied each phi(e_i) to each monomial once per call and summed every
 other lift from those actions.
+`reference_verify_factorization` compared the extended Verma character with
+the Fock character times the plain Verma character coefficient by coefficient
+up to a height truncation, by expanding the three series and one product,
+before the check compared the two sides' anchors, dimensions and exponent
+maps at every height. `reference_simple_coordinates` solved for one positive
+root's coordinates over the simple roots with one `solve` per root, before one
+elimination gave every positive root's offset (`RootDatum.positive_offsets`).
 `reference_root_datum_verdicts` and `reference_partition_verdict` are the
 boolean expressions that decided the span and negatives checks of
 `verify_root_datum` and the partition check of `verify_hat_closure` before
@@ -65,7 +72,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from whittak.charfun import FormalCharacter, _positive_root_offsets
+from modules import char_difference, char_product
+
+from whittak.charfun import FormalCharacter, _positive_root_offsets, fock_character, verma_character
 from whittak.exactlin import (
     I,
     ONE,
@@ -78,11 +87,12 @@ from whittak.exactlin import (
     kernel_basis,
     rank,
     sign,
+    solve,
 )
 from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
-from whittak.superalg import EVEN, ODD, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
+from whittak.superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
 from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, dual_bases, theta_derivative
 from whittak.wfinite import NilCharacter, _generating_subset
 
@@ -885,3 +895,42 @@ def reference_partition_verdict(t: TakiffAlgebra, hat: HatDecomposition) -> bool
     """Partition covers the basis, as one sorted-list comparison."""
     parts = sorted(set(hat.n_hat) | set(hat.h_hat) | set(hat.n_minus_hat))
     return parts == list(range(t.total.dim))
+
+
+def reference_verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight, trunc: int) -> Report:
+    """Extended Verma character equals the Fock character times the plain Verma character,
+    coefficient by coefficient up to height trunc."""
+    rep = Report(f"character factorization: {t.base.name}, c = {c}, height <= {trunc}")
+    if lam.level != c:
+        raise ValueError("the weight's level must match the level c")
+    lhs = verma_character(t.rd, lam, trunc, hatted=True)
+    shifted = (lam - weyl_vector(t.rd)).restrict()
+    rhs = char_product(fock_character(t.rd, c, trunc), verma_character(t.rd, shifted, trunc, hatted=False))
+    rep.add("coefficientwise equality", char_difference(lhs, rhs))
+    rep.data["truncation"] = trunc
+    return rep
+
+
+def reference_simple_coordinates(rd: RootDatum, root: Root) -> tuple[int, ...] | None:
+    """Nonnegative integer coordinates of a positive root over the simples."""
+    simples = rd.simple_roots()
+    mat = SparseMatrix(
+        len(rd.cartan),
+        len(simples),
+        {
+            (r, c): s.covector[r]
+            for c, s in enumerate(simples)
+            for r in range(len(rd.cartan))
+            if s.covector[r]
+        },
+    )
+    sol = solve(mat, SparseVector({r: v for r, v in enumerate(root.covector) if v}))
+    if sol is None:
+        return None
+    coords = [0] * len(simples)
+    for c, s in sol.items():
+        k = s.as_int()
+        if k is None or k < 0:
+            return None
+        coords[c] = k
+    return tuple(coords)

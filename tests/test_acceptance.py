@@ -27,14 +27,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from modules import char_difference, char_product
 
-from whittak.charfun import (
-    char_difference,
-    char_product,
-    fock_character,
-    verify_factorization,
-    verma_character,
-)
+from whittak.charfun import fock_character, verify_factorization, verma_character
 from whittak.exactlin import I, ONE, ZERO, EchelonSpan, Scalar, SparseVector
 from whittak.fockrep import (
     build_fock,

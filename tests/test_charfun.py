@@ -2,25 +2,43 @@
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from modules import verify_simple_character_factorization
-from reference_engines import reference_fock_character, reference_verma_character, unit_character
+from modules import char_difference, char_product, verify_simple_character_factorization
+from reference_engines import (
+    _reference_multiply_series,
+    reference_fock_character,
+    reference_simple_coordinates,
+    reference_verify_factorization,
+    reference_verma_character,
+    unit_character,
+)
 
+from whittak import charfun
 from whittak.charfun import (
     FormalCharacter,
-    char_difference,
-    char_product,
+    _difference,
+    _exponents,
+    _free_character,
     fock_character,
     verify_factorization,
     verma_character,
 )
-from whittak.exactlin import I, ONE, ZERO, Scalar
+from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
 from whittak.fockrep import build_fock
-from whittak.superalg import Weight, build_gl, weyl_vector
+from whittak.superalg import (
+    Root,
+    RootDatum,
+    Weight,
+    build_gl,
+    grading_by_adh,
+    subalgebra_from_span,
+    weyl_vector,
+)
 from whittak.takiff import build_takiff
 
 half = Scalar(Fraction(1, 2))
@@ -38,6 +56,7 @@ def fock(m, n, c):
 
 # every gl(m|n) with m + n <= 5, the purely even and purely odd ones included
 _GL_SHAPES = [(m, k - m) for k in range(1, 6) for m in range(k + 1)]
+_GL_SHAPES_WITH_ROOTS = [(m, n) for m, n in _GL_SHAPES if m + n > 1]
 _LEVELS = [ONE, Scalar(Fraction(-2, 3)), ONE + I]
 
 
@@ -120,7 +139,7 @@ class TestVerma:
         lam = zero_weight(rd, ONE)
         ch5 = verma_character(rd, lam, 5, hatted=True)
         ch3 = verma_character(rd, lam, 3, hatted=True)
-        assert char_difference(ch5.truncated(3), ch3) is None
+        assert char_difference(ch5, ch3) is None  # compared up to the lower truncation, 3
 
     def test_zero_level_drops_clifford_factor(self):
         _, rd = extension(1, 1)
@@ -180,6 +199,28 @@ class TestAgainstReferenceEngines:
         assert same_character(ours, reference_verma_character(rd, lam, trunc, hatted=hatted))
 
 
+class TestPackedKeys:
+    @given(st.sampled_from(_GL_SHAPES_WITH_ROOTS), st.sampled_from(_LEVELS), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_a_coordinate_reaches_the_truncation(self, mn, c, trunc):
+        # an entry equal to trunc is the largest digit in radix trunc + 1; one radix less would carry it
+        f, rd = cached_fock(*mn, c)
+        lam = Weight((ZERO,) * len(rd.cartan), c)
+        for ours, ref in [
+            (fock_character(rd, c, trunc), reference_fock_character(f, trunc)),
+            (verma_character(rd, lam, trunc), reference_verma_character(rd, lam, trunc)),
+        ]:
+            assert same_character(ours, ref)
+        assert any(trunc in o for o in ours.coeffs)
+
+    def test_corner_keys(self):
+        # 1/((1-x)(1-y)) up to height 3: every entry from 0 to trunc, each coefficient 1
+        w = Weight((ZERO,))
+        ch = _free_character(w, 1, [((1, 0), 1, 0), ((0, 1), 1, 0)], 3, 2)
+        assert ch.coeffs == {(i, j): 1 for i in range(4) for j in range(4 - i)}
+        assert _free_character(w, 1, [((1, 0), 1, 0)], 0, 2).coeffs == {(0, 0): 1}
+
+
 class TestFactorization:
     def test_gl11_at_rho(self):
         t, rd = extension(1, 1)
@@ -207,6 +248,161 @@ class TestFactorization:
             fock_character(rd, ONE, 5), verma_character(rd, lam.restrict(), 5, hatted=False)
         )
         assert char_difference(lhs, rhs) is not None
+
+
+class TestExponentCertificate:
+    """The factorization compares anchors, dimensions and exponent maps, not truncated series."""
+
+    _POOL = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (2, 2)]  # offsets o with 2o among them
+    _FACTOR = st.tuples(st.sampled_from(_POOL), st.integers(0, 1), st.integers(0, 1))
+
+    @staticmethod
+    def _rewritten(factors, flags):
+        """The same product written another way: (1+x)/(1-x) as (1+x) and 1/(1-x), and 1/(1-x^o)
+        as (1+x^o)/(1-x^2o)."""
+        out = []
+        for (o, even, odd), flag in zip(factors, flags):
+            if flag and even and odd:
+                out += [(o, 1, 0), (o, 0, 1)]
+            elif flag and even:
+                out += [(o, 0, 1), (tuple(2 * x for x in o), 1, 0)]
+            else:
+                out.append((o, even, odd))
+        return out + factors[len(flags):]
+
+    @staticmethod
+    def _series(factors, trunc):
+        # the two-knob series engine: (1+x)^odd / (1-x)^even as listed first coefficients and a tail
+        ch = unit_character(Weight((ZERO,)), trunc, 2)
+        for o, even, odd in factors:
+            tail = even * (1 + odd) if even else None
+            ch = _reference_multiply_series(ch, o, [1, even + odd] if odd else [1], tail)
+        return ch
+
+    @given(
+        st.lists(_FACTOR, max_size=5),
+        st.lists(st.booleans(), max_size=5),
+        st.lists(_FACTOR, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_matches_series_comparison(self, fa, flags, extra, rnd):
+        fb = self._rewritten(fa, flags) + extra
+        rnd.shuffle(fb)
+        anchor = Weight((ZERO,))
+        # the maps agree above the largest offset either one holds, so that height covers any difference
+        trunc = max((sum(v) for v in _exponents(fa).keys() | _exponents(fb).keys()), default=0)
+        ours = _difference((anchor, 2, fa), (anchor, 2, fb))
+        assert (ours is None) == (char_difference(self._series(fa, trunc), self._series(fb, trunc)) is None)
+
+    def test_one_plus_x_over_one_minus_x_squared(self):
+        # (1+x)/(1-x^2) = 1/(1-x): equal characters whose factor lists differ
+        a = (Weight((ZERO,)), 1, [((1,), 0, 1), ((2,), 1, 0)])
+        assert _difference(a, (Weight((ZERO,)), 1, [((1,), 1, 0)])) is None
+        assert _difference(a, (Weight((ZERO,)), 1, [((1,), 0, 1)])) == "offset (2,): exponent 0 != 1"
+
+    @given(st.sampled_from(_GL_SHAPES_WITH_ROOTS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_series_check(self, mn, data):
+        t, rd = extension(*mn)
+        c = data.draw(st.sampled_from(_LEVELS))
+        lam = Weight(tuple(data.draw(st.sampled_from([ZERO, ONE, Scalar(-3), half, I])) for _ in rd.cartan), c)
+        trunc = data.draw(st.integers(0, 5))
+        ours = verify_factorization(t, c, lam, trunc)
+        ref = reference_verify_factorization(t, c, lam, trunc)
+        assert ours.passed and ref.passed
+        assert ours.to_json() == ref.to_json()
+
+    @staticmethod
+    def _fock_with(change):
+        real = charfun._fock
+
+        def planted(rd, offsets, c):
+            return change(*real(rd, offsets, c))
+
+        return planted
+
+    # shapes whose rho is nonzero, so that a dropped shift moves the anchor
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 0), (2, 2), (3, 1)])
+    def test_planted_faults_fail(self, monkeypatch, mn):
+        t, rd = extension(*mn)
+        lam = weyl_vector(rd, ONE)
+        assert verify_factorization(t, ONE, lam, 2).passed
+        flipped = self._fock_with(lambda a, d, f: (a, d, [(f[0][0], f[0][2], f[0][1]), *f[1:]]))
+        doubled = self._fock_with(lambda a, d, f: (a, 2 * d, f))
+        real_rho = charfun.weyl_vector
+
+        def no_shift(rd, level=None):
+            # rho at the Fock anchor's level stays; the lambda - rho shift drops rho
+            return real_rho(rd, level) if level is not None else Weight((ZERO,) * len(rd.cartan))
+
+        for name, fault, witness in [
+            ("_fock", flipped, "offset "),
+            ("_fock", doubled, "Clifford dimensions differ"),
+            ("weyl_vector", no_shift, "anchors differ"),
+        ]:
+            with monkeypatch.context() as mp:
+                mp.setattr(charfun, name, fault)
+                rep = verify_factorization(t, ONE, lam, 2)
+            assert not rep.passed
+            assert rep.checks[0].witness.startswith(witness)
+
+
+def osp12_root_datum():
+    """osp(1|2) as `build span` closes its principal e and f in gl(1|2): the Cartan element
+    h = E_33 - E_11 and the roots +-alpha (odd) and +-2 alpha (even), read from ad h."""
+    a, _ = build_gl(1, 2)
+    unit = lambda label: SparseVector.unit(a.labels.index(label))  # noqa: E731
+    sub, emb = subalgebra_from_span(a, [unit("E_21") + unit("E_32"), unit("E_23") - unit("E_12")])
+    h = next(j for j in range(sub.dim) if emb.column(j) == unit("E_33") - unit("E_11"))
+    degrees = grading_by_adh(sub, SparseVector.unit(h))
+    roots = tuple(Root((Scalar(d),), (j,), sub.parity[j]) for j, d in enumerate(degrees) if d)
+    positive = tuple(i for i, r in enumerate(roots) if r.covector[0].as_int() > 0)
+    simple = tuple(i for i, r in enumerate(roots) if r.covector[0] == ONE)
+    return RootDatum((h,), roots, positive, simple)
+
+
+class TestPositiveOffsets:
+    """One elimination of [simple roots | positive roots] against one `solve` per root."""
+
+    _DATA = [f"gl({m}|{n})" for m, n in _GL_SHAPES] + ["osp(1|2)"]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _root_datum(name):
+        if name == "osp(1|2)":
+            return osp12_root_datum()
+        m, n = map(int, name[3:-1].split("|"))
+        return build_gl(m, n)[1]
+
+    def test_osp12(self):
+        rd = osp12_root_datum()
+        assert [r.parity for r in rd.positive_roots()] == [1, 0]
+        assert rd.positive_offsets() == [(1,), (2,)]
+
+    @given(st.sampled_from(_DATA), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_root_solve(self, name, data):
+        rd = self._root_datum(name)
+        # the datum's own simples, or any few positive roots in their place
+        others = st.lists(st.sampled_from(rd.positive), unique=True, max_size=len(rd.simple) + 1)
+        simple = data.draw(st.just(rd.simple) | others.map(tuple) if rd.positive else st.just(rd.simple))
+        rd = rd._replace(simple=simple)
+        want = [reference_simple_coordinates(rd, r) for r in rd.positive_roots()]
+        if None in want:
+            bad = rd.positive_roots()[want.index(None)]
+            with pytest.raises(ValueError, match=re.escape(f"positive root {bad.covector} is not a simple")):
+                rd.positive_offsets()
+        else:
+            assert rd.positive_offsets() == want
+
+    def test_unspanned_root_raises(self):
+        rd = osp12_root_datum()
+        # 2 alpha as the one simple root: alpha is half of it
+        halved = rd._replace(simple=(rd.positive[1],))
+        with pytest.raises(ValueError, match="is not a simple combination"):
+            halved.positive_offsets()
+        assert reference_simple_coordinates(halved, rd.positive_roots()[0]) is None
 
 
 class TestSimpleCharacterIdentity:

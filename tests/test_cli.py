@@ -316,11 +316,40 @@ class TestVerify:
             (lambda d: d["brackets"][2].pop("k"), "error: brackets[2].k is missing"),
             (lambda d: d["brackets"][0].pop("coeff"), "error: brackets[0].coeff is missing"),
             (lambda d: d["base_algebra"]["form"][1].pop("j"), "error: base_algebra.form[1].j is missing"),
+            (
+                lambda d: d["root_datum"]["roots"][0].update(covector="10"),
+                "error: root_datum.roots[0].covector must be a JSON list, not '10'",
+            ),
+            (
+                lambda d: d["root_datum"]["roots"][0]["covector"].__setitem__(1, 1),
+                "error: root_datum.roots[0].covector[1] must be a JSON string, not 1",
+            ),
+            (
+                lambda d: d["brackets"][0].update(coeff=1),
+                "error: brackets[0].coeff must be a JSON string, not 1",
+            ),
+            (
+                lambda d: d["base_algebra"]["form"][1].update(coeff=None),
+                "error: base_algebra.form[1].coeff must be a JSON string, not None",
+            ),
+            (
+                lambda d: d["base_algebra"]["brackets"][0].update(coeff=[1]),
+                "error: base_algebra.brackets[0].coeff must be a JSON string, not [1]",
+            ),
+            # a coefficient text that does not parse, or an index out of range, keeps its own error
+            (lambda d: d["brackets"][0].update(coeff="1/"), "error: cannot parse scalar '1/'"),
+            (
+                lambda d: d["root_datum"]["roots"][0]["covector"].__setitem__(0, "x"),
+                "error: cannot parse scalar 'x'",
+            ),
+            (lambda d: d["brackets"][0].update(k=99), "error: bracket entry"),
         ],
         ids=[
             "layout-list", "layout-missing", "z-missing", "takiff_of", "total-form",
             "base-missing", "root-datum-missing", "brackets-missing", "base-labels-missing", "roots-int",
             "root-no-covector", "root-list", "root-space-int", "bracket-no-k", "bracket-no-coeff", "form-no-j",
+            "covector-string", "covector-int-entry", "bracket-int-coeff", "form-null-coeff",
+            "base-bracket-list-coeff", "bracket-bad-text", "covector-bad-text", "bracket-k-outside",
         ],
     )
     def test_malformed_extension_names_its_field(self, tmp_path, capsys, edit, want):

@@ -444,7 +444,7 @@ class TestWordPairing:
         import ast
 
         a, rd, t, g, e, chi, f = gl12_twisted_fock()
-        pos = rd.positive_roots()
+        pos, offsets = rd.positive_roots(), rd.positive_offsets()
         # evens first in the extended algebra: barred odd-root vectors are even
         order = sorted(range(len(pos)), key=lambda i: (pos[i].parity ^ 1, i))
         us, xs, ds, odd_mask, phis = [], [], [], [], []
@@ -456,7 +456,7 @@ class TestWordPairing:
             xs.append(t.embed(f.dual.F[i], 1).scale(scale))
             odd_mask.append(t.total.parity[bar_idx] == 1)
             phis.append(chi.value(bar_idx))
-            ds.append(sum(rd.simple_coordinates(pos[i])))
+            ds.append(sum(offsets[i]))
         assert odd_mask == [False, False, True]
         assert ds == [1, 1, 2]
         v = f.vacuum()
@@ -535,13 +535,13 @@ class TestTensorWordPairing:
         t, chi, f = gl11_twisted_fock()
         a, rd = t.base, t.rd
         tm = TensorModule(natural_module(a, 1, 1), f)
-        pos = rd.positive_roots()
+        pos, offsets = rd.positive_roots(), rd.positive_offsets()
         us, xs, ds, odd_mask, phis = [], [], [], [], []
         for i, r in enumerate(pos):
             bar = t.theta(r.space[0])
             us.append(SparseVector.unit(bar))
             xs.append(t.embed(f.dual.F[i], 1).scale((-ONE if r.parity == ODD else ONE) / f.c))
-            ds.append(sum(rd.simple_coordinates(r)))
+            ds.append(sum(offsets[i]))
             odd_mask.append(t.total.parity[bar] == ODD)
             phis.append(chi.value(bar))
         bare = pairing_word_check(f, us, xs, ds, odd_mask, phis, f.vacuum(), 3)
