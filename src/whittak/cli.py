@@ -55,7 +55,7 @@ def _write(text: str, out: str | None):
 
 def _emit_report(rep: Report, out: str | None, seed: int) -> int:
     rep.seed = seed
-    _write(rep.to_json() + "\n", out)
+    _write(serialize.dumps(rep.to_dict()), out)
     return 0 if rep.passed else 1
 
 

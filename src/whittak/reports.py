@@ -1,8 +1,7 @@
-"""Pass/fail reports with witnesses, serializable to deterministic JSON."""
+"""Pass/fail reports with witnesses, as JSON-ready dicts (`serialize.dumps` writes them)."""
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple
 
 
@@ -62,9 +61,6 @@ class Report:
         if self.data:
             out["data"] = self.data
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary(self) -> str:
         ok = sum(1 for c in self.checks if c.passed)

@@ -1,13 +1,16 @@
 """JSON formats for algebras, root data, characters, vectors, and reports.
 
-All scalar values are the text form "p/q" / "p/q+r/s*i"; emitted JSON is
-byte-stable (sorted keys, fixed separators).
+All scalar values are the text form "p/q" / "p/q+r/s*i". `dumps` is the one
+JSON writer of the package, for every file and report: its text is exactly
+`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, written by the C encoder.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import itemgetter
+from typing import Callable
 
 from .exactlin import Scalar, SparseMatrix, SparseVector
 from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index
@@ -15,8 +18,60 @@ from .takiff import HatDecomposition, TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_SCALARS = {str, int, float, bool, type(None)}
+_ENCODE: dict[int, Callable[[object], str]] = {}  # indent level -> its C encoder, made on first use
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    `indent` would select json's pure-Python encoder, so each container is written by the C
+    encoder with the item separator ",\\n" + indent: a container of scalars in one call, a list
+    of non-empty dicts of scalars (bracket, form and check records) in one call whose record
+    boundaries one `str.replace` re-indents, anything else item by item. The replace is exact: a
+    raw newline occurs only in separators, since the encoder escapes it inside strings, and
+    within a record of scalars no separator follows a "}".
+    """
+    return _text(obj, 0) + "\n"
+
+
+def _text(o, level: int) -> str:
+    """o as json.dumps(o, sort_keys=True, indent=2) writes it at indent `level`."""
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        return _encoder(level)(o)  # a scalar, or the TypeError json.dumps raises
+    if not o:
+        return "{}" if is_dict else "[]"
+    pad, sep = "  " * level, ",\n" + "  " * (level + 1)
+    types = set(map(type, o.values() if is_dict else o))
+    if types <= _SCALARS:
+        s = _encoder(level + 1)(o)
+        return f"{s[0]}{sep[1:]}{s[1:-1]}\n{pad}{s[-1]}"
+    if is_dict:
+        items = [f"{_key(k)}: {_text(v, level + 1)}" for k, v in sorted(o.items())]
+        return f"{{{sep[1:]}{sep.join(items)}\n{pad}}}"
+    if types == {dict} and all(o) and set(map(type, chain.from_iterable(map(dict.values, o)))) <= _SCALARS:
+        rec, fld = sep[2:], "  " * (level + 2)
+        s = _encoder(level + 2)(o).replace(f"}},\n{fld}{{", f"\n{rec}}},\n{rec}{{\n{fld}")
+        return f"[\n{rec}{{\n{fld}{s[2:-2]}\n{rec}}}\n{pad}]"
+    return f"[{sep[1:]}{sep.join([_text(v, level + 1) for v in o])}\n{pad}]"
+
+
+def _encoder(level: int) -> Callable[[object], str]:
+    """The C encoder (sorted keys) whose item separator is a comma, a newline and `level`'s indent."""
+    enc = _ENCODE.get(level)
+    if enc is None:
+        enc = _ENCODE[level] = json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode
+    return enc
+
+
+def _key(k) -> str:
+    """A dict key's JSON text as json.dumps converts it: a number, bool or None is quoted JSON text."""
+    if isinstance(k, str):
+        return _encoder(0)(k)
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{_encoder(0)(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def algebra_to_dict(a: SuperAlgebra) -> dict:
@@ -119,8 +174,8 @@ def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | Non
     for n, r in enumerate(records):
         at = f"root_datum.roots[{n}]"
         try:
-            if not isinstance(r["covector"], list):  # a string would be read one character at a time
-                raise TypeError
+            if not (isinstance(r["covector"], list) and isinstance(r["space"], list)):
+                raise TypeError  # a string would be read one character at a time
             roots.append(Root(tuple([_scalar(memo, s) for s in r["covector"]]), tuple(r["space"]), r["parity"]))
         except (KeyError, TypeError):
             _unreadable(at, r, ("covector", "space", "parity"), ("covector", "space"))

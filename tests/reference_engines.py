@@ -63,11 +63,15 @@ elimination gave every positive root's offset (`RootDatum.positive_offsets`).
 boolean expressions that decided the span and negatives checks of
 `verify_root_datum` and the partition check of `verify_hat_closure` before
 each of them named its first offending basis vector or root.
+`reference_dumps` is the one-line JSON writer that `serialize.dumps` was
+before it wrote each container with the C encoder: `json.dumps` with sorted
+keys and `indent=2`, which runs json's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -934,3 +938,8 @@ def reference_simple_coordinates(rd: RootDatum, root: Root) -> tuple[int, ...] |
             return None
         coords[c] = k
     return tuple(coords)
+
+
+def reference_dumps(obj) -> str:
+    """The text of a file or report as the package wrote it with json's pure-Python encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -214,14 +214,14 @@ class TestFactorization:
     def test_gl11_at_rho(self):
         t, rd = extension(1, 1)
         rep = verify_factorization(t, ONE, weyl_vector(rd, ONE), 6)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_gl21_integral_weight(self):
         c = Scalar(2)
         t, rd = extension(2, 1)
         lam = Weight((Scalar(1), ZERO, Scalar(-1)), c)
         rep = verify_factorization(t, c, lam, 4)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_level_mismatch_rejected(self):
         t, rd = extension(1, 1)
@@ -300,7 +300,7 @@ class TestExponentCertificate:
         ours = verify_factorization(t, c, lam, trunc)
         ref = reference_verify_factorization(t, c, lam, trunc)
         assert ours.passed and ref.passed
-        assert ours.to_json() == ref.to_json()
+        assert ours.to_dict() == ref.to_dict()
 
     @staticmethod
     def _fock_with(change):
@@ -400,7 +400,7 @@ class TestSimpleCharacterIdentity:
         rep = verify_simple_character_factorization(
             rd, ONE, ch_ls, lam, 6, ch_l=fock_character(rd, ONE, 6)
         )
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_typical_weight_reduces_to_verma_factorization(self):
         _, rd = extension(2, 1)
@@ -411,7 +411,7 @@ class TestSimpleCharacterIdentity:
         rep = verify_simple_character_factorization(
             rd, ONE, ch_ms, lam, 4, ch_l=verma_character(rd, lam, 4, hatted=True)
         )
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_zero_character_gives_zero(self):
         _, rd = extension(1, 1)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engines import reference_dumps
 
 from whittak import cli, serialize
 from whittak.cli import main
@@ -321,6 +322,14 @@ class TestVerify:
                 "error: root_datum.roots[0].covector must be a JSON list, not '10'",
             ),
             (
+                lambda d: d["root_datum"]["roots"][0].update(space="1"),
+                "error: root_datum.roots[0].space must be a JSON list, not '1'",
+            ),
+            (
+                lambda d: d["root_datum"]["roots"][0].update(space="01"),
+                "error: root_datum.roots[0].space must be a JSON list, not '01'",
+            ),
+            (
                 lambda d: d["root_datum"]["roots"][0]["covector"].__setitem__(1, 1),
                 "error: root_datum.roots[0].covector[1] must be a JSON string, not 1",
             ),
@@ -348,7 +357,7 @@ class TestVerify:
             "layout-list", "layout-missing", "z-missing", "takiff_of", "total-form",
             "base-missing", "root-datum-missing", "brackets-missing", "base-labels-missing", "roots-int",
             "root-no-covector", "root-list", "root-space-int", "bracket-no-k", "bracket-no-coeff", "form-no-j",
-            "covector-string", "covector-int-entry", "bracket-int-coeff", "form-null-coeff",
+            "covector-string", "space-string", "space-string-two", "covector-int-entry", "bracket-int-coeff", "form-null-coeff",
             "base-bracket-list-coeff", "bracket-bad-text", "covector-bad-text", "bracket-k-outside",
         ],
     )
@@ -631,6 +640,43 @@ class TestCliPaths:
             assert (tmp_path / f"patched{n}").read_bytes() == plain[n]
 
 
+class TestWrittenText:
+    """Every file and report the CLI writes is the text of json's pure-Python encoder."""
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 3)], ids=lambda mn: f"gl{mn[0]}{mn[1]}")
+    def test_every_written_file_is_the_reference_text(self, tmp_path, mn):
+        m, n = mn
+        alg, tak = tmp_path / "alg.json", tmp_path / "tak.json"
+        doc = copy.deepcopy(_valid_file(m, n, "algebra"))
+        doc["brackets"][0]["coeff"] = str(Scalar.parse(doc["brackets"][0]["coeff"]) + Scalar(1))
+        bad, zero = write(tmp_path / "bad.json", doc), write(tmp_path / "zero.json", {"domain": [], "values": {}})
+        argvs = [
+            ["build", "gl", "--m", m, "--n", n, "--out", alg],
+            ["build", "takiff", "--of", alg, "--out", tak],
+            ["verify", "algebra", "--alg", alg],
+            ["verify", "algebra", "--alg", bad],  # a failing report: its checks carry witnesses
+            ["verify", "takiff", "--alg", tak],
+            ["verify", "highest-weight", "--alg", tak, "--c=-2/3"],
+            ["verify", "factorization", "--alg", tak, "--c=1+1*i", "--trunc", 4],
+            ["verify", "fock-lift", "--alg", tak, "--deg", 1],
+            ["character", "--kind", "fock", "--alg", tak, "--c=2/3", "--trunc", 4, "--format", "json"],
+            ["character", "--kind", "verma", "--alg", tak, "--trunc", 3],
+            ["whittaker", "--alg", tak, "--chi", zero, "--trunc", 2],
+        ]
+        if abs(m - n) == 1:
+            labels = ["E_21"] + [f"E_{k + 1}{k}" for k in range(2, m + n)]
+            e = write(tmp_path / "e.json", {"coords": {lab: "1" for lab in labels}})
+            argvs += [["verify", "skryabin", "--alg", tak, "--e", e], ["verify", "regularity", "--alg", tak, "--e", e]]
+        codes = []
+        for k, argv in enumerate(argvs):
+            if "--out" not in argv:
+                argv += ["--out", tmp_path / f"out{k}.json"]
+            codes.append(run(argv))
+            text = Path(argv[-1]).read_text()
+            assert text == reference_dumps(json.loads(text)), argv
+        assert codes == [0, 0, 0, 1] + [0] * (len(argvs) - 4)
+
+
 def test_parser_reuse_carries_nothing_over(gl11_tak, tmp_path):
     """A usage error and a call with --seed and --c leave no value behind for
     the next call in the same process, which writes the bytes a fresh process writes."""
@@ -693,7 +739,8 @@ def _timer_metrics(script: str) -> dict:
 def test_extension_timer_runs():
     metrics = _timer_metrics("time_extension_checks.py")
     assert sorted(metrics) == [
-        "load_gl22_s", "load_gl23_s", "takiff_from_dict_s", "verify_algebra_s", "verify_takiff_s"
+        "dumps_gl22_s", "dumps_gl23_s", "load_gl22_s", "load_gl23_s", "takiff_from_dict_s", "verify_algebra_s",
+        "verify_takiff_s",
     ]
 
 

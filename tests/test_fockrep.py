@@ -103,7 +103,7 @@ class TestBarredRelations:
             f = fock(m, n, c, eta)
             assert f.twisted == bool(eta)
             rep = reference_verify_relations(f, max_degree=2)
-            assert rep.passed, rep.to_json()
+            assert rep.passed, rep.to_dict()
 
     def test_twisted_vacuum_eigenvalue(self):
         # (Ebar_beta - eta(Ebar_beta))|0> = 0 for a twisted odd simple
@@ -234,11 +234,11 @@ class TestLift:
     )
     def test_lift_identities(self, m, n, c, deg):
         rep = verify_lift_identities(fock(m, n, c), max_degree=deg)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_lift_identities_twisted(self):
         rep = verify_lift_identities(_twisted_gl21(Scalar(2)), max_degree=1)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_corrupted_prefactor_caught(self):
         f = fock(1, 1, ONE)
@@ -321,7 +321,7 @@ class TestHighestWeight:
     @pytest.mark.parametrize("m,n,c", [(1, 1, Scalar(2)), (2, 1, Scalar(1)), (2, 0, Scalar(1))])
     def test_passes(self, m, n, c):
         rep = verify_highest_weight(fock(m, n, c))
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_gl11_value(self):
         f = fock(1, 1, Scalar(2))
@@ -354,7 +354,7 @@ class TestWhittakerCovariance:
         # (a1|a2) = 1 for gl(2|1), [E_a1, E_a2] = E_13 with unit coefficient
         chi_hat = {even_slot: ONE * ONE / c}
         rep = verify_whittaker_covariance(f, chi_hat, max_degree=1)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_zero_twist_reduces_to_highest_weight(self):
         a, rd = build_gl(2, 1)
@@ -430,7 +430,7 @@ class TestTensor:
         L = natural_module(f.base, 1, 1)
         tm = TensorModule(L, f)
         rep = cyclicity_spot_check(tm, seed=0, samples=20)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert rep.seed == 0
 
 
@@ -584,7 +584,7 @@ class TestLiftCheckMemo:
         f = _twisted_gl12(c) if name == "gl12.twisted" else fock(int(name[2]), int(name[3]), c)
         want = reference_verify_lift_identities(f, deg)
         assert want.passed
-        assert verify_lift_identities(f, deg).to_json() == want.to_json()
+        assert verify_lift_identities(f, deg).to_dict() == want.to_dict()
 
     @pytest.mark.parametrize("planted", [_DoubledLift, _ConstantDroppedLift, _OddNegatedLift])
     def test_planted_fault_has_the_reference_witness(self, planted):
@@ -592,7 +592,7 @@ class TestLiftCheckMemo:
         f = planted(g.takiff, g.c, g.eta)
         want = reference_verify_lift_identities(f, 1)
         assert not want.passed
-        assert verify_lift_identities(f, 1).to_json() == want.to_json()
+        assert verify_lift_identities(f, 1).to_dict() == want.to_dict()
 
     @given(
         st.sampled_from(["gl11", "gl21", "gl12.twisted"]),

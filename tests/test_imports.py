@@ -119,3 +119,28 @@ def test_src_names_are_reached():
     """No module-level function or class of the package is reached only from the tests: test-only
     code lives under tests/ (`modules.py`, `reference_engines.py`, `oracles.py`)."""
     assert _unreached_src_names(ROOT) == []
+
+
+_JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _json_writer_uses(path: Path) -> list[tuple[str, str, str]]:
+    """(file, enclosing top-level function, name) for each json writer the module reaches: an
+    attribute `json.dump`, `json.dumps` or `json.JSONEncoder`, or any name imported from json."""
+    uses = []
+    for top in ast.parse(path.read_text()).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for n in ast.walk(top):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "json":
+                if n.attr in _JSON_WRITERS:
+                    uses.append((path.name, where, n.attr))
+            elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "json":
+                uses += [(path.name, where, alias.name) for alias in n.names]
+    return uses
+
+
+def test_serialize_dumps_is_the_one_json_writer():
+    """No module of the package writes JSON but through `serialize.dumps`, whose C encoders
+    `serialize._encoder` makes: every file and report keeps one writer and one text."""
+    uses = [u for p in sorted((ROOT / "src" / "whittak").glob("*.py")) for u in _json_writer_uses(p)]
+    assert uses == [("serialize.py", "_encoder", "JSONEncoder")]

@@ -5,10 +5,10 @@ import functools
 import json
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from modules import character_from_dict, module_vector_from_dict, nilchar_to_dict
-from reference_engines import reference_takiff_from_dict
+from reference_engines import reference_dumps, reference_takiff_from_dict
 
 from whittak import serialize
 from whittak.exactlin import I, ONE, Scalar
@@ -186,3 +186,30 @@ def test_character_roundtrip():
     ch2 = character_from_dict(json.loads(json.dumps(d)))
     assert ch2.anchor == ch.anchor
     assert ch2.coeffs == ch.coeffs
+
+
+# texts that look like the writer's own separators and brackets, the record boundary among them
+_TRICKY = ['"', "\\", "\n", "é", "ß€", "[{", "}]", "},", '"},\n    {"', "},\n    {", "\t", ": "]
+_TEXT = st.one_of(st.text(max_size=6), st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
+_RECORD = st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=4)  # a bracket, form or check record
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.lists(_RECORD, min_size=1, max_size=5),
+        st.lists(st.one_of(_RECORD, st.just({}), children), min_size=1, max_size=5),
+    )
+
+
+@given(st.recursive(st.one_of(_SCALAR, _RECORD), _containers, max_leaves=24))
+@example([{"i": 0, "coeff": "},\n    {"}, {"j": 1}])
+@example({"brackets": [{"i": 1, "k": None}, {"i": 2.5, "k": True}], "z": [], "w": {}, "v": [{}]})
+@example({3: [1, [2, {}]], -1: {"": "é"}, 10: [{"a": "[{"}, [], {"b": "}]"}]})
+@settings(max_examples=200, deadline=None)
+def test_dumps_is_the_pure_python_text(obj):
+    """The C-encoder writer and the pure-Python encoder write the same text for any JSON value."""
+    assert serialize.dumps(obj) == reference_dumps(obj)

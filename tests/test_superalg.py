@@ -67,7 +67,7 @@ class TestBuildGl:
         a, rd = build_gl(m, n)
         assert a.dim == (m + n) ** 2
         rep = verify_algebra(a)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert verify_root_datum(a, rd).passed
 
     def test_gl21_against_matrix_oracle(self):
@@ -176,7 +176,7 @@ class TestStructureJoins:
         rescale_basis(a, data)
         edit_table(a.table, st.integers(0, a.dim - 1), data)
         a.form = edited_form(a.form, data)
-        assert verify_algebra(a).to_json() == reference_verify_algebra(a).to_json()
+        assert verify_algebra(a).to_dict() == reference_verify_algebra(a).to_dict()
 
 
 class TestSubalgebra:

@@ -32,7 +32,7 @@ class TestBuild:
         t, hat = tak(1, 1)
         assert t.total.dim == 9
         rep = verify_takiff(t)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert verify_hat_closure(t, hat).passed
 
     def test_gl10_heisenberg_like(self):
@@ -75,7 +75,7 @@ class TestStructureJoins:
         index = st.one_of(st.just(t.z_index), st.integers(0, t.total.dim - 1))
         edit_table(t.total.table, index, data)
         t.base.form = edited_form(t.base.form, data)
-        assert verify_takiff(t).to_json() == reference_verify_takiff(t).to_json()
+        assert verify_takiff(t).to_dict() == reference_verify_takiff(t).to_dict()
 
 
 class TestOddForm:

@@ -167,7 +167,7 @@ class TestSolveDuals:
         chi = nilchar_from_e(t, g, e)
         duals = solve_dual_elements(t, g, e)
         rep = verify_skryabin_conditions(g, chi, duals)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_zero_phi_fails_diagonal(self):
         a, rd, t, g, e, h = gl12_principal()
@@ -308,7 +308,7 @@ class TestRegularity:
         )
         zeta = zeta_from_chi(t, chi_even, ONE)
         rep = regularity_check(zeta, rd)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_zero_zeta_not_regular(self):
         a, rd = build_gl(2, 1)
@@ -358,7 +358,7 @@ class TestPrincipalTwistedModule:
 
         a, rd, t, g, e, chi, f = gl12_twisted_fock()
         rep = verify_lift_identities(f, max_degree=1)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
     def test_vacuum_covariance_value(self):
         # the unbarred even root vector acts on the vacuum by the hat value
@@ -375,7 +375,7 @@ class TestPrincipalTwistedModule:
         assert (eta1, eta2) == (ONE, -ONE)
         want = pairing * eta1 * eta2 / f.c  # [E_a1, E_a2] = E_13 with unit coefficient
         rep = verify_whittaker_covariance(f, {even_slot: want}, max_degree=1)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
 
 
 class TestWhittakerSolver:
@@ -461,7 +461,7 @@ class TestWordPairing:
         assert ds == [1, 1, 2]
         v = f.vacuum()
         rep = pairing_word_check(f, us, xs, ds, odd_mask, phis, v, 3)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert rep.data["diagonal_scalars"]
         # frozen diagonal values: product of factorials over the even slots
         for key, val in rep.data["diagonal_scalars"].items():
@@ -547,7 +547,7 @@ class TestTensorWordPairing:
         bare = pairing_word_check(f, us, xs, ds, odd_mask, phis, f.vacuum(), 3)
         assert bare.passed and bare.data["pairs_checked"] > 1
         tensor = pairing_word_check(tm, us, xs, ds, odd_mask, phis, tm.vacuum_line()[0], 3)
-        assert tensor.to_json() == bare.to_json()
+        assert tensor.to_dict() == bare.to_dict()
 
 
 @pytest.mark.parametrize("m, n, words", [(2, 1, 4), (2, 3, 8), (3, 2, 8)])
