@@ -121,9 +121,6 @@ def test_src_names_are_reached():
     assert _unreached_src_names(ROOT) == []
 
 
-_JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
-
-
 def _json_writer_uses(path: Path) -> list[tuple[str, str, str]]:
     """(file, enclosing top-level function, name) for each json writer the module reaches: an
     attribute `json.dump`, `json.dumps` or `json.JSONEncoder`, or any name imported from json."""
@@ -132,7 +129,7 @@ def _json_writer_uses(path: Path) -> list[tuple[str, str, str]]:
         where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for n in ast.walk(top):
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "json":
-                if n.attr in _JSON_WRITERS:
+                if n.attr in {"dump", "dumps", "JSONEncoder"}:
                     uses.append((path.name, where, n.attr))
             elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "json":
                 uses += [(path.name, where, alias.name) for alias in n.names]
