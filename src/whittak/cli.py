@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
             r = t.rd.roots[pidx]
             if r.parity == 0:
                 chi_hat[i] = hatted.value(r.space[0])
-        rep = verify_whittaker_covariance(f, chi_hat, _nonnegative(args.deg, "--deg"))
+        rep = verify_whittaker_covariance(f, chi_hat)
         return _emit_report(rep, args.out, args.seed)
 
     if suite == "factorization":

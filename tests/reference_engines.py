@@ -30,7 +30,10 @@ extension's bracket table. `reference_verify_relations` is that check, the
 operator loop that applied every ordered pair of barred generators to every
 basis vector up to a degree bound; a Fock module now checks the same
 relations once, exactly and at every degree, as its slot table, so the loop
-stays as the operator-level cross-check of `apply_barred`. `reference_fock_guards`
+stays as the operator-level cross-check of `apply_barred`.
+`reference_verify_whittaker_covariance` is the covariance check before it read
+local nilpotency off the lift tables by height: it applied X - chi_hat(X) at
+most 8 times to every monomial up to a degree bound. `reference_fock_guards`
 holds the two guards that construction ran before the slot table replaced
 them: the dual bases' pairing loop and the isotropy loop of the annihilator
 span. `reference_takiff_from_dict` is the exact
@@ -706,6 +709,48 @@ def reference_verify_relations(f: FockModule, max_degree: int) -> Report:
                         yield f"[{kx}bar[{ix}], {ky}bar[{iy}]] mismatch on {next(iter(v.terms))}"
 
     rep.first_failure("generator commutator table", failures())
+    return rep
+
+
+def reference_verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar], max_degree: int) -> Report:
+    """(X - chi_hat(X)) kills the vacuum and is nilpotent within 8 steps on low degrees.
+
+    chi_hat holds the expected eigenvalues on the unbarred even positive root
+    vectors, keyed by position in the positive-root list.
+    """
+    offenders = [
+        i
+        for i in f.poly_slots
+        if f.eta.get(i) and f.rd.roots[f.rd.positive[i]] not in f.rd.simple_roots()
+    ]
+    if offenders:
+        raise ValueError(f"twist supported outside the simple odd roots: positions {offenders}")
+
+    rep = Report(f"whittaker covariance: {f.base.name}, c = {f.c}")
+    vac = f.vacuum()
+    rep.first_failure(
+        "vacuum eigen-equations",
+        (
+            f"vacuum is not an eigenvector for even positive root {i}"
+            for i in f.grass_slots
+            if f.apply_lift(f.dual.E[i], vac) != vac.scale(chi_hat.get(i, ZERO))
+        ),
+    )
+
+    def nilpotency_failures():
+        keys = f.basis_keys(max_degree)
+        for i in f.grass_slots:
+            X, val = f.dual.E[i], chi_hat.get(i, ZERO)
+            for ix in keys:
+                y = ModuleVector({ix: ONE})
+                steps = 0
+                while y and steps < 8:
+                    y = f.apply_lift(X, y) - y.scale(val)
+                    steps += 1
+                if y:
+                    yield f"(X - value) not nilpotent within 8 steps at {ix}"
+
+    rep.first_failure("local nilpotency up to the bound", nilpotency_failures())
     return rep
 
 

@@ -222,9 +222,7 @@ def test_criterion_05_whittaker_covariance():
             hatted = hat_eta(t, eta_nc, c)
             ok &= hatted.value(even_idx) == pairing * v1 * v2 / c
             f = build_fock(t, c, eta_for_fock(t, eta_nc))
-            rep = verify_whittaker_covariance(
-                f, {even_slot: hatted.value(even_idx)}, max_degree=0
-            )
+            rep = verify_whittaker_covariance(f, {even_slot: hatted.value(even_idx)})
             ok &= rep.checks[0].passed
     assert crit(5, ok, "vacuum covariance and hat values over the 16-point grid")
 

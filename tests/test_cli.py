@@ -374,7 +374,6 @@ class TestVerify:
         [
             (["fock-lift", "--deg=-1"], "--deg must be nonnegative"),
             (["appendix", "--weight-bound=-1"], "--weight-bound must be nonnegative"),
-            (["whittaker-covariance", "--deg=-5"], "--deg must be nonnegative"),
         ],
     )
     def test_negative_size_flags_are_one_error_line(self, gl11_tak, tmp_path, capsys, argv, want):
@@ -536,7 +535,7 @@ class TestCliPaths:
         eta = write(tmp_path / "eta.json", _GL11_ETA)
         out = tmp_path / "rep.json"
         assert run(["verify", "whittaker-covariance", "--alg", gl11_tak, "--eta", eta, "--out", out]) == 0
-        assert sha(out) == "6fda5f0921991b9a1c1b5c92d327c5f23471feddadc8bb557c5cb630aa09d6f5"
+        assert sha(out) == "c7b14f2d83a42271931f914792a37b0969d45b61b9075166b2481ecfd485dfdd"
 
     def test_regularity_from_a_character_file(self, gl11_tak, tmp_path):
         chi = write(tmp_path / "chi.json", _GL11_ETA)
@@ -616,9 +615,18 @@ class TestCliPaths:
         # the hat value on E_13 is nonzero
         eta = write(tmp_path / "eta.json", {"domain": [10, 14], "values": {"10": "1", "14": "1"}})
         out = tmp_path / "rep.json"
-        argv = ["verify", "whittaker-covariance", "--alg", gl21_tak, "--c", "2", "--deg", 2, "--eta", eta]
+        argv = ["verify", "whittaker-covariance", "--alg", gl21_tak, "--c", "2", "--eta", eta]
         assert run(argv + ["--out", out]) == 0
-        assert sha(out) == "3ca8095a1ade7e16f9ae4519ac21e147e47ed624947d2e5f80bc25e3d593a94f"
+        assert sha(out) == "84ac7a9be552b9eff67827d0f4cbff7063054aa5aa44c4e70ada79b90c1634fc"
+
+    def test_whittaker_covariance_past_eight_steps(self, gl21_tak, tmp_path):
+        # X - chi_hat(X) needs 9 steps on x_{E_23}^7 x_{E_13}, a degree-8 monomial; the
+        # height check holds at every degree, so --deg is not read
+        eta = write(tmp_path / "eta.json", {"domain": [10, 14], "values": {"10": "-1", "14": "1"}})
+        argv = ["verify", "whittaker-covariance", "--alg", gl21_tak, "--c", "1", "--eta", eta]
+        for deg in (7, 8):
+            assert run(argv + ["--deg", deg, "--out", tmp_path / f"rep{deg}.json"]) == 0
+        assert (tmp_path / "rep7.json").read_bytes() == (tmp_path / "rep8.json").read_bytes()
 
     def test_characters_build_no_fock_module(self, gl21_tak, tmp_path, monkeypatch):
         # the Fock character is a function of the root datum and the level
@@ -838,7 +846,7 @@ def _valid_input(m, n, kind):
 _INPUT_COMMANDS = {
     "nilcharacter": [
         ["whittaker", "--alg", "{alg}", "--chi", "{file}", "--trunc", "1"],
-        ["verify", "whittaker-covariance", "--alg", "{alg}", "--eta", "{file}", "--deg", "0"],
+        ["verify", "whittaker-covariance", "--alg", "{alg}", "--eta", "{file}"],
         ["verify", "regularity", "--alg", "{alg}", "--chi", "{file}"],
         ["verify", "fock-lift", "--alg", "{alg}", "--eta", "{file}", "--deg", "0"],
     ],

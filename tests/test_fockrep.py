@@ -15,8 +15,10 @@ from reference_engines import (
     reference_fock_guards,
     reference_verify_lift_identities,
     reference_verify_relations,
+    reference_verify_whittaker_covariance,
 )
 from modules import TensorModule, cyclicity_spot_check, natural_module
+from test_acceptance import barred_odd_domain, principal_data
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector
 from whittak.fockrep import (
     FockModule,
@@ -28,8 +30,9 @@ from whittak.fockrep import (
     verify_lift_identities,
     verify_whittaker_covariance,
 )
-from whittak.superalg import ODD, SuperAlgebra, build_gl, weyl_vector
+from whittak.superalg import EVEN, ODD, SuperAlgebra, build_gl, weyl_vector
 from whittak.takiff import build_takiff
+from whittak.wfinite import eta_for_fock, hat_eta, nil_character
 
 half = Scalar(Fraction(1, 2))
 
@@ -335,12 +338,30 @@ class TestHighestWeight:
             verify_highest_weight(f)
 
 
+_LEVELS = [ONE, Scalar(2), Scalar(Fraction(1, 2), 1)]
+_VACUUM_1 = "vacuum is not an eigenvector for even positive root 1"
+
+
+@functools.lru_cache(maxsize=None)
+def _covariance_data(m, n, twisted, c):
+    """gl(m|n)'s extension, its principal twist (or none) and the hat-matched chi_hat."""
+    if not twisted:
+        a, rd = build_gl(m, n)
+        return build_takiff(a, rd)[0], None, {}
+    _, rd, t, _, _, chi = principal_data(m, n)
+    dom = barred_odd_domain(t, rd)
+    hatted = hat_eta(t, nil_character(t.total, dom, {b: chi.value(b) for b in dom}), c)
+    pos = rd.positive_roots()
+    chi_hat = {i: hatted.value(r.space[0]) for i, r in enumerate(pos) if r.parity == EVEN}
+    return t, eta_for_fock(t, chi), chi_hat
+
+
 class TestWhittakerCovariance:
     def test_gl11_vacuous(self):
         a, rd = build_gl(1, 1)
         t, _ = build_takiff(a, rd)
         f = build_fock(t, ONE, {0: ONE})
-        rep = verify_whittaker_covariance(f, {}, max_degree=1)
+        rep = verify_whittaker_covariance(f, {})
         assert rep.passed
 
     def test_gl21_values(self):
@@ -353,14 +374,14 @@ class TestWhittakerCovariance:
         f = build_fock(t, c, {odd_slots[0]: ONE, odd_slots[1]: ONE})
         # (a1|a2) = 1 for gl(2|1), [E_a1, E_a2] = E_13 with unit coefficient
         chi_hat = {even_slot: ONE * ONE / c}
-        rep = verify_whittaker_covariance(f, chi_hat, max_degree=1)
+        rep = verify_whittaker_covariance(f, chi_hat)
         assert rep.passed, rep.to_dict()
 
     def test_zero_twist_reduces_to_highest_weight(self):
         a, rd = build_gl(2, 1)
         t, _ = build_takiff(a, rd)
         f = build_fock(t, ONE)
-        rep = verify_whittaker_covariance(f, {}, max_degree=1)
+        rep = verify_whittaker_covariance(f, {})
         assert rep.passed
 
     def test_twist_outside_simples_rejected(self):
@@ -373,7 +394,96 @@ class TestWhittakerCovariance:
         )
         f = build_fock(t, ONE, {non_simple_odd: ONE})
         with pytest.raises(ValueError):
-            verify_whittaker_covariance(f, {}, max_degree=0)
+            verify_whittaker_covariance(f, {})
+
+    @given(
+        st.sampled_from([(2, 1, True), (1, 2, True), (2, 2, True), (2, 1, False), (1, 2, False),
+                         (2, 2, False), (3, 1, False), (1, 3, False)]),
+        st.sampled_from(_LEVELS),
+        st.sampled_from(["coefficient", "quadratic", "linear", "constant", "chi_hat"]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_height_check_implies_the_bounded_check(self, case, c, kind, data):
+        # one lift-table entry or one chi_hat value perturbed; wherever the height check
+        # passes, the bounded loop passes up to degree 3, where the index is at most 4 < 8
+        t, eta, chi_hat = _covariance_data(*case, c)
+        f, chi_hat = build_fock(t, c, eta), dict(chi_hat)
+        i = data.draw(st.sampled_from(f.grass_slots))
+        k = f.positives[i].space[0]
+        quad, linear, const = f._lift_table(k)
+        quad, linear = [(t2, list(outer)) for t2, outer in quad], list(linear)
+        s = data.draw(st.sampled_from([ONE, -ONE, Scalar(2), I, Scalar(3, -1)]))
+        slot = st.integers(0, len(f.slots) - 1)
+        if kind == "coefficient":
+            rows = [outer for _, outer in quad] + ([linear] if linear else [])
+            row = data.draw(st.sampled_from(rows))
+            r = data.draw(st.integers(0, len(row) - 1))
+            row[r] = (row[r][0], s)
+        elif kind == "quadratic":
+            quad.append((data.draw(slot), [(data.draw(slot), s)]))
+        elif kind == "linear":
+            linear.append((data.draw(slot), s))
+        elif kind == "constant":
+            const = const + s
+        else:
+            chi_hat[i] = chi_hat.get(i, ZERO) + s
+        f._lift_tables[k] = (quad, linear, const)
+        rep = verify_whittaker_covariance(f, chi_hat)
+        if kind in ("constant", "chi_hat"):
+            # the built terms all raise height, so the vacuum sees the constant alone
+            assert rep.checks[0].witness == f"vacuum is not an eigenvector for even positive root {i}"
+        if rep.passed:
+            ref = reference_verify_whittaker_covariance(f, chi_hat, 3)
+            assert ref.passed, ref.to_dict()
+
+    @pytest.mark.parametrize(
+        "fault, want",
+        [
+            # root 0 (E_12, height 1) lowers through slot 0 and creates through slot 3;
+            # a linear slot-3 term also moves the vacuum
+            ("linear term on a creating slot",
+             [_VACUUM_1, "term (3) of even positive root 1 shifts height by -1"]),
+            ("doubled constant", [_VACUUM_1]),
+            ("quadratic term with a zero shift", ["term (0, 3) of even positive root 1 shifts height by 0"]),
+        ],
+    )
+    def test_planted_faults_fail(self, fault, want):
+        t, eta, chi_hat = _covariance_data(2, 1, True, ONE)
+        f = build_fock(t, ONE, eta)
+        assert f.grass_slots == [1] and f.slots[3][2]
+        k = f.positives[1].space[0]
+        quad, linear, const = f._lift_table(k)
+        assert const == chi_hat[1] and const
+        if fault == "linear term on a creating slot":
+            linear = linear + [(3, ONE)]
+        elif fault == "doubled constant":
+            const = const + const
+        else:
+            quad = quad + [(0, [(3, ONE)])]
+        f._lift_tables[k] = (quad, linear, const)
+        rep = verify_whittaker_covariance(f, chi_hat)
+        assert [c.witness for c in rep.checks if not c.passed] == want
+
+    def test_nilpotent_beyond_eight_steps(self):
+        # eta -1 and 1 on bar E_12 and bar E_23 of gl(2|1): X - chi_hat(X) needs 9 steps on
+        # x_{E_23}^7 x_{E_13}, which the bounded loop, capped at 8, took for a failure
+        a, rd = build_gl(2, 1)
+        t, _ = build_takiff(a, rd)
+        bars = [t.theta(a.labels.index(lab)) for lab in ("E_12", "E_23")]
+        eta_nc = nil_character(t.total, bars, dict(zip(bars, [-ONE, ONE])))
+        f = build_fock(t, ONE, eta_for_fock(t, eta_nc))
+        (i,) = f.grass_slots
+        chi_hat = {i: hat_eta(t, eta_nc, ONE).value(f.positives[i].space[0])}
+        assert verify_whittaker_covariance(f, chi_hat).passed
+        key = (0, 7, 1, 0, 0)
+        ref = reference_verify_whittaker_covariance(f, chi_hat, 8)
+        assert ref.checks[1].witness == f"(X - value) not nilpotent within 8 steps at {key}"
+        y = ModuleVector({key: ONE})
+        for _ in range(8):
+            y = f.apply_lift(f.dual.E[i], y) - y.scale(chi_hat[i])
+        assert y
+        assert not f.apply_lift(f.dual.E[i], y) - y.scale(chi_hat[i])
 
 
 class TestTensor:

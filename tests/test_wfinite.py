@@ -374,7 +374,7 @@ class TestPrincipalTwistedModule:
         eta2 = chi.value(t.theta(pos[odd[1]].space[0]))
         assert (eta1, eta2) == (ONE, -ONE)
         want = pairing * eta1 * eta2 / f.c  # [E_a1, E_a2] = E_13 with unit coefficient
-        rep = verify_whittaker_covariance(f, {even_slot: want}, max_degree=1)
+        rep = verify_whittaker_covariance(f, {even_slot: want})
         assert rep.passed, rep.to_dict()
 
 
