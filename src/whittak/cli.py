@@ -176,11 +176,7 @@ def cmd_verify(args) -> int:
         eta_nc = serialize.nilchar_from_dict(_load(args.eta), t.total)
         hatted = hat_eta(t, eta_nc, c)
         f = build_fock(t, c, eta_for_fock(t, eta_nc))
-        chi_hat = {}
-        for i, pidx in enumerate(t.rd.positive):
-            r = t.rd.roots[pidx]
-            if r.parity == 0:
-                chi_hat[i] = hatted.value(r.space[0])
+        chi_hat = {i: hatted.value(f.positives[i].space[0]) for i in f.grass_slots}
         rep = verify_whittaker_covariance(f, chi_hat)
         return _emit_report(rep, args.out, args.seed)
 

@@ -113,9 +113,6 @@ class RootDatum(NamedTuple):
     def simple_roots(self):
         return [self.roots[i] for i in self.simple]
 
-    def odd_simple(self) -> list[int]:
-        return [i for i in self.simple if self.roots[i].parity == ODD]
-
     def root_index(self, covector: tuple[Scalar, ...]) -> int | None:
         for i, r in enumerate(self.roots):
             if r.covector == covector:
@@ -124,14 +121,17 @@ class RootDatum(NamedTuple):
 
     def positive_offsets(self) -> list[tuple[int, ...]]:
         """Each positive root's nonnegative integer coordinates over the simples, read from one
-        reduced echelon form of [simple roots | positive roots]; raises if a root has none."""
+        reduced echelon form of [simple roots | positive roots]; raises if the simples are linearly
+        dependent, so that no coordinates are unique, or if a root has none."""
         ns, pos = len(self.simple), self.positive_roots()
         cols = self.simple_roots() + pos
         rows = ({c: r.covector[t] for c, r in enumerate(cols) if r.covector[t]} for t in range(len(self.cartan)))
         pivots, out = _rref(rows), []
+        if any(p not in pivots for p in range(ns)):
+            raise ValueError("the simple roots are linearly dependent")
         for j, r in enumerate(pos, ns):
             # a row zero on the simples but not at column j makes root j unspanned; else the column's
-            # values on the rows are its coordinates, free ones zero
+            # values on the rows are its coordinates
             coords = {p: row[j].as_int() for p, row in pivots.items() if j in row}
             if any(k is None or k < 0 or p >= ns for p, k in coords.items()):
                 raise ValueError(f"positive root {r.covector} is not a simple combination")

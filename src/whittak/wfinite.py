@@ -18,6 +18,7 @@ from .exactlin import (
     Scalar,
     SparseMatrix,
     SparseVector,
+    add_term,
     invert,
     kernel_basis,
     rank,
@@ -25,7 +26,7 @@ from .exactlin import (
 )
 from .fockrep import ModuleVector, enumerate_multiindices
 from .reports import Report
-from .superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, grading_by_adh, is_index
+from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, grading_by_adh, is_index
 from .takiff import TakiffAlgebra, odd_form
 
 
@@ -80,64 +81,59 @@ def nil_character(algebra: SuperAlgebra, domain, values: dict[int, Scalar]) -> N
     return nc
 
 
-def _decompose_into_odd_simples(rd: RootDatum, root: Root) -> list[tuple[int, int]]:
-    """Pairs (i, j) of odd-simple root indices with alpha_i + alpha_j = root."""
-    odd = rd.odd_simple()
-    out = []
-    for a in range(len(odd)):
-        for b in range(a, len(odd)):
-            ra, rb = rd.roots[odd[a]], rd.roots[odd[b]]
-            if tuple(x + y for x, y in zip(ra.covector, rb.covector)) == root.covector:
-                out.append((odd[a], odd[b]))
+def _odd_simple_pairs(rd: RootDatum, offsets: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
+    """Each positive root that is a sum of two odd simple roots, by root index, with the pair (i, j)
+    of simple root indices, i first among the simples: its offset over the simples is e_a + e_b, or
+    2 e_a, at odd simple positions a <= b, and since an offset is unique the pair is too."""
+    out = {}
+    for pidx, o in zip(rd.positive, offsets):
+        at = [a for a, k in enumerate(o) for _ in range(k)]
+        if len(at) == 2 and all(rd.roots[rd.simple[a]].parity == ODD for a in at):
+            out[pidx] = (rd.simple[at[0]], rd.simple[at[1]])
     return out
 
 
-def root_pairing(base: SuperAlgebra, rd: RootDatum, cov1, cov2) -> Scalar:
-    """(alpha|beta) on the weight space, as alpha . G^-1 . beta.
+def root_pairing(base: SuperAlgebra, rd: RootDatum):
+    """(alpha|beta) on covectors, as alpha . G^-1 . beta for the Gram matrix G of the form on the
+    Cartan basis, inverted at the first pairing; a singular G raises ValueError there."""
+    inverse = None
 
-    G is the Gram matrix of the form on the Cartan basis; a singular G raises
-    ValueError.
-    """
-    cartan = rd.cartan
-    gram = SparseMatrix(
-        len(cartan),
-        len(cartan),
-        {(a, b): base.form.get(h, k) for a, h in enumerate(cartan) for b, k in enumerate(cartan)},
-    )
-    acc = ZERO
-    for b, col in enumerate(invert(gram)):
-        for a, s in col.items():
-            acc = acc + cov1[a] * s * cov2[b]
-    return acc
+    def pair(cov1, cov2) -> Scalar:
+        nonlocal inverse
+        if inverse is None:
+            cartan = rd.cartan
+            forms = {(a, b): base.form.get(h, k) for a, h in enumerate(cartan) for b, k in enumerate(cartan)}
+            inverse = invert(SparseMatrix(len(cartan), len(cartan), forms))
+        return sum((cov1[a] * s * cov2[b] for b, col in enumerate(inverse) for a, s in col.items()), ZERO)
+
+    return pair
 
 
 def _even_positive_corrections(t: TakiffAlgebra, c: Scalar):
     """For each even positive root: (base index, correction data or None).
 
     The correction data is (barred index 1, barred index 2, pairing/(c*k))
-    where [X1, X2] = k * E_root for the chosen odd-simple pair.
+    where [X1, X2] = k * E_root for the root's odd-simple pair.
     """
     rd, base = t.rd, t.base
+    pairs = _odd_simple_pairs(rd, rd.positive_offsets())
+    pairing = root_pairing(base, rd)
     out = []
     for pidx in rd.positive:
         r = rd.roots[pidx]
         if r.parity != EVEN:
             continue
         (bidx,) = r.space
-        pairs = _decompose_into_odd_simples(rd, r)
-        if not pairs:
-            out.append((bidx, None))
-            continue
-        i1, i2 = pairs[0]
-        (x1,) = rd.roots[i1].space
-        (x2,) = rd.roots[i2].space
-        br = base.bracket_basis(x1, x2)
-        k = br.get(bidx)
-        if not k or set(br.entries) != {bidx}:
-            out.append((bidx, None))
-            continue
-        pairing = root_pairing(base, rd, rd.roots[i1].covector, rd.roots[i2].covector)
-        out.append((bidx, (t.theta(x1), t.theta(x2), pairing / (c * k))))
+        corr = None
+        if pidx in pairs:
+            i1, i2 = pairs[pidx]
+            (x1,), (x2,) = rd.roots[i1].space, rd.roots[i2].space
+            br = base.bracket_basis(x1, x2)
+            k = br.get(bidx)
+            if k and set(br.entries) == {bidx}:
+                factor = pairing(rd.roots[i1].covector, rd.roots[i2].covector) / (c * k)
+                corr = (t.theta(x1), t.theta(x2), factor)
+        out.append((bidx, corr))
     return out
 
 
@@ -259,6 +255,13 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
     if rank(SparseMatrix.from_columns(ws, tot.dim)) != m:
         raise ValueError("ad e is not injective on the negative part")
     form = odd_form(t)
+    form_rows = form.row_dicts()
+    # each [e, u_i]'s row under the odd form: entry k is ([e, u_i] | b_k)'
+    rows: list[dict[int, Scalar]] = [{} for _ in ws]
+    for row, w in zip(rows, ws):
+        for a, s in w.items():
+            for k, f in form_rows[a].items():
+                add_term(row, k, s * f)
 
     duals: list[SparseVector] = []
     for j, u in enumerate(g.u_indices):
@@ -272,11 +275,7 @@ def solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) 
         mat = SparseMatrix(
             m,
             len(candidates),
-            {
-                (i, ci): form.pair(ws[i], SparseVector.unit(k))
-                for i in range(m)
-                for ci, k in enumerate(candidates)
-            },
+            {(i, ci): row[k] for i, row in enumerate(rows) for ci, k in enumerate(candidates) if k in row},
         )
         sol = solve(mat, SparseVector({j: ONE}))
         if sol is None:
@@ -518,48 +517,37 @@ def appendix_pairing_check(
 def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
     """Vanishing pattern on the simple even roots plus the structural claim.
 
-    A simple even root is one that is not a sum of two even positive roots;
-    the structural claim is that each one is a sum of two distinct isotropic
-    odd simples or twice a non-isotropic odd simple.
+    A simple even root is one whose offset over the simples is not the sum of
+    two even positive roots' offsets; the structural claim is that each one is
+    a sum of two distinct isotropic odd simples or twice a non-isotropic odd simple.
     """
     rep = Report("regularity of the corrected character")
-    evens = [rd.roots[i] for i in rd.positive if rd.roots[i].parity == EVEN]
-    cov_set = {r.covector for r in evens}
-    simple_evens = []
-    for r in evens:
-        decomposable = False
-        for s in evens:
-            diff = tuple(a - b for a, b in zip(r.covector, s.covector))
-            if diff != r.covector and diff in cov_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple_evens.append(r)
+    offsets = rd.positive_offsets()
+    evens = {pidx: o for pidx, o in zip(rd.positive, offsets) if rd.roots[pidx].parity == EVEN}
+    sums = {tuple(x + y for x, y in zip(o1, o2)) for o1 in evens.values() for o2 in evens.values()}
+    simple_evens = [pidx for pidx, o in evens.items() if o not in sums]
+    pairs = _odd_simple_pairs(rd, offsets)
 
     vanishing = []
-    for r in simple_evens:
-        (bidx,) = r.space
+    for pidx in simple_evens:
+        (bidx,) = rd.roots[pidx].space
         if not zeta.value(bidx):
             vanishing.append(zeta.algebra.labels[bidx])
     rep.add("nonvanishing on every simple even root vector", f"vanishes on {vanishing}" if vanishing else None)
     rep.data["simple_even_roots"] = len(simple_evens)
+    pairing = root_pairing(zeta.algebra, rd)
 
-    def structural_failures():
-        for r in simple_evens:
-            ok = False
-            for i1, i2 in _decompose_into_odd_simples(rd, r):
-                if i1 != i2:
-                    iso1 = root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector)
-                    iso2 = root_pairing(zeta.algebra, rd, rd.roots[i2].covector, rd.roots[i2].covector)
-                    if not iso1 and not iso2:
-                        ok = True
-                else:
-                    if root_pairing(zeta.algebra, rd, rd.roots[i1].covector, rd.roots[i1].covector):
-                        ok = True
-            if not ok:
-                yield f"structural claim fails for {r.covector}"
+    def splits(pidx: int) -> bool:
+        if pidx not in pairs:
+            return False
+        i1, i2 = pairs[pidx]
+        iso = [not pairing(rd.roots[i].covector, rd.roots[i].covector) for i in (i1, i2)]
+        return all(iso) if i1 != i2 else not iso[0]
 
-    rep.first_failure("simple even roots split over the odd simples", structural_failures())
+    rep.first_failure(
+        "simple even roots split over the odd simples",
+        (f"structural claim fails for {rd.roots[p].covector}" for p in simple_evens if not splits(p)),
+    )
     return rep
 
 

@@ -69,6 +69,15 @@ each of them named its first offending basis vector or root.
 `reference_dumps` is the one-line JSON writer that `serialize.dumps` was
 before it wrote each container with the C encoder: `json.dumps` with sorted
 keys and `indent=2`, which runs json's pure-Python encoder.
+`reference_decompose_into_odd_simples`, `reference_root_pairing`,
+`reference_even_positive_corrections` and `reference_regularity_check` found
+the odd-simple pairs of a root by covector sums over every pair of odd simples,
+the simple even roots by covector differences over every pair of even roots,
+and inverted the Cartan Gram matrix on every pairing, before the zeta
+correction, the hat extension and the regularity check read both facts off
+`RootDatum.positive_offsets` and inverted that matrix once per call.
+`reference_solve_dual_elements` filled each dual's matrix with one odd-form
+pairing per entry, before each [e, u_i] got one odd-form row.
 """
 
 from __future__ import annotations
@@ -100,8 +109,8 @@ from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
 from whittak.superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
-from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, dual_bases, theta_derivative
-from whittak.wfinite import NilCharacter, _generating_subset
+from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, dual_bases, odd_form, theta_derivative
+from whittak.wfinite import GradedNilradical, NilCharacter, _generating_subset
 
 
 class FockParts(NamedTuple):
@@ -988,3 +997,132 @@ def reference_simple_coordinates(rd: RootDatum, root: Root) -> tuple[int, ...] |
 def reference_dumps(obj) -> str:
     """The text of a file or report as the package wrote it with json's pure-Python encoder."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def reference_decompose_into_odd_simples(rd: RootDatum, root: Root) -> list[tuple[int, int]]:
+    """Pairs (i, j) of odd-simple root indices with alpha_i + alpha_j = root, by covector sums."""
+    odd = [i for i in rd.simple if rd.roots[i].parity == ODD]
+    out = []
+    for a in range(len(odd)):
+        for b in range(a, len(odd)):
+            ra, rb = rd.roots[odd[a]], rd.roots[odd[b]]
+            if tuple(x + y for x, y in zip(ra.covector, rb.covector)) == root.covector:
+                out.append((odd[a], odd[b]))
+    return out
+
+
+def reference_root_pairing(base: SuperAlgebra, rd: RootDatum, cov1, cov2) -> Scalar:
+    """(alpha|beta) as alpha . G^-1 . beta, inverting the Cartan Gram matrix G on every call."""
+    cartan = rd.cartan
+    gram = SparseMatrix(
+        len(cartan),
+        len(cartan),
+        {(a, b): base.form.get(h, k) for a, h in enumerate(cartan) for b, k in enumerate(cartan)},
+    )
+    acc = ZERO
+    for b, col in enumerate(invert(gram)):
+        for a, s in col.items():
+            acc = acc + cov1[a] * s * cov2[b]
+    return acc
+
+
+def reference_even_positive_corrections(t: TakiffAlgebra, c: Scalar):
+    """(base index, (barred index 1, barred index 2, pairing/(c*k)) or None) per even positive root,
+    from the first covector-sum pair of odd simples."""
+    rd, base = t.rd, t.base
+    out = []
+    for pidx in rd.positive:
+        r = rd.roots[pidx]
+        if r.parity != EVEN:
+            continue
+        (bidx,) = r.space
+        pairs = reference_decompose_into_odd_simples(rd, r)
+        if not pairs:
+            out.append((bidx, None))
+            continue
+        i1, i2 = pairs[0]
+        (x1,) = rd.roots[i1].space
+        (x2,) = rd.roots[i2].space
+        br = base.bracket_basis(x1, x2)
+        k = br.get(bidx)
+        if not k or set(br.entries) != {bidx}:
+            out.append((bidx, None))
+            continue
+        pairing = reference_root_pairing(base, rd, rd.roots[i1].covector, rd.roots[i2].covector)
+        out.append((bidx, (t.theta(x1), t.theta(x2), pairing / (c * k))))
+    return out
+
+
+def reference_regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
+    """Regularity with simple even roots found by covector differences over every pair of even
+    positive roots, and the structural claim over every covector-sum pair of odd simples."""
+    rep = Report("regularity of the corrected character")
+    evens = [rd.roots[i] for i in rd.positive if rd.roots[i].parity == EVEN]
+    cov_set = {r.covector for r in evens}
+    simple_evens = []
+    for r in evens:
+        decomposable = False
+        for s in evens:
+            diff = tuple(a - b for a, b in zip(r.covector, s.covector))
+            if diff != r.covector and diff in cov_set:
+                decomposable = True
+                break
+        if not decomposable:
+            simple_evens.append(r)
+
+    vanishing = []
+    for r in simple_evens:
+        (bidx,) = r.space
+        if not zeta.value(bidx):
+            vanishing.append(zeta.algebra.labels[bidx])
+    rep.add("nonvanishing on every simple even root vector", f"vanishes on {vanishing}" if vanishing else None)
+    rep.data["simple_even_roots"] = len(simple_evens)
+
+    def norm(i):
+        return reference_root_pairing(zeta.algebra, rd, rd.roots[i].covector, rd.roots[i].covector)
+
+    def structural_failures():
+        for r in simple_evens:
+            ok = False
+            for i1, i2 in reference_decompose_into_odd_simples(rd, r):
+                if i1 != i2:
+                    iso1, iso2 = norm(i1), norm(i2)
+                    if not iso1 and not iso2:
+                        ok = True
+                elif norm(i1):
+                    ok = True
+            if not ok:
+                yield f"structural claim fails for {r.covector}"
+
+    rep.first_failure("simple even roots split over the odd simples", structural_failures())
+    return rep
+
+
+def reference_solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: SparseVector) -> list[SparseVector]:
+    """The duals x_j with ([e, u_i] | x_j)' = delta_ij, each matrix entry one odd-form pairing."""
+    tot = t.total
+    e_tot = t.embed(e, 0)
+    ws = [tot.bracket(e_tot, SparseVector.unit(u)) for u in g.u_indices]
+    m = len(ws)
+    form = odd_form(t)
+    duals = []
+    for j, u in enumerate(g.u_indices):
+        candidates = [
+            k
+            for k in range(tot.dim)
+            if k != t.z_index and g.degrees[k] == -g.degrees[u] - 1 and tot.parity[k] == tot.parity[u]
+        ]
+        mat = SparseMatrix(
+            m,
+            len(candidates),
+            {
+                (i, ci): form.pair(ws[i], SparseVector.unit(k))
+                for i in range(m)
+                for ci, k in enumerate(candidates)
+            },
+        )
+        sol = solve(mat, SparseVector({j: ONE}))
+        if sol is None:
+            raise ValueError(f"the pairing against [e, u_{j}] is singular")
+        duals.append(SparseVector({candidates[ci]: s for ci, s in sol.items()}))
+    return duals

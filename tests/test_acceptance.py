@@ -212,7 +212,7 @@ def test_criterion_05_whittaker_covariance():
     (even_slot,) = [i for i, r in enumerate(pos) if r.parity == 0]
     even_idx = pos[even_slot].space[0]
     bar = [t.theta(pos[i].space[0]) for i in odd_slots]
-    pairing = root_pairing(a, rd, pos[odd_slots[0]].covector, pos[odd_slots[1]].covector)
+    pairing = root_pairing(a, rd)(pos[odd_slots[0]].covector, pos[odd_slots[1]].covector)
     c = ONE
     grid = [ZERO, ONE, Scalar(2), I]
     ok = True

@@ -28,7 +28,7 @@ from whittak.charfun import (
     verify_factorization,
     verma_character,
 )
-from whittak.exactlin import I, ONE, ZERO, Scalar, SparseVector
+from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, rank
 from whittak.fockrep import build_fock
 from whittak.superalg import (
     Root,
@@ -337,9 +337,9 @@ class TestExponentCertificate:
             assert rep.checks[0].witness.startswith(witness)
 
 
-def osp12_root_datum():
-    """osp(1|2) as `build span` closes its principal e and f in gl(1|2): the Cartan element
-    h = E_33 - E_11 and the roots +-alpha (odd) and +-2 alpha (even), read from ad h."""
+def osp12_closure():
+    """osp(1|2) as `build span` closes its principal e and f in gl(1|2), with its root datum: the
+    Cartan element h = E_33 - E_11 and the roots +-alpha (odd) and +-2 alpha (even), read from ad h."""
     a, _ = build_gl(1, 2)
 
     def unit(label):
@@ -351,7 +351,11 @@ def osp12_root_datum():
     roots = tuple(Root((Scalar(d),), (j,), sub.parity[j]) for j, d in enumerate(degrees) if d)
     positive = tuple(i for i, r in enumerate(roots) if r.covector[0].as_int() > 0)
     simple = tuple(i for i, r in enumerate(roots) if r.covector[0] == ONE)
-    return RootDatum((h,), roots, positive, simple)
+    return sub, RootDatum((h,), roots, positive, simple)
+
+
+def osp12_root_datum():
+    return osp12_closure()[1]
 
 
 class TestPositiveOffsets:
@@ -376,12 +380,24 @@ class TestPositiveOffsets:
         simple = data.draw(st.just(rd.simple) | others.map(tuple) if rd.positive else st.just(rd.simple))
         rd = rd._replace(simple=simple)
         want = [reference_simple_coordinates(rd, r) for r in rd.positive_roots()]
-        if None in want:
+        simples = [SparseVector(dict(enumerate(r.covector))) for r in rd.simple_roots()]
+        if rank(SparseMatrix.from_columns(simples, len(rd.cartan))) < len(simple):
+            # dependent simples leave no coordinates unique
+            with pytest.raises(ValueError, match="the simple roots are linearly dependent"):
+                rd.positive_offsets()
+        elif None in want:
             bad = rd.positive_roots()[want.index(None)]
             with pytest.raises(ValueError, match=re.escape(f"positive root {bad.covector} is not a simple")):
                 rd.positive_offsets()
         else:
             assert rd.positive_offsets() == want
+
+    def test_dependent_simples_raise(self):
+        _, rd = build_gl(2, 1)
+        # the two simple roots and their sum: every coordinate vector of the sum is one of two
+        total = rd.root_index(tuple(x + y for x, y in zip(*(r.covector for r in rd.simple_roots()))))
+        with pytest.raises(ValueError, match="the simple roots are linearly dependent"):
+            rd._replace(simple=rd.simple + (total,)).positive_offsets()
 
     def test_unspanned_root_raises(self):
         rd = osp12_root_datum()

@@ -172,6 +172,18 @@ class TestVerify:
         assert run(["verify", "skryabin", "--alg", tak, "--e", e]) == 0
         assert run(["verify", "regularity", "--alg", tak, "--e", e, "--c", "1"]) == 0
 
+    def test_regularity_rejects_a_root_outside_the_simple_span(self, tmp_path, gl12_tak, capsys):
+        # one simple root of gl(1|2) dropped: the other positive roots are no simple combinations
+        _, tak = gl12_tak
+        d = load(tak)
+        d["root_datum"]["simple"] = d["root_datum"]["simple"][:1]
+        bad = write(tmp_path / "bad.json", d)
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1", "E_32": "1"}})
+        capsys.readouterr()
+        assert run(["verify", "regularity", "--alg", bad, "--e", e, "--c", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: positive root (") and line.endswith(") is not a simple combination")
+
     def test_zero_level_usage_error(self, gl21_tak):
         assert run(["verify", "highest-weight", "--alg", gl21_tak, "--c", "0"]) == 2
 

@@ -1,20 +1,33 @@
 """Nilcharacters, dual-element systems, Whittaker solving, word pairings."""
 
+import copy
+import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modules import TensorModule, natural_module
 from oracles import rref_dense
-from reference_engines import whittaker_kernel
-from test_acceptance import barred_odd_domain, clifford_words, same_span, twisted_principal
-from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan
+from reference_engines import (
+    reference_even_positive_corrections,
+    reference_regularity_check,
+    reference_solve_dual_elements,
+    whittaker_kernel,
+)
+from test_acceptance import barred_odd_domain, clifford_words, principal_data, same_span, twisted_principal
+from test_charfun import _GL_SHAPES, _LEVELS, osp12_closure
+from whittak import wfinite
+from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector, EchelonSpan, invert
 from whittak.fockrep import build_fock, clifford_module_dim
-from whittak.superalg import ODD, build_gl
+from whittak.superalg import EVEN, ODD, build_gl
 from whittak.takiff import build_takiff, dual_bases, odd_form_prime
 from whittak.wfinite import (
     NilCharacter,
+    _even_positive_corrections,
     appendix_pairing_check,
     enumerate_multiindices,
     eta_for_fock,
@@ -197,7 +210,7 @@ class TestHatAndZeta:
         eta = nil_character(t.total, tuple(bar), {bar[0]: ONE, bar[1]: ONE})
         hatted = hat_eta(t, eta, ONE)
         e13 = a.labels.index("E_13")
-        pairing = root_pairing(a, rd, rd.roots[odd[0]].covector, rd.roots[odd[1]].covector)
+        pairing = root_pairing(a, rd)(rd.roots[odd[0]].covector, rd.roots[odd[1]].covector)
         assert pairing == ONE
         assert hatted.value(e13) == ONE  # (a1|a2) eta eta / c with unit bracket
         # restriction to the barred radical is eta itself
@@ -213,10 +226,11 @@ class TestHatAndZeta:
         def on(cov, h):
             return sum((c * s for c, s in zip(cov, h)), ZERO)
 
+        pairing = root_pairing(a, rd)
         for r1 in rd.roots:
             for r2 in rd.roots:
                 want = sum((on(r1.covector, h) * on(r2.covector, h) for h in hs), ZERO)
-                assert root_pairing(a, rd, r1.covector, r2.covector) == want
+                assert pairing(r1.covector, r2.covector) == want
 
     def test_root_pairing_degenerate_cartan_raises(self):
         a, rd = build_gl(1, 1)
@@ -225,8 +239,9 @@ class TestHatAndZeta:
             a.dim, a.dim, {k: s for k, s in a.form.entries.items() if not cartan >= set(k)}
         )
         cov = rd.roots[0].covector
+        pairing = root_pairing(a, rd)  # the Gram matrix is inverted at the first pairing, not here
         with pytest.raises(ValueError, match="singular"):
-            root_pairing(a, rd, cov, cov)
+            pairing(cov, cov)
 
     def test_zero_eta_hats_to_zero(self):
         a, rd = build_gl(2, 1)
@@ -368,7 +383,7 @@ class TestPrincipalTwistedModule:
         (even_slot,) = [i for i, r in enumerate(rd.positive_roots()) if r.parity == 0]
         pos = rd.positive_roots()
         odd = [i for i, r in enumerate(pos) if r.parity == ODD]
-        pairing = root_pairing(a, rd, pos[odd[0]].covector, pos[odd[1]].covector)
+        pairing = root_pairing(a, rd)(pos[odd[0]].covector, pos[odd[1]].covector)
         assert pairing == -ONE  # frozen for gl(1|2)
         eta1 = chi.value(t.theta(pos[odd[0]].space[0]))
         eta2 = chi.value(t.theta(pos[odd[1]].space[0]))
@@ -570,3 +585,81 @@ def test_principal_whittaker_answers(m, n, words):
     assert len(cliff) == clifford_module_dim(len(rd.cartan), True) == words
     assert wb.dimension == words and wb.stable
     assert same_span(wb.vectors, cliff)
+
+
+class TestRootRules:
+    """The zeta corrections and the regularity check read odd-simple pairs and simple even roots off
+    `positive_offsets`, and agree with the covector-sum and covector-difference scans they replaced."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _takiff(shape):
+        a, rd = osp12_closure() if shape == "osp(1|2)" else build_gl(*shape)
+        return build_takiff(a, rd)[0]
+
+    @staticmethod
+    def _agree(t, c, values):
+        """Where `positive_offsets` succeeds, the corrections and the regularity report equal the
+        scans'; where it raises, both raise its error."""
+        rd = t.rd
+        evens = [r.space[0] for r in rd.positive_roots() if r.parity == EVEN]
+        zeta = NilCharacter(t.base, tuple(evens), {k: v for k, v in zip(evens, values) if v})
+        try:
+            rd.positive_offsets()
+        except ValueError as exc:
+            for call in (lambda: _even_positive_corrections(t, c), lambda: regularity_check(zeta, rd)):
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    call()
+            return
+        assert _even_positive_corrections(t, c) == reference_even_positive_corrections(t, c)
+        assert regularity_check(zeta, rd).to_dict() == reference_regularity_check(zeta, rd).to_dict()
+
+    @pytest.mark.parametrize("shape", [*_GL_SHAPES, "osp(1|2)"], ids=str)
+    def test_own_simples_match_covector_scans(self, shape):
+        t = self._takiff(shape)
+        for value in (ZERO, ONE):
+            self._agree(t, ONE + I, [value] * len(t.rd.positive))
+
+    def test_four_times_an_odd_simple_is_no_pair(self):
+        # osp(1|2) with its even roots +-2 alpha relabelled +-4 alpha: the one simple even root's
+        # offset is 4 e_a, so it has no odd-simple pair, although [X_a, X_a] is its root vector
+        t = copy.copy(self._takiff("osp(1|2)"))
+        roots = [r._replace(covector=(r.covector[0] + r.covector[0],)) if r.parity == EVEN else r for r in t.rd.roots]
+        t.rd = t.rd._replace(roots=tuple(roots))
+        assert t.rd.positive_offsets() == [(1,), (4,)]
+        self._agree(t, ONE, [ONE, ONE])
+        assert _even_positive_corrections(t, ONE)[0][1] is None
+
+    @given(st.sampled_from([*_GL_SHAPES, "osp(1|2)"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_covector_scans(self, shape, data):
+        t = copy.copy(self._takiff(shape))
+        # the datum's own simples, or any few positive roots in their place
+        others = st.lists(st.sampled_from(t.rd.positive), unique=True, max_size=len(t.rd.simple) + 1)
+        simple = data.draw(st.just(t.rd.simple) | others.map(tuple) if t.rd.positive else st.just(t.rd.simple))
+        t.rd = t.rd._replace(simple=simple)
+        values = [data.draw(st.sampled_from([ZERO, ONE, -ONE, ONE + I])) for _ in t.rd.positive]
+        self._agree(t, data.draw(st.sampled_from(_LEVELS)), values)
+
+    def test_osp12_pair_is_twice_one_odd_simple(self):
+        t = self._takiff("osp(1|2)")
+        ((bidx, (b1, b2, _)),) = _even_positive_corrections(t, ONE)
+        assert t.base.parity[bidx] == EVEN and b1 == b2 == t.theta(t.rd.roots[t.rd.simple[0]].space[0])
+        rep = regularity_check(NilCharacter(t.base, (bidx,), {bidx: ONE}), t.rd)
+        assert rep.passed and rep.data["simple_even_roots"] == 1
+
+    def test_one_gram_inverse_per_call(self, monkeypatch):
+        a, rd, t, g, e, chi = principal_data(2, 3)
+        calls = []
+        monkeypatch.setattr(wfinite, "invert", lambda m: calls.append(m) or invert(m))
+        zeta = zeta_from_chi(t, chi, ONE)
+        assert len(calls) == 1
+        assert regularity_check(zeta, rd).passed
+        assert len(calls) == 2
+
+
+class TestDualElementRows:
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 1), (2, 3), (3, 2)])
+    def test_duals_match_pairwise_reference(self, mn):
+        a, rd, t, g, e, chi = principal_data(*mn)
+        assert solve_dual_elements(t, g, e) == reference_solve_dual_elements(t, g, e)
