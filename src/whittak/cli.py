@@ -45,20 +45,6 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _write(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(rep: Report, out: str | None, seed: int) -> int:
-    rep.seed = seed
-    _write(serialize.dumps(rep.to_dict()), out)
-    return 0 if rep.passed else 1
-
-
 def _nonnegative(value: int, what: str) -> int:
     if value < 0:
         raise UsageError(f"{what} must be nonnegative")
@@ -70,10 +56,6 @@ def _trunc(value: int) -> int:
     if value > cap:
         raise UsageError(f"truncation {value} exceeds the cap {cap} (STL_MAX_TRUNC)")
     return _nonnegative(value, "truncation")
-
-
-def _load_takiff(path: str):
-    return serialize.takiff_from_dict(_load(path))
 
 
 def _level(text: str) -> Scalar:
@@ -101,73 +83,62 @@ def _grading_element(t, e: SparseVector) -> SparseVector:
     sol = solve(mat, e)
     if sol is None:
         raise UsageError("no Cartan grading element h with [h, e] = e")
-    out = {}
-    for pos, s in sol.items():
-        out[t.rd.cartan[pos]] = s
-    return SparseVector(out)
+    return SparseVector({t.rd.cartan[pos]: s for pos, s in sol.items()})
 
 
 def _principal_data(t, args):
     if not args.e:
         raise UsageError("this suite needs --e with an element file")
     e = serialize.vector_from_dict(_load(args.e), t.base)
-    if args.h:
-        h = serialize.vector_from_dict(_load(args.h), t.base)
-    else:
-        h = _grading_element(t, e)
+    h = serialize.vector_from_dict(_load(args.h), t.base) if args.h else _grading_element(t, e)
     return e, graded_nilradical(t, h)
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[str, int]:
     if args.kind == "gl":
         a, rd = build_gl(args.m, args.n)
         out = serialize.algebra_to_dict(a)
         out["root_datum"] = serialize.root_datum_to_dict(rd)
-        _write(serialize.dumps(out), args.out)
-        return 0
+        return serialize.dumps(out), 0
     if args.kind == "takiff":
         d = _load(args.of)
         a = serialize.algebra_from_dict(d)
         if "root_datum" not in d:
             raise UsageError("the input file carries no root datum")
-        rd = serialize.root_datum_from_dict(d["root_datum"], a)
-        t, _ = build_takiff(a, rd)
-        _write(serialize.dumps(serialize.takiff_to_dict(t)), args.out)
-        return 0
+        t, _ = build_takiff(a, serialize.root_datum_from_dict(d["root_datum"], a))
+        return serialize.dumps(serialize.takiff_to_dict(t)), 0
     d = _load(getattr(args, "in"))  # span
     a = serialize.algebra_from_dict(d)
-    gens = serialize.vectors_from_dict(_load(args.gens), a)
-    sub, emb = subalgebra_from_span(a, gens, name=args.name)
+    sub, emb = subalgebra_from_span(a, serialize.vectors_from_dict(_load(args.gens), a), name=args.name)
     out = serialize.algebra_to_dict(sub)
-    out["embedding"] = [
-        {"i": i, "j": j, "coeff": str(s)} for (i, j), s in sorted(emb.entries.items())
-    ]
-    _write(serialize.dumps(out), args.out)
-    return 0
+    out["embedding"] = [{"i": i, "j": j, "coeff": str(s)} for (i, j), s in sorted(emb.entries.items())]
+    return serialize.dumps(out), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
+    """The suite's report as JSON text, with --seed stamped, and exit code 0 exactly when it passes."""
+    if args.suite == "algebra":
+        rep = verify_algebra(serialize.algebra_from_dict(_load(args.alg)))
+    else:
+        rep = _extension_report(args, *serialize.takiff_from_dict(_load(args.alg)))
+    rep.seed = args.seed
+    return serialize.dumps(rep.to_dict()), 0 if rep.passed else 1
+
+
+def _extension_report(args, t, hat) -> Report:
+    """The report of an extension suite on the loaded extension t and its hat decomposition."""
     suite = args.suite
-    if suite == "algebra":
-        a = serialize.algebra_from_dict(_load(args.alg))
-        return _emit_report(verify_algebra(a), args.out, args.seed)
-
     if suite == "takiff":
-        t, hat = _load_takiff(args.alg)
         rep = verify_takiff(t)
         rep.merge(verify_hat_closure(t, hat))
-        return _emit_report(rep, args.out, args.seed)
-
-    t, _ = _load_takiff(args.alg)
+        return rep
 
     if suite == "fock-lift":
         f = build_fock(t, _level(args.c), _eta_dict(t, args))
-        rep = verify_lift_identities(f, _nonnegative(args.deg, "--deg"))
-        return _emit_report(rep, args.out, args.seed)
+        return verify_lift_identities(f, _nonnegative(args.deg, "--deg"))
 
     if suite == "highest-weight":
-        f = build_fock(t, _level(args.c))
-        return _emit_report(verify_highest_weight(f), args.out, args.seed)
+        return verify_highest_weight(build_fock(t, _level(args.c)))
 
     if suite == "whittaker-covariance":
         c = _level(args.c)
@@ -177,19 +148,16 @@ def cmd_verify(args) -> int:
         hatted = hat_eta(t, eta_nc, c)
         f = build_fock(t, c, eta_for_fock(t, eta_nc))
         chi_hat = {i: hatted.value(f.positives[i].space[0]) for i in f.grass_slots}
-        rep = verify_whittaker_covariance(f, chi_hat)
-        return _emit_report(rep, args.out, args.seed)
+        return verify_whittaker_covariance(f, chi_hat)
 
     if suite == "factorization":
         c = _level(args.c)
-        lam = _weight(t, args.weight, weyl_vector(t.rd, c))
-        return _emit_report(verify_factorization(t, c, lam, _trunc(args.trunc)), args.out, args.seed)
+        return verify_factorization(t, c, _weight(t, args.weight, weyl_vector(t.rd, c)), _trunc(args.trunc))
 
     if suite == "skryabin":
         e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
-        duals = solve_dual_elements(t, g, e)
-        return _emit_report(verify_skryabin_conditions(g, chi, duals), args.out, args.seed)
+        return verify_skryabin_conditions(g, chi, solve_dual_elements(t, g, e))
 
     if suite == "appendix":
         c = _level(args.c)
@@ -198,8 +166,7 @@ def cmd_verify(args) -> int:
         duals = solve_dual_elements(t, g, e)
         f = build_fock(t, c, eta_for_fock(t, chi))
         bound = _nonnegative(args.weight_bound, "--weight-bound")
-        rep = appendix_pairing_check(f, g, chi, duals, bound, _trunc(args.trunc))
-        return _emit_report(rep, args.out, args.seed)
+        return appendix_pairing_check(f, g, chi, duals, bound, _trunc(args.trunc))
 
     c = _level(args.c)  # regularity
     if args.chi:
@@ -209,8 +176,7 @@ def cmd_verify(args) -> int:
     else:
         e, g = _principal_data(t, args)
         chi = nilchar_from_e(t, g, e)
-    zeta = zeta_from_chi(t, chi, c)
-    return _emit_report(regularity_check(zeta, t.rd), args.out, args.seed)
+    return regularity_check(zeta_from_chi(t, chi, c), t.rd)
 
 
 def _eta_dict(t, args):
@@ -219,8 +185,8 @@ def _eta_dict(t, args):
     return None
 
 
-def cmd_whittaker(args) -> int:
-    t, _ = _load_takiff(args.alg)
+def cmd_whittaker(args) -> tuple[str, int]:
+    t, _ = serialize.takiff_from_dict(_load(args.alg))
     c = _level(args.c)
     f = build_fock(t, c, _eta_dict(t, args))
     phi = serialize.nilchar_from_dict(_load(args.chi), t.total)
@@ -232,12 +198,11 @@ def cmd_whittaker(args) -> int:
         "vectors": [serialize.module_vector_to_dict(f, v) for v in wb.vectors],
         "report": wb.report.to_dict(),
     }
-    _write(serialize.dumps(out), args.out)
-    return 0
+    return serialize.dumps(out), 0
 
 
-def cmd_character(args) -> int:
-    t, _ = _load_takiff(args.alg)
+def cmd_character(args) -> tuple[str, int]:
+    t, _ = serialize.takiff_from_dict(_load(args.alg))
     c = _level(args.c)
     trunc = _trunc(args.trunc)
     if args.kind == "fock":
@@ -250,10 +215,8 @@ def cmd_character(args) -> int:
         lines = ["offset\tmult"]
         for o, m in ch.terms():
             lines.append(",".join(str(k) for k in o) + f"\t{m}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        _write(serialize.dumps(serialize.character_to_dict(ch)), args.out)
-    return 0
+        return "\n".join(lines) + "\n", 0
+    return serialize.dumps(serialize.character_to_dict(ch)), 0
 
 
 @functools.cache  # built once per process: each parse_args call fills a fresh namespace
@@ -314,16 +277,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its output, to --out or stdout; the one place the CLI writes."""
+    args = make_parser().parse_args(argv)
+    command = {"build": cmd_build, "verify": cmd_verify, "whittaker": cmd_whittaker, "character": cmd_character}
     try:
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "whittaker":
-            return cmd_whittaker(args)
-        return cmd_character(args)
+        text, code = command[args.command](args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (UsageError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,6 +78,12 @@ correction, the hat extension and the regularity check read both facts off
 `RootDatum.positive_offsets` and inverted that matrix once per call.
 `reference_solve_dual_elements` filled each dual's matrix with one odd-form
 pairing per entry, before each [e, u_i] got one odd-form row.
+`reference_gl_parity_sequence` is the greedy loop that chose each row parity of
+gl(m|n) from the rows left of each parity and the previous row, before
+`gl_parity_sequence` wrote down the sequence the loop always produces.
+`reference_eigen_failures` checked each root vector with a `bracket` call and a
+scaled unit vector per Cartan element, before `superalg.eigen_failures` read
+[h, x] off the bracket table for `verify_root_datum` and the root-datum loader.
 """
 
 from __future__ import annotations
@@ -1126,3 +1132,32 @@ def reference_solve_dual_elements(t: TakiffAlgebra, g: GradedNilradical, e: Spar
             raise ValueError(f"the pairing against [e, u_{j}] is singular")
         duals.append(SparseVector({candidates[ci]: s for ci, s in sol.items()}))
     return duals
+
+
+def reference_gl_parity_sequence(m: int, n: int) -> list[int]:
+    seq: list[int] = []
+    rem = [m, n]
+    prev = -1
+    while rem[0] or rem[1]:
+        if rem[0] and rem[1]:
+            if rem[0] > rem[1]:
+                p = 0
+            elif rem[1] > rem[0]:
+                p = 1
+            else:
+                p = 1 - prev if prev in (0, 1) else 0
+        else:
+            p = 0 if rem[0] else 1
+        seq.append(p)
+        rem[p] -= 1
+        prev = p
+    return seq
+
+
+def reference_eigen_failures(a: SuperAlgebra, rd: RootDatum):
+    for r in rd.roots:
+        for x in r.space:
+            xv = SparseVector.unit(x)
+            for pos, h in enumerate(rd.cartan):
+                if a.bracket(SparseVector.unit(h), xv) != xv.scale(r.covector[pos]):
+                    yield f"[{a.labels[h]},{a.labels[x]}] != root value"

@@ -112,6 +112,23 @@ class TestBuild:
     def test_invalid_params(self, tmp_path):
         assert run(["build", "gl", "--m", 0, "--n", 0, "--out", tmp_path / "x.json"]) == 2
 
+    def test_takiff_needs_a_root_datum(self, tmp_path, capsys):
+        alg = copy.deepcopy(_valid_file(1, 1, "algebra"))
+        del alg["root_datum"]
+        capsys.readouterr()
+        assert run(["build", "takiff", "--of", write(tmp_path / "alg.json", alg), "--out", tmp_path / "x.json"]) == 2
+        assert capsys.readouterr().err == "error: the input file carries no root datum\n"
+
+    def test_span_of_one_element_file(self, tmp_path, gl12_tak):
+        # a gens file without a vectors list is one element; [x, x] = 2 E_31 for x = E_21 + E_32
+        alg, _ = gl12_tak
+        x = {"coords": {"E_21": "1", "E_32": "1"}}
+        one, listed = tmp_path / "one.json", tmp_path / "listed.json"
+        assert run(["build", "span", "--in", alg, "--gens", write(tmp_path / "x.json", x), "--out", one]) == 0
+        assert run(["build", "span", "--in", alg, "--gens", write(tmp_path / "xs.json", {"vectors": [x]}),
+                    "--out", listed]) == 0
+        assert load(one)["dim"] == 2 and one.read_bytes() == listed.read_bytes()
+
 
 class TestVerify:
     def test_algebra_pass(self, gl21_file, tmp_path):
@@ -181,8 +198,36 @@ class TestVerify:
         e = write(tmp_path / "e.json", {"coords": {"E_21": "1", "E_32": "1"}})
         capsys.readouterr()
         assert run(["verify", "regularity", "--alg", bad, "--e", e, "--c", "1"]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: positive root (") and line.endswith(") is not a simple combination")
+        assert capsys.readouterr().err == "error: positive root (1, 0, -1) is not a simple combination\n"
+
+    @pytest.mark.parametrize(
+        "mn, want",
+        [
+            ((1, 2), "error: positive root (1, 0, -1) is not a simple combination"),
+            ((2, 1), "error: root datum: [E_11,E_13] != root value"),
+        ],
+        ids=["simple-set-cut", "covectors-doubled"],
+    )
+    def test_root_datum_is_checked_at_load(self, tmp_path, capsys, mn, want):
+        # gl(1|2) with its simple set cut from [0, 3] to [0], or gl(2|1) with the E_13 and E_31
+        # covectors doubled (their offsets stay integral): each passed these suites before
+        ext = copy.deepcopy(_valid_file(*mn, "extension"))
+        rd, labels = ext["root_datum"], ext["base_algebra"]["labels"]
+        if mn == (1, 2):
+            assert rd["simple"] == [0, 3]
+            rd["simple"] = [0]
+        else:
+            for r in rd["roots"]:
+                if labels[r["space"][0]] in ("E_13", "E_31"):
+                    r["covector"] = [str(Scalar.parse(v) * Scalar(2)) for v in r["covector"]]
+        bad = write(tmp_path / "bad.json", ext)
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1", "E_32": "1"}})
+        argvs = [["takiff"], ["highest-weight"], ["factorization", "--c", "1"]]
+        argvs += [["skryabin", "--e", e]] if mn == (1, 2) else []
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(["verify", *argv, "--alg", bad, "--out", tmp_path / "out"]) == 2, argv
+            assert capsys.readouterr().err.splitlines() == [want], argv
 
     def test_zero_level_usage_error(self, gl21_tak):
         assert run(["verify", "highest-weight", "--alg", gl21_tak, "--c", "0"]) == 2
@@ -364,6 +409,14 @@ class TestVerify:
                 "error: cannot parse scalar 'x'",
             ),
             (lambda d: d["brackets"][0].update(k=99), "error: bracket entry"),
+            (
+                lambda d: d["root_datum"]["roots"][0].update(space=[]),
+                "error: root 0 needs a root space and one value per Cartan element",
+            ),
+            (
+                lambda d: d["root_datum"]["roots"][1]["covector"].pop(),
+                "error: root 1 needs a root space and one value per Cartan element",
+            ),
         ],
         ids=[
             "layout-list", "layout-missing", "z-missing", "takiff_of", "total-form",
@@ -371,6 +424,7 @@ class TestVerify:
             "root-no-covector", "root-list", "root-space-int", "bracket-no-k", "bracket-no-coeff", "form-no-j",
             "covector-string", "space-string", "space-string-two", "covector-int-entry", "bracket-int-coeff", "form-null-coeff",
             "base-bracket-list-coeff", "bracket-bad-text", "covector-bad-text", "bracket-k-outside",
+            "root-space-empty", "covector-short",
         ],
     )
     def test_malformed_extension_names_its_field(self, tmp_path, capsys, edit, want):
@@ -639,6 +693,31 @@ class TestCliPaths:
         for deg in (7, 8):
             assert run(argv + ["--deg", deg, "--out", tmp_path / f"rep{deg}.json"]) == 0
         assert (tmp_path / "rep7.json").read_bytes() == (tmp_path / "rep8.json").read_bytes()
+
+    def test_weight_file(self, gl21_tak, tmp_path, capsys):
+        # a file holding the default weight (rho at level c) writes the default bytes; a file
+        # holding another weight is read: the Verma character moves, the factorization checks its level
+        _, rd = build_gl(2, 1)
+        rho = weyl_vector(rd, Scalar(2))
+        weights = {
+            "rho": rho,
+            "shifted": rho._replace(values=(rho.values[0] + Scalar(1), *rho.values[1:])),
+            "level-1": rho._replace(level=Scalar(1)),
+        }
+        files = {name: write(tmp_path / f"{name}.json", serialize.weight_to_dict(lam)) for name, lam in weights.items()}
+
+        def written(argv, *weight):
+            out = tmp_path / "out"
+            assert run(argv + ["--alg", gl21_tak, "--c", 2, "--trunc", 3, *weight, "--out", out]) == 0
+            return out.read_bytes()
+
+        for argv in (["verify", "factorization"], ["character", "--kind", "verma"]):
+            assert written(argv, "--weight", files["rho"]) == written(argv)
+        verma = ["character", "--kind", "verma"]
+        assert written(verma, "--weight", files["shifted"]) != written(verma)
+        capsys.readouterr()
+        assert run(["verify", "factorization", "--alg", gl21_tak, "--c", 2, "--weight", files["level-1"]]) == 2
+        assert capsys.readouterr().err == "error: the weight's level must match the level c\n"
 
     def test_characters_build_no_fock_module(self, gl21_tak, tmp_path, monkeypatch):
         # the Fock character is a function of the root datum and the level

@@ -141,3 +141,28 @@ def test_serialize_dumps_is_the_one_json_writer():
     `serialize._encoder` makes: every file and report keeps one writer and one text."""
     uses = [u for p in sorted((ROOT / "src" / "whittak").glob("*.py")) for u in _json_writer_uses(p)]
     assert uses == [("serialize.py", "_encoder", "JSONEncoder")]
+
+
+def _writes(path: Path) -> list[tuple[str, str]]:
+    """(enclosing top-level function, what) for each write to a file or stdout that the module
+    makes: an `open` call with a mode other than reading, a reach of `sys.stdout`, or a `print`
+    with no `file` argument."""
+    writes = []
+    for top in ast.parse(path.read_text()).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for n in ast.walk(top):
+            if isinstance(n, ast.Attribute) and ast.unparse(n) == "sys.stdout":
+                writes.append((where, "sys.stdout"))
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+                mode = n.args[1:2] + [k.value for k in n.keywords if k.arg == "mode"]
+                if n.func.id == "open" and mode and ast.unparse(mode[0]) not in ("'r'", "'rb'"):
+                    writes.append((where, "open"))
+                elif n.func.id == "print" and all(k.arg != "file" for k in n.keywords):
+                    writes.append((where, "print"))
+    return writes
+
+
+def test_cli_main_is_the_one_writer():
+    """No function of `cli` but `main` opens a file for writing or writes to stdout: every command
+    returns its text and exit code, and `main` writes them once, to --out or stdout."""
+    assert sorted(_writes(ROOT / "src" / "whittak" / "cli.py")) == [("main", "open"), ("main", "sys.stdout")]

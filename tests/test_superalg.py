@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gl_supercommutator_table, supertrace, unit_matrix, mat_mul
-from reference_engines import reference_verify_algebra
+from reference_engines import reference_eigen_failures, reference_gl_parity_sequence, reference_verify_algebra
 from whittak.exactlin import ONE, ZERO, I, Scalar, SparseMatrix, SparseVector
 from whittak.superalg import (
     EVEN,
     ODD,
     Root,
+    SuperAlgebra,
     Weight,
     build_gl,
     centralizer_dim,
+    eigen_failures,
     gl_parity_sequence,
     grading_by_adh,
     subalgebra_from_span,
@@ -39,6 +41,34 @@ def test_parity_sequences():
     assert gl_parity_sequence(2, 2) == [0, 1, 0, 1]
     assert gl_parity_sequence(2, 3) == [1, 0, 1, 0, 1]
     assert gl_parity_sequence(2, 0) == [0, 0]
+    assert gl_parity_sequence(4, 1) == [0, 0, 0, 1, 0]
+
+
+def test_parity_sequence_matches_the_greedy_loop():
+    shapes = [(m, n) for m in range(13) for n in range(13 - m)]
+    assert [gl_parity_sequence(m, n) for m, n in shapes] == [reference_gl_parity_sequence(m, n) for m, n in shapes]
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_eigen_failures_match_the_bracket_check(mn, data):
+    """The table-read eigen check yields the witnesses, in order, of one bracket per Cartan
+    element and root vector, on root data with corrupted covectors and tables with corrupted
+    entries."""
+    a, rd = build_gl(*mn)
+    roots, table = list(rd.roots), dict(a.table)
+    for _ in range(data.draw(st.integers(0, 3))):
+        k, pos = data.draw(st.integers(0, len(roots) - 1)), data.draw(st.integers(0, len(rd.cartan) - 1))
+        if data.draw(st.booleans()):
+            value = data.draw(st.sampled_from([ZERO, ONE, -ONE, Scalar(2), I]))
+            cov = roots[k].covector
+            roots[k] = roots[k]._replace(covector=cov[:pos] + (value,) + cov[pos + 1:])
+        else:
+            key = (rd.cartan[pos], roots[k].space[0])
+            table[key] = data.draw(st.sampled_from([SparseVector(), SparseVector.unit(0), SparseVector.unit(key[1])]))
+    a = SuperAlgebra(a.name, a.labels, a.parity, table, a.form)
+    rd = rd._replace(roots=tuple(roots))
+    assert list(eigen_failures(a, rd)) == list(reference_eigen_failures(a, rd))
 
 
 class TestBuildGl:

@@ -190,6 +190,14 @@ class TestSolveDuals:
         assert not rep.passed
         assert not rep.checks[0].passed
 
+    def test_swapped_duals_leave_degree_minus_one(self):
+        # x_0 and x_1 swapped: u_0 and u_1 have degrees -2 and -1, so [u_0, x_1] leaves degree -1
+        a, rd, t, g, e, h = gl12_principal()
+        duals = solve_dual_elements(t, g, e)
+        assert [g.degrees[u] for u in g.u_indices[:2]] == [-2, -1]
+        rep = verify_skryabin_conditions(g, nilchar_from_e(t, g, e), [duals[1], duals[0], *duals[2:]])
+        assert rep.checks[0].witness == "[u_0, x_0] is not in degree -1 of the negative part"
+
     def test_deep_support_fails_condition3(self):
         a, rd, t, g, e, h = gl12_principal()
         duals = solve_dual_elements(t, g, e)
@@ -448,16 +456,10 @@ class TestWhittakerSolver:
 
 
 class TestWordPairing:
-    def test_barred_heisenberg_clifford_instance(self):
-        """Triangular pairing on the twisted Fock over the barred radical.
-
-        u_s = Ebar_s (shifted by eta) against x_s = scaled Fbar_s: annihilator
-        shifts against creators, normalized so [u_s, x_s] acts as the
-        identity. The diagonal scalar then has the closed form prod a_s! over
-        the even slots, and all higher words vanish.
-        """
-        import ast
-
+    @staticmethod
+    def barred_words():
+        """(f, us, xs, ds, odd_mask, phis, v) of the barred radical on the twisted gl(1|2) Fock
+        module: u_s = Ebar_s, x_s = scaled Fbar_s, evens first, v the vacuum."""
         a, rd, t, g, e, chi, f = gl12_twisted_fock()
         pos, offsets = rd.positive_roots(), rd.positive_offsets()
         # evens first in the extended algebra: barred odd-root vectors are even
@@ -472,9 +474,46 @@ class TestWordPairing:
             odd_mask.append(t.total.parity[bar_idx] == 1)
             phis.append(chi.value(bar_idx))
             ds.append(sum(offsets[i]))
+        return f, us, xs, ds, odd_mask, phis, f.vacuum()
+
+    @pytest.mark.parametrize(
+        "fault, want",
+        [
+            # zeroed duals: every word with an x letter kills v
+            ("zero duals", ("u^(0, 1, 0) x^(0, 1, 0) v = 0", None)),
+            # the u and x words swapped: x_s creates, so u^a x^a v leaves the vacuum line
+            (
+                "swapped roles",
+                ("u^(0, 1, 0) x^(0, 1, 0) v is not a nonzero multiple of v", "u^(0, 1, 0) x^(0, 0, 0) v != 0"),
+            ),
+            # x_0 added to x_1: u_0 x_1 v = v, though (1, 0, 0) comes after (0, 1, 0)
+            ("x_0 in x_1", (None, "u^(1, 0, 0) x^(0, 1, 0) v != 0")),
+        ],
+    )
+    def test_planted_faults_fail(self, fault, want):
+        f, us, xs, ds, odd_mask, phis, v = self.barred_words()
+        if fault == "zero duals":
+            xs = [SparseVector()] * len(xs)
+        elif fault == "swapped roles":
+            us, xs = xs, us
+        else:
+            xs = [xs[0], xs[1] + xs[0], *xs[2:]]
+        rep = pairing_word_check(f, us, xs, ds, odd_mask, phis, v, 3)
+        assert tuple(c.witness for c in rep.checks) == want
+
+    def test_barred_heisenberg_clifford_instance(self):
+        """Triangular pairing on the twisted Fock over the barred radical.
+
+        u_s = Ebar_s (shifted by eta) against x_s = scaled Fbar_s: annihilator
+        shifts against creators, normalized so [u_s, x_s] acts as the
+        identity. The diagonal scalar then has the closed form prod a_s! over
+        the even slots, and all higher words vanish.
+        """
+        import ast
+
+        f, us, xs, ds, odd_mask, phis, v = self.barred_words()
         assert odd_mask == [False, False, True]
         assert ds == [1, 1, 2]
-        v = f.vacuum()
         rep = pairing_word_check(f, us, xs, ds, odd_mask, phis, v, 3)
         assert rep.passed, rep.to_dict()
         assert rep.data["diagonal_scalars"]
