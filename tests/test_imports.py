@@ -1,7 +1,7 @@
 """Every module of the package, its tests and its scripts reads each name it imports, every
 package name the benchmark traces or expects a call of still exists, every function and class of
-the package is reached from outside the tests, and importing the package loads only what its cold
-start needs."""
+the package is reached from outside the tests, importing the package loads only what its cold
+start needs, `serialize.dumps` is the one JSON writer and `cli.main` the one writer of CLI output."""
 
 import ast
 import importlib
