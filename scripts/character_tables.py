@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print character tables and check the factorization identity for one algebra.
+"""Print character tables up to height --trunc and check the factorization identity, at every
+height, for one algebra.
 
 Usage: python3 scripts/character_tables.py --m 2 --n 1 --c 2 --trunc 4
 """
@@ -38,7 +39,7 @@ def main():
 
     show("Fock character", fock_character(rd, c, args.trunc))
     show("extended Verma at the shifted weight", verma_character(rd, lam, args.trunc, hatted=True))
-    rep = verify_factorization(t, c, lam, args.trunc)
+    rep = verify_factorization(t, c, lam)
     print(rep.summary())
     return 0 if rep.passed else 1
 

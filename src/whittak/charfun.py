@@ -122,10 +122,10 @@ def _difference(a: tuple[Weight, int, list], b: tuple[Weight, int, list]) -> str
     return None
 
 
-def verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight, trunc: int) -> Report:
+def verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight) -> Report:
     """Extended Verma character equals the Fock character times the plain Verma character, at every
-    height: the two sides' anchors, dimensions and exponent maps agree. `trunc` only labels the report."""
-    rep = Report(f"character factorization: {t.base.name}, c = {c}, height <= {trunc}")
+    height: the two sides' anchors, dimensions and exponent maps agree."""
+    rep = Report(f"character factorization: {t.base.name}, c = {c}, every height")
     if lam.level != c:
         raise ValueError("the weight's level must match the level c")
     offsets = _positive_root_offsets(t.rd)
@@ -133,5 +133,4 @@ def verify_factorization(t: TakiffAlgebra, c: Scalar, lam: Weight, trunc: int) -
     (fa, fd, ff), (va, vd, vf) = _fock(t.rd, offsets, c), _verma(t.rd, offsets, shifted, False)
     rhs = (fa + va, fd * vd, ff + vf)
     rep.add("coefficientwise equality", _difference(_verma(t.rd, offsets, lam, True), rhs))
-    rep.data["truncation"] = trunc
     return rep

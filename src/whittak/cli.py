@@ -152,7 +152,7 @@ def _extension_report(args, t, hat) -> Report:
 
     if suite == "factorization":
         c = _level(args.c)
-        return verify_factorization(t, c, _weight(t, args.weight, weyl_vector(t.rd, c)), _trunc(args.trunc))
+        return verify_factorization(t, c, _weight(t, args.weight, weyl_vector(t.rd, c)))
 
     if suite == "skryabin":
         e, g = _principal_data(t, args)

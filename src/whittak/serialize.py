@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .exactlin import Scalar, SparseMatrix, SparseVector
-from .superalg import Root, RootDatum, SuperAlgebra, Weight, eigen_failures, is_index
+from .superalg import Root, RootDatum, SuperAlgebra, Weight, is_index, verify_root_datum
 from .takiff import HatDecomposition, TakiffAlgebra, build_takiff
 from .wfinite import NilCharacter, nil_character
 
@@ -165,9 +165,9 @@ def root_datum_to_dict(rd: RootDatum) -> dict:
 
 
 def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | None = None) -> RootDatum:
-    """A file's root datum of the algebra a: every index in range, every root of its vectors' parity,
-    every root vector an eigenvector of the Cartan with its root's values, and the simple roots a base
-    of the positive ones. `memo` is the load's coefficient memo, as for algebra_from_dict."""
+    """A file's root datum of the algebra a: every index in range, one root vector per root, of its
+    root's parity, the rules of `verify_root_datum` and the simple roots a base of the positive ones.
+    `memo` is the load's coefficient memo, as for algebra_from_dict."""
     d, memo = _mapping(d, "root_datum"), {} if memo is None else memo
     fields = ("cartan", "roots", "positive", "simple")
     cartan, records, positive, simple = (_mapping(d.get(k), f"root_datum.{k}", list) for k in fields)
@@ -196,6 +196,8 @@ def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | Non
     for n, r in enumerate(roots):
         if not r.space or len(r.covector) != len(cartan):
             raise ValueError(f"root {n} needs a root space and one value per Cartan element")
+        if len(r.space) > 1:
+            raise ValueError(f"root {n} has {len(r.space)} root vectors, not one")
         if not is_index(r.parity, 2):
             raise ValueError(f"root {n} has parity {r.parity!r}, not 0 or 1")
         for k in r.space:
@@ -204,9 +206,9 @@ def root_datum_from_dict(d: dict, a: SuperAlgebra, memo: dict[str, Scalar] | Non
                     f"root {n} has parity {r.parity}, but its root vector {a.labels[k]} has parity {a.parity[k]}"
                 )
     rd = RootDatum(tuple(cartan), tuple(roots), tuple(positive), tuple(simple))
-    witness = next(eigen_failures(a, rd), None)
-    if witness:
-        raise ValueError(f"root datum: {witness}")
+    failed = verify_root_datum(a, rd).failures()
+    if failed:
+        raise ValueError(f"root datum: {failed[0].witness}")
     rd.positive_offsets()  # raises unless every positive root has coordinates over the simple roots
     return rd
 

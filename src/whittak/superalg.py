@@ -134,9 +134,14 @@ class RootDatum(NamedTuple):
             # values on the rows are its coordinates
             coords = {p: row[j].as_int() for p, row in pivots.items() if j in row}
             if any(k is None or k < 0 or p >= ns for p, k in coords.items()):
-                raise ValueError(f"positive root ({', '.join(map(str, r.covector))}) is not a simple combination")
+                raise ValueError(f"positive root {covector_text(r.covector)} is not a simple combination")
             out.append(tuple(coords.get(p, 0) for p in range(ns)))
         return out
+
+
+def covector_text(covector: tuple[Scalar, ...]) -> str:
+    """A covector in the scalar grammar of the files, as every witness and error writes it: (1, 0, -1)."""
+    return f"({', '.join(map(str, covector))})"
 
 
 class Weight(NamedTuple):
@@ -363,28 +368,31 @@ def eigen_failures(a: SuperAlgebra, rd: RootDatum):
 
 
 def verify_root_datum(a: SuperAlgebra, rd: RootDatum) -> Report:
-    """[h, x] = alpha(h) x on every root space, and spanning."""
+    """[h, x] = alpha(h) x on every root space, spanning, and negatives; a passing root writes no text."""
     rep = Report("root datum checks")
     rep.first_failure("root space eigen-equations", eigen_failures(a, rd))
 
-    spaces = (*rd.cartan, *(x for r in rd.roots for x in r.space))
+    indices = (*rd.cartan, *(x for r in rd.roots for x in r.space))
+    spaces = set(indices)
     rep.first_failure(
         "cartan and root spaces span",
         [f"{a.labels[k]} is in no root space and not in the Cartan" for k in range(a.dim) if k not in spaces]
-        + [f"index {k!r} is not a basis index" for k in spaces if k not in range(a.dim)],
+        + [f"index {k!r} is not a basis index" for k in indices if k not in range(a.dim)],
     )
 
-    allcov = {r.covector for r in rd.roots}
-    pos_cov = {rd.roots[i].covector for i in rd.positive}
+    # one id per distinct covector, so that each covector is hashed once and negated at most once
+    cid: dict[tuple, int] = {}
+    ids = [cid.setdefault(r.covector, len(cid)) for r in rd.roots]
+    opposite = {ids[i]: cid.get(tuple([-v for v in rd.roots[i].covector])) for i in rd.positive}
+    negatives = set(opposite.values())  # the ids whose negative is positive
 
     def negative_failures():
-        for r in rd.roots:
-            minus, positive = tuple(-v for v in r.covector), r.covector in pos_cov
-            cov = ", ".join(str(v) for v in r.covector)
-            if positive and minus not in allcov:
-                yield f"-({cov}) is not a root"
-            elif positive == (minus in pos_cov):
-                yield f"not exactly one of ±({cov}) is positive"
+        for r, k in zip(rd.roots, ids):
+            positive = k in opposite
+            if positive and opposite[k] is None:
+                yield f"-{covector_text(r.covector)} is not a root"
+            elif positive == (k in negatives):
+                yield f"not exactly one of ±{covector_text(r.covector)} is positive"
 
     rep.first_failure("negatives are minus positives", negative_failures())
     return rep

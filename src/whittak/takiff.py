@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .exactlin import ONE, Scalar, SparseMatrix, SparseVector, add_term, rank, sign
 from .reports import Report
-from .superalg import EVEN, RootDatum, SuperAlgebra, form_invariance_failures, verify_algebra
+from .superalg import EVEN, RootDatum, SuperAlgebra, covector_text, form_invariance_failures, verify_algebra
 
 
 class HatDecomposition(NamedTuple):
@@ -225,11 +225,11 @@ def dual_bases(s: SuperAlgebra, rd: RootDatum) -> DualBasis:
         e = SparseVector.unit(r.space[0])
         neg = rd.root_index(tuple(-c for c in r.covector))
         if neg is None:
-            raise ValueError(f"missing opposite root for {r.covector}")
+            raise ValueError(f"missing opposite root for {covector_text(r.covector)}")
         f0 = SparseVector.unit(rd.roots[neg].space[0])
         pairing = s.form_pair(e, f0)
         if not pairing:
-            raise ValueError(f"root vectors pair to zero for root {r.covector}")
+            raise ValueError(f"root vectors pair to zero for root {covector_text(r.covector)}")
         Es.append(e)
         Fs.append(f0.scale(ONE / pairing))
 

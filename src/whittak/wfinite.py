@@ -24,9 +24,9 @@ from .exactlin import (
     rank,
     solve,
 )
-from .fockrep import ModuleVector, enumerate_multiindices
+from .fockrep import ModuleVector, check_twist_support, enumerate_multiindices
 from .reports import Report
-from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, grading_by_adh, is_index
+from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, covector_text, grading_by_adh, is_index
 from .takiff import TakiffAlgebra, odd_form
 
 
@@ -169,33 +169,16 @@ def hat_eta(t: TakiffAlgebra, eta: NilCharacter, c: Scalar) -> NilCharacter:
     if not c:
         raise ValueError("the level must be nonzero")
     rd = t.rd
-    simples = set(rd.simple)
-    offenders = []
-    for k, pidx in enumerate(rd.positive):
-        r = rd.roots[pidx]
-        if r.parity == ODD and pidx not in simples:
-            if eta.value(t.theta(r.space[0])):
-                offenders.append(r.covector)
-    if offenders:
-        raise ValueError(f"twist supported outside the simple odd roots: {offenders}")
+    pos = rd.positive_roots()
+    check_twist_support(rd, [k for k, r in enumerate(pos) if r.parity == ODD and eta.value(t.theta(r.space[0]))])
 
-    vals: dict[int, Scalar] = {}
-    domain = []
-    for pidx in rd.positive:
-        r = rd.roots[pidx]
-        if r.parity == ODD:
-            bar = t.theta(r.space[0])
-            domain.append(bar)
-            v = eta.value(bar)
-            if v:
-                vals[bar] = v
+    domain = [t.theta(r.space[0]) for r in pos if r.parity == ODD]
+    vals = {bar: eta.value(bar) for bar in domain}  # nil_character drops the zeros
     for bidx, corr in _even_positive_corrections(t, c):
         domain.append(bidx)
         if corr is not None:
             b1, b2, factor = corr
-            v = factor * eta.value(b1) * eta.value(b2)
-            if v:
-                vals[bidx] = v
+            vals[bidx] = factor * eta.value(b1) * eta.value(b2)
     return nil_character(t.total, domain, vals)
 
 
@@ -454,42 +437,38 @@ def pairing_word_check(
 ) -> Report:
     """Triangularity of shifted u-words against x-words on an eigenvector v.
 
-    Checks u^a x^a v = (nonzero scalar) v, recording the scalar, and
-    u^a x^b v = 0 whenever a > b in the (weight asc, size desc, lex) order.
+    Checks u^a x^a v = (nonzero scalar) v, recording the scalar of every diagonal word, and
+    u^a x^b v = 0 whenever a > b in the (weight asc, size desc, lex) order, up to the first failure.
     """
     rep = Report(f"word pairing identities, weight <= {max_weight}")
     idxs = enumerate_multiindices(ds, odd_mask, max_weight)
     idxs.sort(key=lambda a: multiindex_key(a, ds))
-    zero_shifts = [ZERO] * len(xs)
-
+    xvs = [_apply_word(module, xs, b, [ZERO] * len(xs), v) for b in idxs]
     vac_key, vac_coeff = next(iter(v.items()))
     scalars = {}
-    bad_diag = None
-    bad_tri = None
-    checked = 0
-    for bi, b in enumerate(idxs):
-        xbv = _apply_word(module, xs, b, zero_shifts, v)
-        for ai, a in enumerate(idxs):
-            if ai < bi:
-                continue  # only a >= b in the total order
-            w = _apply_word(module, us, a, phi_values, xbv)
-            checked += 1
-            if ai == bi:
-                # diagonal: proportional to v with a nonzero scalar
-                if not w:
-                    bad_diag = bad_diag or f"u^{a} x^{a} v = 0"
-                    continue
-                coeff = w.get(vac_key) / vac_coeff
-                if w != v.scale(coeff) or not coeff:
-                    bad_diag = bad_diag or f"u^{a} x^{a} v is not a nonzero multiple of v"
-                else:
-                    scalars[str(a)] = str(coeff)
-            elif w:
-                bad_tri = bad_tri or f"u^{a} x^{b} v != 0"
-    rep.add("diagonal words return nonzero multiples of v", bad_diag)
-    rep.add("higher words annihilate v", bad_tri)
+
+    def diagonal_failures():
+        for a, xav in zip(idxs, xvs):
+            w = _apply_word(module, us, a, phi_values, xav)
+            coeff = w.get(vac_key) / vac_coeff
+            if coeff and w == v.scale(coeff):
+                scalars[str(a)] = str(coeff)
+            else:
+                yield f"u^{a} x^{a} v {'is not a nonzero multiple of v' if w else '= 0'}"
+
+    # every diagonal word runs, so that each passing one records its scalar
+    rep.first_failure("diagonal words return nonzero multiples of v", list(diagonal_failures()))
+    rep.first_failure(
+        "higher words annihilate v",
+        (
+            f"u^{a} x^{b} v != 0"
+            for bi, (b, xbv) in enumerate(zip(idxs, xvs))
+            for a in idxs[bi + 1 :]
+            if _apply_word(module, us, a, phi_values, xbv)
+        ),
+    )
     rep.data["diagonal_scalars"] = scalars
-    rep.data["pairs_checked"] = checked
+    rep.data["pairs_checked"] = len(idxs) * (len(idxs) + 1) // 2
     return rep
 
 
@@ -528,11 +507,8 @@ def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
     simple_evens = [pidx for pidx, o in evens.items() if o not in sums]
     pairs = _odd_simple_pairs(rd, offsets)
 
-    vanishing = []
-    for pidx in simple_evens:
-        (bidx,) = rd.roots[pidx].space
-        if not zeta.value(bidx):
-            vanishing.append(zeta.algebra.labels[bidx])
+    labels = zeta.algebra.labels
+    vanishing = ", ".join(labels[x] for p in simple_evens for x in rd.roots[p].space if not zeta.value(x))
     rep.add("nonvanishing on every simple even root vector", f"vanishes on {vanishing}" if vanishing else None)
     rep.data["simple_even_roots"] = len(simple_evens)
     pairing = root_pairing(zeta.algebra, rd)
@@ -546,7 +522,11 @@ def regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
 
     rep.first_failure(
         "simple even roots split over the odd simples",
-        (f"structural claim fails for {rd.roots[p].covector}" for p in simple_evens if not splits(p)),
+        (
+            f"structural claim fails for {covector_text(rd.roots[p].covector)}"
+            for p in simple_evens
+            if not splits(p)
+        ),
     )
     return rep
 

@@ -3,9 +3,10 @@
 `FinDimModule`, `natural_module` and `TensorModule` build L (x) Fock for a
 finite-dimensional module L of the base algebra given by action matrices, and
 `cyclicity_spot_check` probes such a tensor module with seeded random vectors.
-`char_product` multiplies two truncated characters and `char_difference`
-names their first differing coefficient, as the package did before its
-factorization check compared exponent maps;
+`borel_root_datum` gives gl(m|n) the positive system of another Borel, one
+per order of its rows. `char_product` multiplies two truncated characters and
+`char_difference` names their first differing coefficient, as the package did
+before its factorization check compared exponent maps;
 `verify_simple_character_factorization` emits the right side of the
 simple-character identity with them. `mul_vec` is the product of a sparse
 matrix with a sparse vector. `nilchar_to_dict`, `character_from_dict` and
@@ -24,8 +25,21 @@ from whittak.exactlin import I, ONE, EchelonSpan, Scalar, SparseMatrix, SparseVe
 from whittak.fockrep import FockModule, ModuleVector
 from whittak.reports import Report
 from whittak.serialize import weight_from_dict
-from whittak.superalg import RootDatum, SuperAlgebra, Weight, gl_parity_sequence
+from whittak.superalg import RootDatum, SuperAlgebra, Weight, build_gl, gl_parity_sequence
 from whittak.wfinite import NilCharacter
+
+
+def borel_root_datum(m: int, n: int, order) -> tuple[SuperAlgebra, RootDatum]:
+    """gl(m|n) as `build_gl` gives it, with the root datum of the Borel of a row order: the positive
+    roots are the E_ab with row a before row b in `order`, in `build_gl`'s root order, and the simple
+    roots are those of consecutive rows, in the order's sequence. Each such Borel contains the same
+    Cartan; the identity order gives `build_gl`'s own datum."""
+    a, rd = build_gl(m, n)
+    place = {row: k for k, row in enumerate(order)}
+    rows = [divmod(r.space[0], m + n) for r in rd.roots]  # (a, b) of the root of E_ab
+    positive = [k for k, (i, j) in enumerate(rows) if place[i] < place[j]]
+    simple = sorted((place[i], k) for k, (i, j) in enumerate(rows) if place[j] == place[i] + 1)
+    return a, rd._replace(positive=tuple(positive), simple=tuple(k for _, k in simple))
 
 
 def mul_vec(m: SparseMatrix, v: SparseVector) -> SparseVector:

@@ -84,6 +84,9 @@ gl(m|n) from the rows left of each parity and the previous row, before
 `reference_eigen_failures` checked each root vector with a `bracket` call and a
 scaled unit vector per Cartan element, before `superalg.eigen_failures` read
 [h, x] off the bracket table for `verify_root_datum` and the root-datum loader.
+`reference_pairing_word_check` is the word-pairing check that folded both of
+its witnesses by hand and ran every pair of words, before it recorded them
+through `Report.first_failure` with the triangle stopping at its first witness.
 """
 
 from __future__ import annotations
@@ -111,12 +114,18 @@ from whittak.exactlin import (
     sign,
     solve,
 )
-from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim
+from whittak.fockrep import FockModule, ModuleVector, clifford_module_dim, enumerate_multiindices
 from whittak.reports import Report
 from whittak.serialize import algebra_from_dict, root_datum_from_dict
-from whittak.superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, Weight, is_index, weyl_vector
+from whittak.superalg import EVEN, ODD, Root, RootDatum, SuperAlgebra, Weight, covector_text, is_index, weyl_vector
 from whittak.takiff import HatDecomposition, TakiffAlgebra, build_takiff, dual_bases, odd_form, theta_derivative
-from whittak.wfinite import GradedNilradical, NilCharacter, _generating_subset
+from whittak.wfinite import (
+    GradedNilradical,
+    NilCharacter,
+    _apply_word,
+    _generating_subset,
+    multiindex_key,
+)
 
 
 class FockParts(NamedTuple):
@@ -1081,7 +1090,7 @@ def reference_regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
         (bidx,) = r.space
         if not zeta.value(bidx):
             vanishing.append(zeta.algebra.labels[bidx])
-    rep.add("nonvanishing on every simple even root vector", f"vanishes on {vanishing}" if vanishing else None)
+    rep.add("nonvanishing on every simple even root vector", f"vanishes on {', '.join(vanishing)}" if vanishing else None)
     rep.data["simple_even_roots"] = len(simple_evens)
 
     def norm(i):
@@ -1098,7 +1107,7 @@ def reference_regularity_check(zeta: NilCharacter, rd: RootDatum) -> Report:
                 elif norm(i1):
                     ok = True
             if not ok:
-                yield f"structural claim fails for {r.covector}"
+                yield f"structural claim fails for {covector_text(r.covector)}"
 
     rep.first_failure("simple even roots split over the odd simples", structural_failures())
     return rep
@@ -1161,3 +1170,54 @@ def reference_eigen_failures(a: SuperAlgebra, rd: RootDatum):
             for pos, h in enumerate(rd.cartan):
                 if a.bracket(SparseVector.unit(h), xv) != xv.scale(r.covector[pos]):
                     yield f"[{a.labels[h]},{a.labels[x]}] != root value"
+
+
+def reference_pairing_word_check(
+    module,
+    us: list[SparseVector],
+    xs: list[SparseVector],
+    ds: list[int],
+    odd_mask: list[bool],
+    phi_values: list[Scalar],
+    v: ModuleVector,
+    max_weight: int,
+) -> Report:
+    """Triangularity of shifted u-words against x-words on an eigenvector v.
+
+    Checks u^a x^a v = (nonzero scalar) v, recording the scalar, and
+    u^a x^b v = 0 whenever a > b in the (weight asc, size desc, lex) order.
+    """
+    rep = Report(f"word pairing identities, weight <= {max_weight}")
+    idxs = enumerate_multiindices(ds, odd_mask, max_weight)
+    idxs.sort(key=lambda a: multiindex_key(a, ds))
+    zero_shifts = [ZERO] * len(xs)
+
+    vac_key, vac_coeff = next(iter(v.items()))
+    scalars = {}
+    bad_diag = None
+    bad_tri = None
+    checked = 0
+    for bi, b in enumerate(idxs):
+        xbv = _apply_word(module, xs, b, zero_shifts, v)
+        for ai, a in enumerate(idxs):
+            if ai < bi:
+                continue  # only a >= b in the total order
+            w = _apply_word(module, us, a, phi_values, xbv)
+            checked += 1
+            if ai == bi:
+                # diagonal: proportional to v with a nonzero scalar
+                if not w:
+                    bad_diag = bad_diag or f"u^{a} x^{a} v = 0"
+                    continue
+                coeff = w.get(vac_key) / vac_coeff
+                if w != v.scale(coeff) or not coeff:
+                    bad_diag = bad_diag or f"u^{a} x^{a} v is not a nonzero multiple of v"
+                else:
+                    scalars[str(a)] = str(coeff)
+            elif w:
+                bad_tri = bad_tri or f"u^{a} x^{b} v != 0"
+    rep.add("diagonal words return nonzero multiples of v", bad_diag)
+    rep.add("higher words annihilate v", bad_tri)
+    rep.data["diagonal_scalars"] = scalars
+    rep.data["pairs_checked"] = checked
+    return rep

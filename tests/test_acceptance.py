@@ -255,15 +255,15 @@ def test_criterion_06_zeta_cancellation():
 
 
 def test_criterion_07_character_factorization():
-    """Verma factorization to heights 6 and 4; the shift canary must fail."""
+    """Verma factorization at every height on gl(1|1) and gl(2|1); the shift canary must fail."""
     ok = True
     _, rd1, t1 = takiff_of(1, 1)
-    ok &= verify_factorization(t1, ONE, weyl_vector(rd1, ONE), 6).passed
+    ok &= verify_factorization(t1, ONE, weyl_vector(rd1, ONE)).passed
 
     c = Scalar(2)
     _, rd2, t2 = takiff_of(2, 1)
     lam = Weight((Scalar(1), ZERO, Scalar(-1)), c)
-    ok &= verify_factorization(t2, c, lam, 4).passed
+    ok &= verify_factorization(t2, c, lam).passed
 
     # canary: dropping the shift must produce a mismatch
     lam1 = weyl_vector(rd1, ONE)
@@ -272,7 +272,7 @@ def test_criterion_07_character_factorization():
         fock_character(rd1, ONE, 5), verma_character(rd1, lam1.restrict(), 5, hatted=False)
     )
     ok &= char_difference(lhs, rhs) is not None
-    assert crit(7, ok, "character factorization at heights 6 and 4, canary detected")
+    assert crit(7, ok, "character factorization at every height, canary detected")
 
 
 def test_criterion_08_skryabin_conditions():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from modules import borel_root_datum
 from reference_engines import reference_dumps
 
 from whittak import cli, serialize
@@ -228,6 +229,87 @@ class TestVerify:
             capsys.readouterr()
             assert run(["verify", *argv, "--alg", bad, "--out", tmp_path / "out"]) == 2, argv
             assert capsys.readouterr().err.splitlines() == [want], argv
+
+    @staticmethod
+    def _corrupted_root_datum(case, rd):
+        """Edit a root datum of `_valid_file` in place: E_31's root deleted on gl(2|1) (the span
+        check's case), the roots of gl(3|0) over the Cartan [E_11] with two root vectors each (the
+        one-vector check's), or every root of gl(1|1) made non-positive (the negatives check's)."""
+        if case == "root-deleted":
+            gone = next(n for n, r in enumerate(rd["roots"]) if r["space"] == [6])  # E_31 of gl(2|1)
+            del rd["roots"][gone]
+            for key in ("positive", "simple"):
+                rd[key] = [k - (k > gone) for k in rd[key]]
+        elif case == "two-vector-roots":
+            rd.update(cartan=[0], positive=[0], simple=[0], roots=[
+                {"covector": ["1"], "space": [1, 2], "parity": 0},
+                {"covector": ["-1"], "space": [3, 6], "parity": 0},
+            ])
+        else:
+            rd.update(positive=[], simple=[])
+
+    @pytest.mark.parametrize(
+        "case, mn, want",
+        [
+            ("root-deleted", (2, 1), "error: root datum: E_31 is in no root space and not in the Cartan"),
+            ("two-vector-roots", (3, 0), "error: root 0 has 2 root vectors, not one"),
+            ("no-positive-roots", (1, 1), "error: root datum: not exactly one of ±(1, -1) is positive"),
+        ],
+        ids=["root-deleted", "two-vector-roots", "no-positive-roots"],
+    )
+    def test_root_datum_rules_at_load(self, tmp_path, capsys, case, mn, want):
+        # the first two passed build takiff, the characters and the factorization before the loader
+        # applied verify_root_datum's rules and the one-vector rule; each case fails one rule only
+        alg, ext = copy.deepcopy(_valid_file(*mn, "algebra")), copy.deepcopy(_valid_file(*mn, "extension"))
+        for d in (alg, ext):
+            self._corrupted_root_datum(case, d["root_datum"])
+        alg, ext = write(tmp_path / "alg.json", alg), write(tmp_path / "ext.json", ext)
+        chi = write(tmp_path / "chi.json", {"domain": [], "values": {}})
+        argvs = [
+            ["build", "takiff", "--of", alg],
+            ["character", "--kind", "fock", "--alg", ext],
+            ["character", "--kind", "verma", "--alg", ext],
+            ["verify", "factorization", "--alg", ext, "--c", "2"],
+            ["verify", "regularity", "--alg", ext, "--chi", chi],
+            ["verify", "highest-weight", "--alg", ext],
+        ]
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv + ["--out", tmp_path / "out"]) == 2, argv
+            assert capsys.readouterr().err.splitlines() == [want], argv
+
+    def test_failure_branches_are_one_error_line(self, tmp_path, capsys, gl21_file, gl12_tak):
+        # an algebra file given as an extension, an e with no Cartan grading element, an h that does
+        # not grade e in degree 1, and an algebra file with one parity entry dropped
+        _, tak = gl12_tak
+        e11 = write(tmp_path / "e11.json", {"coords": {"E_11": "1"}})
+        e = write(tmp_path / "e.json", {"coords": {"E_21": "1", "E_32": "1"}})
+        short = load(gl21_file)
+        short["parity"].pop()
+        cases = [
+            (["takiff", "--alg", gl21_file], "error: not an extension file: missing takiff_of"),
+            (["skryabin", "--alg", tak, "--e", e11], "error: no Cartan grading element h with [h, e] = e"),
+            (["skryabin", "--alg", tak, "--e", e, "--h", e11], "error: e must be homogeneous of ad-h degree 1"),
+            (["algebra", "--alg", write(tmp_path / "short.json", short)], "error: labels and parity lengths differ"),
+        ]
+        for argv, want in cases:
+            capsys.readouterr()
+            assert run(["verify", *argv]) == 2, argv
+            assert capsys.readouterr().err == want + "\n", argv
+
+    @pytest.mark.parametrize("mn, order", [((2, 1), (2, 0, 1)), ((1, 2), (1, 2, 0)), ((2, 2), (3, 1, 0, 2))])
+    def test_another_borel_loads(self, tmp_path, mn, order):
+        # another positive system of gl(m|n) over the same Cartan obeys every load rule: its simples
+        # are a base of its positive roots and its covectors are the eigenvalues
+        a, rd = borel_root_datum(*mn, order)
+        assert rd != build_gl(*mn)[1]
+        alg = {**serialize.algebra_to_dict(a), "root_datum": serialize.root_datum_to_dict(rd)}
+        alg = write(tmp_path / "alg.json", alg)
+        ext, out = tmp_path / "ext.json", tmp_path / "rep.json"
+        assert run(["build", "takiff", "--of", alg, "--out", ext]) == 0
+        assert load(ext)["root_datum"] == serialize.root_datum_to_dict(rd)
+        for argv in (["takiff"], ["factorization", "--c", "2"], ["highest-weight", "--c", "2"]):
+            assert run(["verify", *argv, "--alg", ext, "--out", out]) == 0, argv
 
     def test_zero_level_usage_error(self, gl21_tak):
         assert run(["verify", "highest-weight", "--alg", gl21_tak, "--c", "0"]) == 2
@@ -654,7 +736,7 @@ class TestCliPaths:
             ((2, 3), ["character", "--kind", "verma", "--c=1+1*i", "--trunc", 8, "--format", "tsv"],
              "e0a14295a480b0f81eb7aebbd54d64606e5c45258bfccd8ec8df948df2d1441e"),
             ((2, 2), ["verify", "factorization", "--c=2/3", "--trunc", 6],
-             "7dcd3c167bbf8ca452f40b0e1097d5d506f3ade6ae63409705a82e5fe42eed50"),
+             "2e013f80e2b7c4335cfe910da28ea63bbece57328721f807166d4f7be86bf7f9"),
         ],
     )
     def test_character_bytes(self, tmp_path, mn, argv, want):
@@ -693,6 +775,36 @@ class TestCliPaths:
         for deg in (7, 8):
             assert run(argv + ["--deg", deg, "--out", tmp_path / f"rep{deg}.json"]) == 0
         assert (tmp_path / "rep7.json").read_bytes() == (tmp_path / "rep8.json").read_bytes()
+
+    def test_regularity_witnesses_in_the_file_grammar(self, tmp_path):
+        # gl(2|0) has one simple even root, E_12, which no odd simples split and chi = 0 leaves zero
+        ext = write(tmp_path / "ext.json", _valid_file(2, 0, "extension"))
+        chi = write(tmp_path / "chi.json", {"domain": [], "values": {}})
+        out = tmp_path / "rep.json"
+        assert run(["verify", "regularity", "--alg", ext, "--chi", chi, "--out", out]) == 1
+        assert [c.get("witness") for c in load(out)["checks"]] == [
+            "vanishes on E_12", "structural claim fails for (1, -1)"
+        ]
+
+    def test_twist_outside_the_simple_odd_roots(self, tmp_path, capsys):
+        # E_14 of gl(2|3) is odd and not simple; its barred vector is index 25 + 3 of the extension
+        ext = write(tmp_path / "ext.json", _valid_file(2, 3, "extension"))
+        eta = write(tmp_path / "eta.json", {"domain": [28], "values": {"28": "1"}})
+        capsys.readouterr()
+        assert run(["verify", "whittaker-covariance", "--alg", ext, "--eta", eta]) == 2
+        assert capsys.readouterr().err == "error: twist supported outside the simple odd roots: (1, 0, 0, -1, 0)\n"
+
+    def test_factorization_reads_no_truncation(self, gl21_tak, tmp_path):
+        # the factorization holds at every height, so --trunc is not read: past the cap and
+        # negative values give the same report
+        argv = ["verify", "factorization", "--alg", gl21_tak, "--c", "2"]
+        texts = set()
+        out = tmp_path / "rep.json"
+        for trunc in (["--trunc", "4"], ["--trunc", "9"], ["--trunc=-1"]):
+            assert run(argv + trunc + ["--out", out]) == 0
+            texts.add(out.read_bytes())
+        assert len(texts) == 1
+        assert load(out)["title"] == "character factorization: gl(2|1), c = 2, every height"
 
     def test_weight_file(self, gl21_tak, tmp_path, capsys):
         # a file holding the default weight (rho at level c) writes the default bytes; a file

@@ -337,6 +337,16 @@ class TestHighestWeight:
         with pytest.raises(ValueError):
             verify_highest_weight(f)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2)])
+    def test_planted_faults_fail(self, m, n):
+        # rho is nonzero here (it is zero on gl(2|1) and gl(1|2)), so a doubled lift moves H = E_11
+        a, rd = build_gl(m, n)
+        t, _ = build_takiff(a, rd)
+        doubled = verify_highest_weight(_DoubledLift(t, Scalar(2)))
+        assert [c.witness for c in doubled.checks] == ["H = E_11 does not act by the Weyl-vector value", None]
+        created = verify_highest_weight(_CreatingTermLift(t, Scalar(2)))
+        assert [c.witness for c in created.checks] == [None, "positive root vector 0 does not kill the vacuum"]
+
 
 _LEVELS = [ONE, Scalar(2), Scalar(Fraction(1, 2), 1)]
 _VACUUM_1 = "vacuum is not an eigenvector for even positive root 1"
@@ -357,6 +367,13 @@ def _covariance_data(m, n, twisted, c):
 
 
 class TestWhittakerCovariance:
+    def test_twist_outside_the_simple_odd_roots(self):
+        # E_14 of gl(2|3), position 2 of the positive roots, is odd and not simple: the same text as
+        # hat_eta's, in the file grammar
+        with pytest.raises(ValueError) as err:
+            verify_whittaker_covariance(fock(2, 3, ONE, {2: ONE}), {})
+        assert str(err.value) == "twist supported outside the simple odd roots: (1, 0, 0, -1, 0)"
+
     def test_gl11_vacuous(self):
         a, rd = build_gl(1, 1)
         t, _ = build_takiff(a, rd)
@@ -656,6 +673,16 @@ class TestReplacedRules:
 class _DoubledLift(FockModule):
     def apply_lift(self, s, v):
         return super().apply_lift(s, v).scale(Scalar(2))
+
+
+class _CreatingTermLift(FockModule):
+    """The first positive root vector's lift gains a linear term on the first creating slot."""
+
+    def _lift_table(self, i):
+        quad, linear, const = super()._lift_table(i)
+        if i == self.positives[0].space[0]:
+            linear = [*linear, (len(self.positives), ONE)]
+        return quad, linear, const
 
 
 class _ConstantDroppedLift(FockModule):

@@ -166,3 +166,24 @@ def test_cli_main_is_the_one_writer():
     """No function of `cli` but `main` opens a file for writing or writes to stdout: every command
     returns its text and exit code, and `main` writes them once, to --out or stdout."""
     assert sorted(_writes(ROOT / "src" / "whittak" / "cli.py")) == [("main", "open"), ("main", "sys.stdout")]
+
+
+def _covector_fstrings(path: Path) -> list[str]:
+    """'file:line' for each f-string field that reads a `.covector` attribute other than as the
+    argument of `covector_text`, the one writer of a covector in witnesses and errors."""
+    out = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(n, ast.FormattedValue):
+            continue
+        v = n.value
+        if isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id == "covector_text":
+            continue
+        if any(isinstance(a, ast.Attribute) and a.attr == "covector" for a in ast.walk(v)):
+            out.append(f"{path.name}:{n.lineno}")
+    return out
+
+
+def test_covectors_are_written_by_one_helper():
+    """Every witness and error line writes a covector in the scalar grammar of the files,
+    `(1, 0, -1)`, through `superalg.covector_text`, not as a tuple of `Scalar` reprs."""
+    assert [u for p in sorted((ROOT / "src" / "whittak").glob("*.py")) for u in _covector_fstrings(p)] == []

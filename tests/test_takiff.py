@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from reference_engines import reference_odd_form_prime, reference_verify_takiff
 from test_superalg import EDIT_SCALARS, edit_table, edited_form, rescale_basis
-from whittak.exactlin import ONE, ZERO, SparseVector
-from whittak.superalg import build_gl, verify_algebra
+from whittak.exactlin import ONE, ZERO, SparseMatrix, SparseVector
+from whittak.superalg import SuperAlgebra, build_gl, verify_algebra
 from whittak.takiff import (
     build_takiff,
     cocycle_alpha_d,
@@ -156,6 +156,16 @@ class TestDualBases:
         assert a.form_pair(db.H[0], db.H[0]) == ONE
         assert a.form_pair(db.H[1], db.H[1]) == ONE
         assert a.form_pair(db.H[0], db.H[1]) == ZERO
+
+    def test_errors_name_the_root_in_the_file_grammar(self):
+        a, rd = build_gl(2, 1)
+        no_e31 = rd._replace(roots=tuple(r for r in rd.roots if r.space != (a.labels.index("E_31"),)))
+        with pytest.raises(ValueError, match=r"^missing opposite root for \(1, 0, -1\)$"):
+            dual_bases(a, no_e31)
+        a, rd = build_gl(1, 1)
+        form = SparseMatrix(a.dim, a.dim, {k: s for k, s in a.form.entries.items() if k not in ((1, 2), (2, 1))})
+        with pytest.raises(ValueError, match=r"^root vectors pair to zero for root \(1, -1\)$"):
+            dual_bases(SuperAlgebra(a.name, a.labels, a.parity, a.table, form), rd)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_pairing_is_identity(self, m, n):

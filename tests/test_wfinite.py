@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modules import TensorModule, natural_module
+from modules import TensorModule, borel_root_datum, natural_module
 from oracles import rref_dense
 from reference_engines import (
     reference_even_positive_corrections,
+    reference_pairing_word_check,
     reference_regularity_check,
     reference_solve_dual_elements,
     whittaker_kernel,
@@ -491,15 +492,31 @@ class TestWordPairing:
         ],
     )
     def test_planted_faults_fail(self, fault, want):
-        f, us, xs, ds, odd_mask, phis, v = self.barred_words()
+        rep = pairing_word_check(*self.planted_words(fault), 3)
+        assert tuple(c.witness for c in rep.checks) == want
+
+    @classmethod
+    def planted_words(cls, fault):
+        """barred_words() with one planted fault, or none when fault is None."""
+        f, us, xs, ds, odd_mask, phis, v = cls.barred_words()
         if fault == "zero duals":
             xs = [SparseVector()] * len(xs)
         elif fault == "swapped roles":
             us, xs = xs, us
-        else:
+        elif fault == "x_0 in x_1":
             xs = [xs[0], xs[1] + xs[0], *xs[2:]]
-        rep = pairing_word_check(f, us, xs, ds, odd_mask, phis, v, 3)
-        assert tuple(c.witness for c in rep.checks) == want
+        return f, us, xs, ds, odd_mask, phis, v
+
+    @pytest.mark.parametrize("fault", [None, "zero duals", "swapped roles", "x_0 in x_1"])
+    @pytest.mark.parametrize("weight, pairs", [(2, 28), (3, 91), (4, 231)])
+    def test_matches_reference(self, fault, weight, pairs):
+        """The check that stops its triangle at the first witness reports what the one that ran
+        every pair did: the same verdicts, witnesses, diagonal scalars and pair count."""
+        words = self.planted_words(fault)
+        rep = pairing_word_check(*words, weight)
+        assert rep.passed == (fault is None)
+        assert rep.data["pairs_checked"] == pairs
+        assert rep.to_dict() == reference_pairing_word_check(*words, weight).to_dict()
 
     def test_barred_heisenberg_clifford_instance(self):
         """Triangular pairing on the twisted Fock over the barred radical.
@@ -673,6 +690,9 @@ class TestRootRules:
     @settings(max_examples=150, deadline=None)
     def test_matches_covector_scans(self, shape, data):
         t = copy.copy(self._takiff(shape))
+        if shape != "osp(1|2)":
+            # the Borel of a drawn row order, so that the own simples are those of any positive system
+            t.rd = borel_root_datum(*shape, data.draw(st.permutations(range(sum(shape)))))[1]
         # the datum's own simples, or any few positive roots in their place
         others = st.lists(st.sampled_from(t.rd.positive), unique=True, max_size=len(t.rd.simple) + 1)
         simple = data.draw(st.just(t.rd.simple) | others.map(tuple) if t.rd.positive else st.just(t.rd.simple))
