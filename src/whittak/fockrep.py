@@ -98,6 +98,7 @@ class FockModule:
 
         self.poly_slots = [i for i, r in enumerate(self.positives) if r.parity == ODD]
         self.grass_slots = [i for i, r in enumerate(self.positives) if r.parity == EVEN]
+        self._first_odd = len(self.poly_slots)  # key position of the first odd letter
 
         ell = len(self.dual.H)
         self.n_pairs = ell // 2
@@ -160,23 +161,28 @@ class FockModule:
 
     # -- adapted letter actions ----------------------------------------------
 
-    def _apply_slot(self, t: int, coeff: Scalar, v: ModuleVector | dict, out: dict) -> None:
-        """Add coeff times the action of slot t on v into out."""
+    def _step(self, t: int, key: tuple) -> tuple[tuple, Scalar | None, int] | None:
+        """Slot t on the monomial key: (new key, factor or None for 1, odd sign), or None if it kills key."""
         odd, pos, creates, lower = self.slots[t]
-        first_odd = len(self.poly_slots)
-        for key, s in v.items():
-            m = key[pos]
-            if creates and not (odd and m):
-                s, m = s * coeff, m + 1
-            elif m and lower is not None:
-                s = s * coeff * lower if m == 1 else s * coeff * lower * Scalar(m)
-                m -= 1
-            else:
-                continue
-            # Koszul sign: the odd exponents before pos (none before an even letter)
-            if sum(key[first_odd:pos]) % 2:
-                s = -s
-            add_term(out, key[:pos] + (m,) + key[pos + 1 :], s)
+        m = key[pos]
+        if creates and not (odd and m):
+            factor, m = None, m + 1
+        elif m and lower is not None:
+            factor = lower if m == 1 else lower * Scalar(m)
+            m -= 1
+        else:
+            return None
+        # Koszul sign: the odd exponents before pos (none before an even letter)
+        return key[:pos] + (m,) + key[pos + 1 :], factor, sum(key[self._first_odd : pos]) % 2
+
+    def _apply_slots(self, terms: list[tuple[int, Scalar]], key: tuple, a: Scalar, odd: int, out: dict) -> None:
+        """Add a times each (slot, coeff) term's action on the monomial key into out; odd is a's Koszul sign."""
+        for t, coeff in terms:
+            hit = self._step(t, key)
+            if hit:
+                new, factor, odd_t = hit
+                d = a * coeff if factor is None else a * coeff * factor
+                add_term(out, new, -d if odd ^ odd_t else d)
 
     def _adapted(self, x: SparseVector) -> tuple[list[tuple[int, Scalar]], Scalar]:
         """Slot coordinates of x (x) theta, and the scalar its twist adds."""
@@ -240,36 +246,33 @@ class FockModule:
 
     def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
         """Action of x (x) theta for any x in the base algebra."""
-        if not v or not x:
-            return ModuleVector()
+        return self._apply_adapted(self._adapted(x), v)
+
+    def _apply_adapted(self, adapted: tuple[list, Scalar], v: ModuleVector) -> ModuleVector:
+        """Action on v of the barred element whose `_adapted` slot coordinates and twist are given."""
+        coords, twist = adapted
         out: dict[tuple, Scalar] = {}
-        coords, twist = self._adapted(x)
-        for t, coeff in coords:
-            self._apply_slot(t, coeff, v, out)
-        if twist:
-            for idx, s in v.items():
-                add_term(out, idx, s * twist)
+        for key, a in v.items():
+            self._apply_slots(coords, key, a, 0, out)
+            if twist:
+                add_term(out, key, a * twist)
         return ModuleVector._of(out)
 
     def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
-        """Lifted action of s (x) 1, by linearity over s from the lift tables."""
-        if not v or not s:
-            return ModuleVector()
+        """Lifted action of s (x) 1, by linearity over s from the lift tables, one key step at a time."""
         out: dict[tuple, Scalar] = {}
         for i, si in s.items():
             quad, linear, const = self._lift_table(i)
-            for t2, outer in quad:
-                w: dict[tuple, Scalar] = {}
-                self._apply_slot(t2, si, v, w)
-                if w:
-                    for t1, coeff in outer:
-                        self._apply_slot(t1, coeff, w, out)
-            for t, coeff in linear:
-                self._apply_slot(t, si * coeff, v, out)
-            if const:
-                k = si * const
-                for idx, a in v.items():
-                    add_term(out, idx, a * k)
+            for key, a in v.items():
+                a = a if si == ONE else a * si
+                for t2, outer in quad:
+                    hit = self._step(t2, key)
+                    if hit:
+                        inner, factor, odd = hit
+                        self._apply_slots(outer, inner, a if factor is None else a * factor, odd, out)
+                self._apply_slots(linear, key, a, 0, out)
+                if const:
+                    add_term(out, key, a * const)
         return ModuleVector._of(out)
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
@@ -312,11 +315,13 @@ def build_fock(takiff: TakiffAlgebra, c: Scalar, eta: dict[int, Scalar] | None =
 def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
     """The two lift identities, exactly, on every basis vector up to degree.
 
-    phi is linear, so each phi(e_i) acts on each monomial once per call (through
-    f.apply_lift), and every other lift is summed from those actions."""
+    phi is linear, so each phi(e_i) acts on each monomial once per call (through f.apply_lift)
+    and every other lift is summed from those actions; each ordered product phi(e_a) phi(e_b) v
+    is formed once, and the slot coordinates of a dual once per call, of [e_s, u_k] once per (s, k)."""
     rep = Report(f"lift identities: {f.base.name}, c = {f.c}, degree <= {max_degree}")
     vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     base = f.base
+    units = [SparseVector.unit(i) for i in range(base.dim)]
     count = 0
     lifted: dict[tuple[int, tuple], ModuleVector] = {}
 
@@ -326,40 +331,60 @@ def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
             for key, a in v.items():
                 phi = lifted.get((i, key))
                 if phi is None:
-                    phi = lifted[i, key] = f.apply_lift(SparseVector.unit(i), ModuleVector({key: ONE}))
-                k = si * a
+                    phi = lifted[i, key] = f.apply_lift(units[i], ModuleVector({key: ONE}))
+                k = a if si == ONE else si * a
                 for idx, b in phi.items():
                     add_term(out, idx, k * b)
         return ModuleVector._of(out)
 
-    def failures(others, act, witness):
-        # [phi(s), act(y)] = act([s, y]) for every basis s and every listed (y, parity)
+    lifts = [[lift(s, v) for v in vectors] for s in units]
+
+    def failures(others, sides, prepare, act, witness):
+        # [phi(s), y] = act([s, y]) for every basis s and every listed (y, parity); sides(s, k)
+        # lists (phi(s) y v, y phi(s) v) per vector, and act(prepare(x), v) is x's action on v
         nonlocal count
-        acted = [[act(y, v) for v in vectors] for y, _ in others]
         for si in range(base.dim):
-            s = SparseVector.unit(si)
-            lifts = [lift(s, v) for v in vectors]
             for k, (y, py) in enumerate(others):
-                br = base.bracket(s, y)
-                sgn = sign(base.parity[si] * py)
-                for v, yv, sv in zip(vectors, acted[k], lifts):
-                    lhs = lift(s, yv) - act(y, sv).scale(sgn)
-                    rhs = act(br, v)
+                br = prepare(base.bracket(units[si], y))
+                for v, (sy, ys) in zip(vectors, sides(si, k)):
                     count += 1
-                    if lhs != rhs:
+                    if (sy + ys if base.parity[si] and py else sy - ys) != act(br, v):
                         yield witness(base.labels[si], k)
 
     duals = [(u, (p + 1) % 2) for u, p in zip(f.dual.lower, f.dual.upper_parity)]
+    acted = [[f.apply_barred(u, v) for v in vectors] for u, _ in duals]
+    adapted = [f._adapted(u) for u, _ in duals]
     rep.first_failure(
         "commutator with barred duals",
         failures(
-            duals, f.apply_barred, lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])"
+            duals,
+            lambda si, k: [
+                (lift(units[si], uv), f._apply_adapted(adapted[k], sv)) for uv, sv in zip(acted[k], lifts[si])
+            ],
+            f._adapted,
+            f._apply_adapted,
+            lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])",
         ),
     )
-    units = [(SparseVector.unit(ti), p) for ti, p in enumerate(base.parity)]
+
+    # phi(e_a) phi(e_b) v per vector, formed at the first of (a, b) and (b, a) and dropped at the second
+    products: dict[tuple[int, int], list[ModuleVector]] = {}
+
+    def product(a: int, b: int) -> list[ModuleVector]:
+        p = products.pop((a, b), None)
+        if p is None:
+            p = products[a, b] = [lift(units[a], w) for w in lifts[b]]
+        return p
+
     rep.first_failure(
         "commutator of two lifts",
-        failures(units, lift, lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])"),
+        failures(
+            list(zip(units, base.parity)),
+            lambda si, k: list(zip(product(si, k), product(k, si))),
+            lambda x: x,
+            lift,
+            lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])",
+        ),
     )
     rep.data["identities_checked"] = count
     return rep

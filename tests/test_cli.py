@@ -956,7 +956,7 @@ def test_extension_timer_runs():
 
 
 def test_lift_timer_runs():
-    assert sorted(_timer_metrics("time_lift_checks.py")) == ["gl21_deg1_s", "gl22_deg1_s"]
+    assert sorted(_timer_metrics("time_lift_checks.py")) == ["gl12_twisted_deg1_s", "gl21_deg1_s", "gl22_deg1_s"]
 
 
 def test_cold_start_timer_runs():

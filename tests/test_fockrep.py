@@ -1,7 +1,10 @@
 """Fock modules: generator relations, lifts, highest weight, tensor products."""
 
 import functools
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -691,6 +694,37 @@ class _ConstantDroppedLift(FockModule):
         return quad, linear, ZERO
 
 
+class _BarredFault(FockModule):
+    """Barred coordinates with a planted fault. The lift tables are compiled before the fault
+    is switched on, so only the barred action carries it."""
+
+    faulty = False
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        for i in range(self.base.dim):
+            self._lift_table(i)
+        self.faulty = True
+
+    def _adapted(self, x):
+        coords, twist = super()._adapted(x)
+        return self.fault(coords, twist) if self.faulty else (coords, twist)
+
+
+class _TwistDroppedBarred(_BarredFault):
+    def fault(self, coords, twist):
+        return coords, ZERO
+
+
+class _DoubledBarred(_BarredFault):
+    """Unlike the dropped twist, this fault moves the first witness of a check whose own
+    coordinate reads miss it: [h, u_k] is a multiple of u_k for a Cartan element h, so a
+    dropped twist fails first at the same pair either way."""
+
+    def fault(self, coords, twist):
+        return [(t, a + a) for t, a in coords], twist
+
+
 class _OddNegatedLift(FockModule):
     def apply_lift(self, s, v):
         flipped = SparseVector({i: -x if self.base.parity[i] else x for i, x in s.items()})
@@ -723,7 +757,10 @@ class TestLiftCheckMemo:
         assert want.passed
         assert verify_lift_identities(f, deg).to_dict() == want.to_dict()
 
-    @pytest.mark.parametrize("planted", [_DoubledLift, _ConstantDroppedLift, _OddNegatedLift])
+    @pytest.mark.parametrize(
+        "planted",
+        [_DoubledLift, _CreatingTermLift, _ConstantDroppedLift, _OddNegatedLift, _TwistDroppedBarred, _DoubledBarred],
+    )
     def test_planted_fault_has_the_reference_witness(self, planted):
         g = _twisted_gl21(Scalar(2))
         f = planted(g.takiff, g.c, g.eta)
@@ -748,3 +785,36 @@ class TestLiftCheckMemo:
             for key, a in v.items():
                 want = want + f.apply_lift(SparseVector.unit(i), ModuleVector({key: ONE})).scale(si * a)
         assert f.apply_lift(s, v) == want
+
+
+class TestLiftWorkloadCalls:
+    """The benchmark's traced `lift` run fails when a method it expects a call of records none.
+    Each FockModule method named in its expected calls must be called by the lift check on every
+    `lift` module, so a refactor that routes around one fails here first."""
+
+    def test_each_expected_method_is_called(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        lift = workloads.LIFT
+        prefix = "fockrep.FockModule."
+        names = [n[len(prefix) :] for n in lift.expect_calls if n.startswith(prefix)]
+        assert {"apply_barred", "apply_lift"} <= set(names)
+        calls = Counter()
+
+        def counted(name):
+            method = getattr(FockModule, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(FockModule, name, counted(name))
+        inputs = lift.setup(workloads.draw(lift, random.Random(7)), str(tmp_path))
+        for job in lift.jobs:
+            calls.clear()
+            assert job.run(inputs).passed, job.name
+            assert [n for n in names if not calls[n]] == [], job.name
