@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import serialize
@@ -52,9 +51,8 @@ def _nonnegative(value: int, what: str) -> int:
 
 
 def _trunc(value: int) -> int:
-    cap = int(os.environ.get("STL_MAX_TRUNC", DEFAULT_MAX_TRUNC))
-    if value > cap:
-        raise UsageError(f"truncation {value} exceeds the cap {cap} (STL_MAX_TRUNC)")
+    if value > DEFAULT_MAX_TRUNC:
+        raise UsageError(f"truncation {value} exceeds the cap {DEFAULT_MAX_TRUNC}")
     return _nonnegative(value, "truncation")
 
 

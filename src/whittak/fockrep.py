@@ -9,6 +9,8 @@ Sign conventions are fixed by the canonical word order
     poly letters (even) . grass letters . b_1 ... b_K . w
 applied to the vacuum, with Koszul signs counted over the odd letters only.
 A monomial's key is the tuple of its letter exponents in that order.
+Every basis element of the extension (z, a barred x (x) theta, a lift) acts by one
+form, a polynomial of degree <= 2 in the slots, which `FockModule._apply` applies.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .exactlin import (
     sign,
 )
 from .reports import Report
-from .superalg import EVEN, ODD, RootDatum, covector_text, weyl_vector
+from .superalg import EVEN, ODD, weyl_vector
 from .takiff import TakiffAlgebra, dual_bases
 
 
@@ -140,6 +142,8 @@ class FockModule:
                 raise ValueError("the twist is supported on barred odd-root vectors only")
             self.eta[k] = v
         self.rho = weyl_vector(self.rd, self.c)
+        # the form of each lower dual, which every lift table reads
+        self._dual_forms = [self._adapted(u) for u in self.dual.lower]
         # basis index i -> phi(e_i) compiled by _lift_table on first use
         self._lift_tables: dict[int, tuple[list, list, Scalar]] = {}
 
@@ -159,7 +163,7 @@ class FockModule:
         keys = enumerate_multiindices([1] * len(odd), odd, max_degree)
         return sorted(keys, key=lambda key: (sum(key), key))
 
-    # -- adapted letter actions ----------------------------------------------
+    # -- slot forms ----------------------------------------------------------
 
     def _step(self, t: int, key: tuple) -> tuple[tuple, Scalar | None, int] | None:
         """Slot t on the monomial key: (new key, factor or None for 1, odd sign), or None if it kills key."""
@@ -184,8 +188,8 @@ class FockModule:
                 d = a * coeff if factor is None else a * coeff * factor
                 add_term(out, new, -d if odd ^ odd_t else d)
 
-    def _adapted(self, x: SparseVector) -> tuple[list[tuple[int, Scalar]], Scalar]:
-        """Slot coordinates of x (x) theta, and the scalar its twist adds."""
+    def _adapted(self, x: SparseVector) -> tuple[list, list[tuple[int, Scalar]], Scalar]:
+        """The form of x (x) theta: no quadratic part, its slot coordinates, and the scalar its twist adds."""
         acc: dict[int, Scalar] = {}
         for j, s in x.items():
             for t, v in self._inv_cols[j].items():
@@ -196,10 +200,10 @@ class FockModule:
             e = self.eta.get(t)
             if e:
                 twist = twist + coeff * e
-        return sorted(acc.items()), twist
+        return [], sorted(acc.items()), twist
 
     def _lift_table(self, i: int) -> tuple[list, list, Scalar]:
-        """phi(e_i) over the slots: [(inner slot, [(outer slot, coeff)])],
+        """The form of phi(e_i): [(inner slot, [(outer slot, coeff)])],
         [(slot, coeff)] and a constant, with 1/2c folded into each.
 
         phi(e_i) = (1/2c) sum_j phi(bar[e_i, u^j]) phi(bar u_j); each factor is
@@ -215,12 +219,11 @@ class FockModule:
         const = ZERO
         f = self._lift_factor
         e = SparseVector.unit(i)
-        for upper, lower in zip(self.dual.upper, self.dual.lower):
+        for upper, (_, inner, inner_twist) in zip(self.dual.upper, self._dual_forms):
             br = self.base.bracket(e, upper)
             if not br:
                 continue
-            outer, outer_twist = self._adapted(br)
-            inner, inner_twist = self._adapted(lower)
+            _, outer, outer_twist = self._adapted(br)
             for t2, s2 in inner:
                 row = quad.setdefault(t2, {})
                 fs2 = f * s2
@@ -244,27 +247,13 @@ class FockModule:
 
     # -- module actions -------------------------------------------------------
 
-    def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
-        """Action of x (x) theta for any x in the base algebra."""
-        return self._apply_adapted(self._adapted(x), v)
-
-    def _apply_adapted(self, adapted: tuple[list, Scalar], v: ModuleVector) -> ModuleVector:
-        """Action on v of the barred element whose `_adapted` slot coordinates and twist are given."""
-        coords, twist = adapted
+    def _apply(self, forms: list[tuple[Scalar, tuple[list, list, Scalar]]], v: ModuleVector) -> ModuleVector:
+        """The sum over (s, form) of s times the form's action on v, one key step at a time."""
         out: dict[tuple, Scalar] = {}
-        for key, a in v.items():
-            self._apply_slots(coords, key, a, 0, out)
-            if twist:
-                add_term(out, key, a * twist)
-        return ModuleVector._of(out)
-
-    def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
-        """Lifted action of s (x) 1, by linearity over s from the lift tables, one key step at a time."""
-        out: dict[tuple, Scalar] = {}
-        for i, si in s.items():
-            quad, linear, const = self._lift_table(i)
+        for s, (quad, linear, const) in forms:
+            unit = s == ONE
             for key, a in v.items():
-                a = a if si == ONE else a * si
+                a = a if unit else a * s
                 for t2, outer in quad:
                     hit = self._step(t2, key)
                     if hit:
@@ -275,20 +264,22 @@ class FockModule:
                     add_term(out, key, a * const)
         return ModuleVector._of(out)
 
+    def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
+        """Action of x (x) theta for any x in the base algebra."""
+        return self._apply([(ONE, self._adapted(x))], v)
+
+    def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
+        """Lifted action of s (x) 1, by linearity over s from the lift tables."""
+        return self._apply([(si, self._lift_table(i)) for i, si in s.items()], v)
+
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
-        """Action of a basis element of the extended algebra by total index."""
+        """Action of a basis element of the extended algebra by total index; z is the constant form c."""
         if k == self.takiff.z_index:
-            return v.scale(self.c)
-        i, th = self.takiff.split(k)
-        e = SparseVector.unit(i)
-        return self.apply_barred(e, v) if th else self.apply_lift(e, v)
-
-
-def check_twist_support(rd: RootDatum, twisted: list[int]) -> None:
-    """Raise unless every twisted positive-root position holds a simple root, as `hat_eta` needs."""
-    outside = [covector_text(rd.positive_roots()[k].covector) for k in twisted if rd.positive[k] not in rd.simple]
-    if outside:
-        raise ValueError(f"twist supported outside the simple odd roots: {', '.join(outside)}")
+            form = ([], [], self.c)
+        else:
+            i, th = self.takiff.split(k)
+            form = self._adapted(SparseVector.unit(i)) if th else self._lift_table(i)
+        return self._apply([(ONE, form)], v)
 
 
 def enumerate_multiindices(ds: list[int], odd_mask: list[bool], max_weight: int):
@@ -317,7 +308,7 @@ def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
 
     phi is linear, so each phi(e_i) acts on each monomial once per call (through f.apply_lift)
     and every other lift is summed from those actions; each ordered product phi(e_a) phi(e_b) v
-    is formed once, and the slot coordinates of a dual once per call, of [e_s, u_k] once per (s, k)."""
+    is formed once, and the form of a dual once per call, of [e_s, u_k] once per (s, k)."""
     rep = Report(f"lift identities: {f.base.name}, c = {f.c}, degree <= {max_degree}")
     vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     base = f.base
@@ -353,16 +344,14 @@ def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
 
     duals = [(u, (p + 1) % 2) for u, p in zip(f.dual.lower, f.dual.upper_parity)]
     acted = [[f.apply_barred(u, v) for v in vectors] for u, _ in duals]
-    adapted = [f._adapted(u) for u, _ in duals]
+    forms = [[(ONE, f._adapted(u))] for u, _ in duals]
     rep.first_failure(
         "commutator with barred duals",
         failures(
             duals,
-            lambda si, k: [
-                (lift(units[si], uv), f._apply_adapted(adapted[k], sv)) for uv, sv in zip(acted[k], lifts[si])
-            ],
-            f._adapted,
-            f._apply_adapted,
+            lambda si, k: [(lift(units[si], uv), f._apply(forms[k], sv)) for uv, sv in zip(acted[k], lifts[si])],
+            lambda x: [(ONE, f._adapted(x))],
+            f._apply,
             lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])",
         ),
     )
@@ -427,7 +416,6 @@ def verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar]) -> Re
     constant chi_hat(X), and X - chi_hat(X) kills a monomial of height -h within h + 1 steps.
     The test is sufficient, not necessary: its witness names a term moving height by under 1.
     """
-    check_twist_support(f.rd, [i for i in f.poly_slots if f.eta.get(i)])
     rep = Report(f"whittaker covariance: {f.base.name}, c = {f.c}")
     vac = f.vacuum()
     rep.first_failure(

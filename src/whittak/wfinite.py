@@ -24,7 +24,7 @@ from .exactlin import (
     rank,
     solve,
 )
-from .fockrep import ModuleVector, check_twist_support, enumerate_multiindices
+from .fockrep import ModuleVector, enumerate_multiindices
 from .reports import Report
 from .superalg import EVEN, ODD, RootDatum, SuperAlgebra, covector_text, grading_by_adh, is_index
 from .takiff import TakiffAlgebra, odd_form
@@ -159,6 +159,13 @@ def zeta_from_chi(t: TakiffAlgebra, chi: NilCharacter, c: Scalar) -> NilCharacte
     return nil_character(t.base, domain, vals)
 
 
+def _check_twist_support(rd: RootDatum, twisted: list[int]) -> None:
+    """Raise unless every twisted positive-root position holds a simple root."""
+    outside = [covector_text(rd.positive_roots()[k].covector) for k in twisted if rd.positive[k] not in rd.simple]
+    if outside:
+        raise ValueError(f"twist supported outside the simple odd roots: {', '.join(outside)}")
+
+
 def hat_eta(t: TakiffAlgebra, eta: NilCharacter, c: Scalar) -> NilCharacter:
     """Extend a barred-radical character to the even extended radical.
 
@@ -170,7 +177,7 @@ def hat_eta(t: TakiffAlgebra, eta: NilCharacter, c: Scalar) -> NilCharacter:
         raise ValueError("the level must be nonzero")
     rd = t.rd
     pos = rd.positive_roots()
-    check_twist_support(rd, [k for k, r in enumerate(pos) if r.parity == ODD and eta.value(t.theta(r.space[0]))])
+    _check_twist_support(rd, [k for k, r in enumerate(pos) if r.parity == ODD and eta.value(t.theta(r.space[0]))])
 
     domain = [t.theta(r.space[0]) for r in pos if r.parity == ODD]
     vals = {bar: eta.value(bar) for bar in domain}  # nil_character drops the zeros

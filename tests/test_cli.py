@@ -602,9 +602,10 @@ class TestCharacter:
         assert lines[0] == "offset\tmult"
         assert len(lines) > 1
 
-    def test_truncation_cap(self, gl21_tak, monkeypatch):
-        monkeypatch.setenv("STL_MAX_TRUNC", "2")
-        assert run(["character", "--alg", gl21_tak, "--c", "1", "--trunc", 5]) == 2
+    def test_truncation_cap(self, gl21_tak, capsys):
+        capsys.readouterr()
+        assert run(["character", "--alg", gl21_tak, "--c", "1", "--trunc", 9]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: truncation 9 exceeds the cap 8"]
 
 
 # bar E_12 = E_12 (x) theta is index 5 of the gl(1|1) extension

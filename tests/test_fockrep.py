@@ -371,11 +371,13 @@ def _covariance_data(m, n, twisted, c):
 
 class TestWhittakerCovariance:
     def test_twist_outside_the_simple_odd_roots(self):
-        # E_14 of gl(2|3), position 2 of the positive roots, is odd and not simple: the same text as
-        # hat_eta's, in the file grammar
-        with pytest.raises(ValueError) as err:
-            verify_whittaker_covariance(fock(2, 3, ONE, {2: ONE}), {})
-        assert str(err.value) == "twist supported outside the simple odd roots: (1, 0, 0, -1, 0)"
+        # E_14 of gl(2|3), position 2 of the positive roots, is odd and not simple; only hat_eta
+        # rejects such a twist, and the height scan, sound for any twist, fails on it
+        rep = verify_whittaker_covariance(fock(2, 3, ONE, {2: ONE}), {})
+        assert [c.witness for c in rep.checks] == [
+            "vacuum is not an eigenvector for even positive root 1",
+            "term (17) of even positive root 1 shifts height by -1",
+        ]
 
     def test_gl11_vacuous(self):
         a, rd = build_gl(1, 1)
@@ -413,8 +415,11 @@ class TestWhittakerCovariance:
             i for i, r in enumerate(pos) if r.parity == ODD and r not in simples
         )
         f = build_fock(t, ONE, {non_simple_odd: ONE})
-        with pytest.raises(ValueError):
-            verify_whittaker_covariance(f, {})
+        rep = verify_whittaker_covariance(f, {})
+        assert [c.witness for c in rep.checks] == [
+            "vacuum is not an eigenvector for even positive root 1",
+            "term (11) of even positive root 1 shifts height by -1",
+        ]
 
     @given(
         st.sampled_from([(2, 1, True), (1, 2, True), (2, 2, True), (2, 1, False), (1, 2, False),
@@ -655,6 +660,18 @@ class TestLiftTable:
         monkeypatch.setattr(f.base, "bracket", refuse)
         assert [f.apply_lift(s, v) for s in units] == want
 
+    def test_tables_read_the_dual_forms_of_the_build(self, monkeypatch):
+        # each lower dual's form is computed once, when the module is built; compiling
+        # the tables computes only the brackets' forms
+        f = _twisted_gl12(Scalar(3))
+        lower = {id(u) for u in f.dual.lower}
+        adapted, seen = f._adapted, []
+        monkeypatch.setattr(f, "_adapted", lambda x: seen.append(x) or adapted(x))
+        for i in range(f.base.dim):
+            f._lift_table(i)
+        assert seen
+        assert [x for x in seen if id(x) in lower] == []
+
 
 class TestReplacedRules:
     """The key walk and the barred commutator constants against the code they replaced."""
@@ -695,7 +712,7 @@ class _ConstantDroppedLift(FockModule):
 
 
 class _BarredFault(FockModule):
-    """Barred coordinates with a planted fault. The lift tables are compiled before the fault
+    """Barred forms with a planted fault. The lift tables are compiled before the fault
     is switched on, so only the barred action carries it."""
 
     faulty = False
@@ -707,13 +724,13 @@ class _BarredFault(FockModule):
         self.faulty = True
 
     def _adapted(self, x):
-        coords, twist = super()._adapted(x)
-        return self.fault(coords, twist) if self.faulty else (coords, twist)
+        form = super()._adapted(x)
+        return self.fault(*form) if self.faulty else form
 
 
 class _TwistDroppedBarred(_BarredFault):
-    def fault(self, coords, twist):
-        return coords, ZERO
+    def fault(self, quad, linear, twist):
+        return quad, linear, ZERO
 
 
 class _DoubledBarred(_BarredFault):
@@ -721,8 +738,8 @@ class _DoubledBarred(_BarredFault):
     coordinate reads miss it: [h, u_k] is a multiple of u_k for a Cartan element h, so a
     dropped twist fails first at the same pair either way."""
 
-    def fault(self, coords, twist):
-        return [(t, a + a) for t, a in coords], twist
+    def fault(self, quad, linear, twist):
+        return quad, [(t, a + a) for t, a in linear], twist
 
 
 class _OddNegatedLift(FockModule):
