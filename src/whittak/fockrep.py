@@ -251,14 +251,16 @@ class FockModule:
         """The sum over (s, form) of s times the form's action on v, one key step at a time."""
         out: dict[tuple, Scalar] = {}
         for s, (quad, linear, const) in forms:
-            unit = s == ONE
+            unit = s is ONE or s == ONE
             for key, a in v.items():
-                a = a if unit else a * s
-                for t2, outer in quad:
-                    hit = self._step(t2, key)
-                    if hit:
-                        inner, factor, odd = hit
-                        self._apply_slots(outer, inner, a if factor is None else a * factor, odd, out)
+                if not unit:
+                    a = a * s
+                if quad:
+                    for t2, outer in quad:
+                        hit = self._step(t2, key)
+                        if hit:
+                            inner, factor, odd = hit
+                            self._apply_slots(outer, inner, a if factor is None else a * factor, odd, out)
                 self._apply_slots(linear, key, a, 0, out)
                 if const:
                     add_term(out, key, a * const)
