@@ -45,36 +45,61 @@ def clifford_module_dim(ell: int, level_nonzero: bool) -> int:
     return 2 ** ((ell + 1) // 2) if level_nonzero else 1
 
 
-def _check_barred_relations(slots: list, cols: list[SparseVector], takiff: TakiffAlgebra, c: Scalar) -> None:
-    """Raise unless every ordered pair of slots t, u supercommutes to c times the
-    z-coefficient of [col_t (x) theta, col_u (x) theta] in the extension's table.
+def _kappa(s: tuple, r: tuple) -> Scalar:
+    """The scalar [s, r] = s r - (-1)^(p p') r s of two slots (odd, position, creates, lowering factor or None):
+    on a letter x^m a lowering slot with factor g and the creating slot give g(m+1) - g m = g (an anticommutator
+    on an odd letter, m <= 1) and -(-1)^(p p') g in reverse; w . w = c/2, so {w, w} = c; two letters give 0."""
+    (odd, pos, creates, lower), (_, pos_r, creates_r, lower_r) = s, r
+    if pos_r != pos:
+        return ZERO
+    kappa = lower if creates_r and lower else ZERO
+    if creates and lower_r:
+        kappa = kappa + (lower_r if odd else -lower_r)
+    return kappa
 
-    Two slots supercommute to a scalar kappa. On a letter x^m a lowering slot with factor
-    g and the creating slot give g(m+1) - g m = g (an anticommutator on an odd letter,
-    where m <= 1), and -(-1)^(p p') g in reverse; w creates and lowers with w . w = c/2,
-    so {w, w} = c; other pairs give 0. A twist adds only scalars, so by bilinearity
-    every barred relation holds on every vector exactly when this table does."""
+
+def _check_barred_relations(slots: list, cols: list[SparseVector], takiff: TakiffAlgebra, c: Scalar) -> None:
+    """Raise unless every ordered pair of slots t, u supercommutes (`_kappa`) to c times the z-coefficient
+    of [col_t (x) theta, col_u (x) theta] in the extension's table. A twist adds only scalars, so by
+    bilinearity every barred relation holds on every vector exactly when this table does."""
     n, z = takiff.n1, takiff.z_index
     cz: dict[int, dict[int, Scalar]] = {}  # c times the z-coefficient of [e_i (x) theta, e_j (x) theta]
     for (i, j), v in takiff.total.table.items():
         if n <= i < z and n <= j < z and z in v.entries:
             cz.setdefault(i - n, {})[j - n] = c * v.entries[z]
-    for t, (odd, pos, creates, lower) in enumerate(slots):
+    for t, slot in enumerate(slots):
         row: dict[int, Scalar] = {}
         for i, a in cols[t].items():
             for j, s in cz.get(i, {}).items():
                 add_term(row, j, a * s)
-        for u, (_, pos_u, creates_u, lower_u) in enumerate(slots):
-            if pos_u != pos and row.keys().isdisjoint(cols[u].entries):
+        for u, slot_u in enumerate(slots):
+            if slot_u[1] != slot[1] and row.keys().isdisjoint(cols[u].entries):
                 continue  # kappa and the z-coefficient are both 0
-            kappa = lower if pos_u == pos and creates_u and lower else ZERO
-            if pos_u == pos and creates and lower_u:
-                kappa = kappa + (lower_u if odd else -lower_u)
+            kappa = _kappa(slot, slot_u)
             got = sum((row[j] * b for j, b in cols[u].items() if j in row), ZERO)
             if got != kappa:
                 raise ValueError(
                     f"slots {t} and {u} supercommute to {kappa}, but c times their z-coefficient is {got}"
                 )
+
+
+def _normal_order(slots: list, quad: dict[int, dict[int, Scalar]]) -> tuple[list, Scalar]:
+    """Wick normal order of sum coeff . outer inner (quad: inner -> {outer: coeff}) as (table, constant): each
+    unordered slot pair once, a lowering-only slot inner; outer inner = (-1)^(p p') inner outer + kappa(outer,
+    inner) puts kappa in the constant, and an odd t t is the constant kappa(t, t)/2."""
+    ordered: dict[int, dict[int, Scalar]] = {}
+    const = ZERO
+    for inner, row in quad.items():
+        for outer, a in row.items():
+            s, r = slots[outer], slots[inner]
+            if outer == inner and s[0]:
+                const = const + a * _kappa(s, s) / Scalar(2)
+            elif (r[2], inner) <= (s[2], outer):
+                add_term(ordered.setdefault(inner, {}), outer, a)
+            else:
+                add_term(ordered.setdefault(outer, {}), inner, -a if s[0] and r[0] else a)
+                const = const + a * _kappa(s, r)
+    return [(t, sorted(row.items())) for t, row in sorted(ordered.items()) if row], const
 
 
 class FockModule:
@@ -194,12 +219,8 @@ class FockModule:
         for j, s in x.items():
             for t, v in self._inv_cols[j].items():
                 add_term(acc, t, s * v)
-        twist = ZERO
-        for t, coeff in acc.items():
-            # the first slots are the Ebar_i, keyed in eta by the same i
-            e = self.eta.get(t)
-            if e:
-                twist = twist + coeff * e
+        # the first slots are the Ebar_i, keyed in eta by the same i
+        twist = sum((coeff * self.eta[t] for t, coeff in acc.items() if self.eta.get(t)), ZERO)
         return [], sorted(acc.items()), twist
 
     def _lift_table(self, i: int) -> tuple[list, list, Scalar]:
@@ -209,7 +230,7 @@ class FockModule:
         phi(e_i) = (1/2c) sum_j phi(bar[e_i, u^j]) phi(bar u_j); each factor is
         sum_t x_t slot_t + twist(x), so the product is quadratic in the slots
         (inner slot from u_j, outer from the bracket), linear through one
-        twist, and constant through both.
+        twist, and constant through both; it is stored in Wick normal order.
         """
         table = self._lift_tables.get(i)
         if table is not None:
@@ -237,19 +258,15 @@ class FockModule:
                     add_term(linear, t1, ft * s1)
                 if outer_twist:
                     const = const + ft * outer_twist
-        table = (
-            [(t2, sorted(row.items())) for t2, row in sorted(quad.items()) if row],
-            sorted(linear.items()),
-            const,
-        )
+        quad, contracted = _normal_order(self.slots, quad)
+        table = (quad, sorted(linear.items()), const + contracted)
         self._lift_tables[i] = table
         return table
 
     # -- module actions -------------------------------------------------------
 
-    def _apply(self, forms: list[tuple[Scalar, tuple[list, list, Scalar]]], v: ModuleVector) -> ModuleVector:
-        """The sum over (s, form) of s times the form's action on v, one key step at a time."""
-        out: dict[tuple, Scalar] = {}
+    def _apply(self, forms: list[tuple[Scalar, tuple[list, list, Scalar]]], v, out: dict) -> dict:
+        """Add the sum over (s, form) of s times the form's action on v into out, one key step at a time."""
         for s, (quad, linear, const) in forms:
             unit = s is ONE or s == ONE
             for key, a in v.items():
@@ -261,18 +278,19 @@ class FockModule:
                         if hit:
                             inner, factor, odd = hit
                             self._apply_slots(outer, inner, a if factor is None else a * factor, odd, out)
-                self._apply_slots(linear, key, a, 0, out)
+                if linear:
+                    self._apply_slots(linear, key, a, 0, out)
                 if const:
                     add_term(out, key, a * const)
-        return ModuleVector._of(out)
+        return out
 
     def apply_barred(self, x: SparseVector, v: ModuleVector) -> ModuleVector:
         """Action of x (x) theta for any x in the base algebra."""
-        return self._apply([(ONE, self._adapted(x))], v)
+        return ModuleVector._of(self._apply([(ONE, self._adapted(x))], v, {}))
 
     def apply_lift(self, s: SparseVector, v: ModuleVector) -> ModuleVector:
         """Lifted action of s (x) 1, by linearity over s from the lift tables."""
-        return self._apply([(si, self._lift_table(i)) for i, si in s.items()], v)
+        return ModuleVector._of(self._apply([(si, self._lift_table(i)) for i, si in s.items()], v, {}))
 
     def apply_total_index(self, k: int, v: ModuleVector) -> ModuleVector:
         """Action of a basis element of the extended algebra by total index; z is the constant form c."""
@@ -281,7 +299,7 @@ class FockModule:
         else:
             i, th = self.takiff.split(k)
             form = self._adapted(SparseVector.unit(i)) if th else self._lift_table(i)
-        return self._apply([(ONE, form)], v)
+        return ModuleVector._of(self._apply([(ONE, form)], v, {}))
 
 
 def enumerate_multiindices(ds: list[int], odd_mask: list[bool], max_weight: int):
@@ -310,72 +328,73 @@ def verify_lift_identities(f: FockModule, max_degree: int) -> Report:
 
     phi is linear, so each phi(e_i) acts on each monomial once per call (through f.apply_lift)
     and every other lift is summed from those actions; each ordered product phi(e_a) phi(e_b) v
-    is formed once, and the form of a dual once per call, of [e_s, u_k] once per (s, k)."""
+    is formed once, and the form of a dual once per call, of [e_s, u_k] once per (s, k). Each
+    identity adds its three sides into one dict and holds when that dict is empty."""
     rep = Report(f"lift identities: {f.base.name}, c = {f.c}, degree <= {max_degree}")
     vectors = [ModuleVector({ix: ONE}) for ix in f.basis_keys(max_degree)]
     base = f.base
     units = [SparseVector.unit(i) for i in range(base.dim)]
     count = 0
-    lifted: dict[tuple[int, tuple], ModuleVector] = {}
+    lifted: dict[tuple[int, tuple], dict] = {}
 
-    def lift(s: SparseVector, v: ModuleVector) -> ModuleVector:
-        out: dict[tuple, Scalar] = {}
+    def lift(s: SparseVector, v: dict, out: dict) -> dict:  # adds phi(s) v into out
         for i, si in s.items():
             for key, a in v.items():
                 phi = lifted.get((i, key))
                 if phi is None:
-                    phi = lifted[i, key] = f.apply_lift(units[i], ModuleVector({key: ONE}))
-                k = a if si == ONE else si * a
+                    phi = lifted[i, key] = f.apply_lift(units[i], ModuleVector({key: ONE})).entries
+                k = a if si is ONE else si * a
                 for idx, b in phi.items():
                     add_term(out, idx, k * b)
-        return ModuleVector._of(out)
+        return out
 
-    lifts = [[lift(s, v) for v in vectors] for s in units]
+    lifts = [[lift(s, v.entries, {}) for v in vectors] for s in units]
 
-    def failures(others, sides, prepare, act, witness):
-        # [phi(s), y] = act([s, y]) for every basis s and every listed (y, parity); sides(s, k)
-        # lists (phi(s) y v, y phi(s) v) per vector, and act(prepare(x), v) is x's action on v
+    def failures(parities, sides, witness):
+        # [phi(s), y_k] = act([s, y_k]) for every basis s and every y_k of parity parities[k]; sides(s, k, e)
+        # yields per vector one dict of phi(s) y_k v + e y_k phi(s) v - act([s, y_k]) v, e the sign
         nonlocal count
         for si in range(base.dim):
-            for k, (y, py) in enumerate(others):
-                br = prepare(base.bracket(units[si], y))
-                for v, (sy, ys) in zip(vectors, sides(si, k)):
+            for k, py in enumerate(parities):
+                for out in sides(si, k, ONE if base.parity[si] and py else -ONE):
                     count += 1
-                    if (sy + ys if base.parity[si] and py else sy - ys) != act(br, v):
+                    if out:
                         yield witness(base.labels[si], k)
 
-    duals = [(u, (p + 1) % 2) for u, p in zip(f.dual.lower, f.dual.upper_parity)]
-    acted = [[f.apply_barred(u, v) for v in vectors] for u, _ in duals]
-    forms = [[(ONE, f._adapted(u))] for u, _ in duals]
+    barred_parities = [(p + 1) % 2 for p in f.dual.upper_parity]
+    acted = [[f.apply_barred(u, v) for v in vectors] for u in f.dual.lower]
+    forms = [f._adapted(u) for u in f.dual.lower]
+
+    def barred_sides(si, k, e):
+        ys, br = [(e, forms[k])], [(-ONE, f._adapted(base.bracket(units[si], f.dual.lower[k])))]
+        for v, uv, sv in zip(vectors, acted[k], lifts[si]):
+            yield f._apply(br, v, f._apply(ys, sv, lift(units[si], uv.entries, {})))
+
     rep.first_failure(
         "commutator with barred duals",
-        failures(
-            duals,
-            lambda si, k: [(lift(units[si], uv), f._apply(forms[k], sv)) for uv, sv in zip(acted[k], lifts[si])],
-            lambda x: [(ONE, f._adapted(x))],
-            f._apply,
-            lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])",
-        ),
+        failures(barred_parities, barred_sides, lambda s, k: f"[phi({s}), phi(bar u_{k})] != phi(bar[s,u_{k}])"),
     )
 
     # phi(e_a) phi(e_b) v per vector, formed at the first of (a, b) and (b, a) and dropped at the second
-    products: dict[tuple[int, int], list[ModuleVector]] = {}
+    products: dict[tuple[int, int], list[dict]] = {}
 
-    def product(a: int, b: int) -> list[ModuleVector]:
+    def product(a: int, b: int) -> list[dict]:
         p = products.pop((a, b), None)
         if p is None:
-            p = products[a, b] = [lift(units[a], w) for w in lifts[b]]
+            p = products[a, b] = [lift(units[a], w, {}) for w in lifts[b]]
         return p
+
+    def lift_sides(si, k, e):
+        br = -base.bracket(units[si], units[k])
+        for v, sy, ys in zip(vectors, product(si, k), product(k, si)):
+            out = dict(sy)
+            for idx, b in ys.items():
+                add_term(out, idx, b if e is ONE else -b)
+            yield lift(br, v.entries, out)
 
     rep.first_failure(
         "commutator of two lifts",
-        failures(
-            list(zip(units, base.parity)),
-            lambda si, k: list(zip(product(si, k), product(k, si))),
-            lambda x: x,
-            lift,
-            lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])",
-        ),
+        failures(base.parity, lift_sides, lambda s, k: f"[phi({s}), phi({base.labels[k]})] != phi([s,t])"),
     )
     rep.data["identities_checked"] = count
     return rep

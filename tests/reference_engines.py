@@ -9,7 +9,10 @@ became one exponent tuple, and joins them again for the result.
 `reference_apply_lift` is the lift that `FockModule.apply_lift` computed
 before it compiled each phi(e_i) into a slot table: it sums
 phi(bar[s, u^j]) phi(bar u_j) / 2c over j on every call, with two barred
-actions and one bracket per dual index. `whittaker_kernel` solves
+actions and one bracket per dual index. `reference_lift_table` is the compiler
+of `FockModule._lift_table` before its tables were Wick normal-ordered: it
+keeps every slot pair in the order the dual-basis sum writes it, so each pair
+appears twice and no contraction reaches the constant. `whittaker_kernel` solves
 one truncation of the Whittaker system from scratch.
 `reference_verify_algebra` and `reference_verify_takiff` check super Jacobi
 and form invariance by scanning every basis triple, as the structure checks did before they joined the sparse
@@ -289,6 +292,33 @@ def reference_apply_lift(f: FockModule, s: SparseVector, v: ModuleVector) -> Mod
         for idx, t in f.apply_barred(br, w).items():
             add_term(out, idx, t)
     return ModuleVector._of(out).scale(ONE / (Scalar(2) * f.c))
+
+
+def reference_lift_table(f: FockModule, i: int) -> tuple[list, list, Scalar]:
+    """The form of phi(e_i) as written, (1/2c) sum_j phi(bar[e_i, u^j]) phi(bar u_j): the inner
+    slot from u_j, the outer from the bracket, with no normal ordering."""
+    quad: dict[int, dict[int, Scalar]] = {}
+    linear: dict[int, Scalar] = {}
+    const = ZERO
+    g = ONE / (Scalar(2) * f.c)
+    for upper, lower in zip(f.dual.upper, f.dual.lower):
+        br = f.base.bracket(SparseVector.unit(i), upper)
+        if not br:
+            continue
+        _, inner, inner_twist = f._adapted(lower)
+        _, outer, outer_twist = f._adapted(br)
+        for t2, s2 in inner:
+            row = quad.setdefault(t2, {})
+            for t1, s1 in outer:
+                add_term(row, t1, g * s2 * s1)
+            if outer_twist:
+                add_term(linear, t2, g * s2 * outer_twist)
+        if inner_twist:
+            for t1, s1 in outer:
+                add_term(linear, t1, g * inner_twist * s1)
+            const = const + g * inner_twist * outer_twist
+    quad_list = [(t2, sorted(row.items())) for t2, row in sorted(quad.items()) if row]
+    return quad_list, sorted(linear.items()), const
 
 
 def whittaker_kernel(module, phi: NilCharacter, bound: int) -> list[ModuleVector]:

@@ -16,17 +16,19 @@ from reference_engines import (
     reference_barred_commutators,
     reference_basis_keys,
     reference_fock_guards,
+    reference_lift_table,
     reference_verify_lift_identities,
     reference_verify_relations,
     reference_verify_whittaker_covariance,
 )
-from modules import TensorModule, cyclicity_spot_check, natural_module
+from modules import TensorModule, borel_root_datum, cyclicity_spot_check, natural_module
 from test_acceptance import barred_odd_domain, principal_data
 from whittak.exactlin import I, ONE, ZERO, Scalar, SparseMatrix, SparseVector
 from whittak.fockrep import (
     FockModule,
     ModuleVector,
     _check_barred_relations,
+    _normal_order,
     build_fock,
     clifford_module_dim,
     verify_highest_weight,
@@ -595,6 +597,13 @@ def _twisted_gl12(c):
     return f
 
 
+_CHECK_LEVELS = {
+    "integer": st.integers(-4, 4).filter(bool).map(Scalar),
+    "fraction": st.fractions(-4, 4, max_denominator=5).filter(lambda q: q.denominator > 1).map(Scalar),
+    "gaussian": st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3)),
+}
+
+
 _ENGINE_LEVELS = {"integer": Scalar(3), "fraction": Scalar(Fraction(-1, 2)), "gaussian": Scalar(2, 1)}
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _small_scalars = st.builds(Scalar, _small, _small)
@@ -673,6 +682,67 @@ class TestLiftTable:
         assert [x for x in seen if id(x) in lower] == []
 
 
+@functools.lru_cache(maxsize=None)
+def _borel_extension(m, n, order):
+    return build_takiff(*borel_root_datum(m, n, order))[0]
+
+
+def _quad_count(table):
+    return sum(len(outer) for _, outer in table[0])
+
+
+class TestNormalOrder:
+    """The Wick normal-ordered lift tables against the tables as the dual-basis sum writes them."""
+
+    @given(
+        st.sampled_from([mn for mn in _GL_UP_TO_4 if sum(mn) > 1]),
+        st.sampled_from(sorted(_CHECK_LEVELS)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_operator_from_half_the_pairs(self, mn, level, twisted, data):
+        m, n = mn
+        t = _borel_extension(m, n, tuple(data.draw(st.permutations(range(m + n)))))
+        odd = [k for k, r in enumerate(t.rd.positive_roots()) if r.parity == ODD]
+        eta = {k: data.draw(_small_scalars) for k in odd} if twisted else None
+        f = build_fock(t, data.draw(_CHECK_LEVELS[level]), eta)
+        keys = f.basis_keys(2)
+        for i in range(f.base.dim):
+            table, ref = f._lift_table(i), reference_lift_table(f, i)
+            assert 2 * _quad_count(table) == _quad_count(ref), i
+            for inner, outer in table[0]:
+                for t1, _ in outer:
+                    # no creating inner slot under a lowering-only outer slot on its letter
+                    (_, pos, creates, _), (_, pos1, creates1, _) = f.slots[inner], f.slots[t1]
+                    assert not (pos == pos1 and creates and not creates1), (i, inner, t1)
+            for key in keys:
+                got = f._apply([(ONE, table)], {key: ONE}, {})
+                assert got == f._apply([(ONE, ref)], {key: ONE}, {}), (i, key)
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 8),
+            st.dictionaries(st.integers(0, 8), _small_scalars.filter(bool), min_size=1, max_size=3),
+            max_size=5,
+        ),
+        st.sampled_from(sorted(_ENGINE_LEVELS)),
+    )
+    @example({8: {8: ONE}}, "fraction").via("w w is the constant c/2")
+    @example({6: {7: ONE}, 7: {6: ONE}}, "integer").via("a b + b a is the constant 2c")
+    @example({3: {6: ONE}}, "gaussian").via("two odd letters swap with a sign")
+    @settings(max_examples=60, deadline=None)
+    def test_any_ordered_quadratic_form(self, quad, level):
+        # gl(2|1) has nine slots: Ebar 0-2, their creating slots 3-5, a_1 6, b_1 7 and w 8
+        f = fock(2, 1, _ENGINE_LEVELS[level])
+        assert len(f.slots) == 9 and f.slots[8][2] and f.slots[8][3]
+        table, const = _normal_order(f.slots, quad)
+        ordered = [(inner, sorted(row.items())) for inner, row in quad.items()]
+        for key in f.basis_keys(3):
+            want = f._apply([(ONE, (ordered, [], ZERO))], {key: ONE}, {})
+            assert f._apply([(ONE, (table, [], const))], {key: ONE}, {}) == want, key
+
+
 class TestReplacedRules:
     """The key walk and the barred commutator constants against the code they replaced."""
 
@@ -746,13 +816,6 @@ class _OddNegatedLift(FockModule):
     def apply_lift(self, s, v):
         flipped = SparseVector({i: -x if self.base.parity[i] else x for i, x in s.items()})
         return super().apply_lift(flipped, v)
-
-
-_CHECK_LEVELS = {
-    "integer": st.integers(-4, 4).filter(bool).map(Scalar),
-    "fraction": st.fractions(-4, 4, max_denominator=5).filter(lambda q: q.denominator > 1).map(Scalar),
-    "gaussian": st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3)),
-}
 
 
 class TestLiftCheckMemo:
