@@ -429,13 +429,14 @@ def verify_highest_weight(f: FockModule) -> Report:
 def verify_whittaker_covariance(f: FockModule, chi_hat: dict[int, Scalar]) -> Report:
     """(X - chi_hat(X)) kills the vacuum and acts locally nilpotently, at every degree.
 
-    chi_hat holds the expected eigenvalues on the unbarred even positive root vectors, keyed
-    by position in the positive-root list. Ebar_a's lowering slot has height ht(a), the sum
-    of a's simple-root coordinates, its creating slot -ht(a) and a Clifford slot 0; so every
-    monomial has height <= 0, and a slot moves it by the slot's own height. If every quadratic
-    and linear term of phi(X) moves height by at least 1, the vacuum equation makes the table's
-    constant chi_hat(X), and X - chi_hat(X) kills a monomial of height -h within h + 1 steps.
-    The test is sufficient, not necessary: its witness names a term moving height by under 1.
+    chi_hat holds the expected eigenvalues on the unbarred even positive root vectors, keyed by position
+    in the positive-root list. Ebar_a's lowering slot has height ht(a), the sum of a's simple-root
+    coordinates, its creating slot -ht(a) and a Clifford slot 0; so every monomial has height <= 0, and
+    a slot moves it by the slot's own height. If every quadratic and linear term of phi(X) moves height
+    by at least 1, the vacuum equation makes the table's constant chi_hat(X), and X - chi_hat(X) kills a
+    monomial of height -h within h + 1 steps. The test is sufficient, not necessary: its witness names a
+    term moving height by under 1. A term's shift does not depend on its slot order, and the tables are
+    normal-ordered, so the scan meets each slot pair once.
     """
     rep = Report(f"whittaker covariance: {f.base.name}, c = {f.c}")
     vac = f.vacuum()
