@@ -261,11 +261,21 @@ def sign(k: int) -> Scalar:
     return MINUS_ONE if k % 2 else ONE
 
 
-def numerators(values: list[Scalar]) -> list[tuple[int, int]]:
-    """Each value's (re, im) numerator over one common denominator, in order. A sum of these
-    Gaussian integers, or of products of two of them, is zero exactly when the Scalar sum is."""
-    den = math.lcm(*{s._d for s in values})
-    return [(s._a * (den // s._d), s._b * (den // s._d)) for s in values]
+def packed(groups: list[list[Scalar]], terms: int) -> tuple[list[list[int]], int]:
+    """Each group's values as Gaussian-integer numerators a + b*i over the group's common
+    denominator, each written as the one int a + b*B, and the modulus B*B + 1.
+
+    Sending i to B is a ring map from Z[i] onto the ints mod B*B + 1, one to one on the numbers
+    whose parts are below B/2 in size. B is the least power of two above 4 * terms * max^2, max the
+    largest part. So a sum of at most `terms` products u*v, every u from one group and every v from
+    one group, is 0 mod the modulus exactly when the sum of the Scalar products is zero."""
+    nums = []
+    for values in groups:
+        den = math.lcm(*{s._d for s in values})
+        nums.append([(s._a * (den // s._d), s._b * (den // s._d)) for s in values])
+    top = max([abs(x) for g in nums for pair in g for x in pair], default=0)
+    big = 1 << (4 * terms * top * top).bit_length()
+    return [[a + b * big for a, b in g] for g in nums], big * big + 1
 
 
 class SparseVector:

@@ -298,6 +298,9 @@ def vectors_from_dict(d: dict, algebra: SuperAlgebra) -> list[SparseVector]:
 def nilchar_from_dict(d: dict, algebra: SuperAlgebra) -> NilCharacter:
     d = _mapping(d, "a character file")
     domain = _mapping(d.get("domain"), "character domain", list)
+    for k in domain:  # before nil_character puts the entries in a set and sorts them
+        if not is_index(k, algebra.dim):
+            raise ValueError(f"character index {k!r} outside 0..{algebra.dim - 1} in the character domain")
     values = _mapping(d.get("values"), "character values")
     parsed = {}
     for key, s in values.items():

@@ -20,7 +20,7 @@ from .exactlin import (
     _rref,
     add_term,
     invert,
-    numerators,
+    packed,
     rank,
     sign,
 )
@@ -90,7 +90,6 @@ class SuperAlgebra:
 
 
 _EMPTY = SparseVector()
-_ZERO_PAIR = (0, 0)
 
 
 class Root(NamedTuple):
@@ -251,49 +250,57 @@ def verify_algebra(a: SuperAlgebra) -> Report:
         "super-anticommutativity",
         (
             f"[{lab[i]},{lab[j]}] != -(-1)^pq [{lab[j]},{lab[i]}]"
-            # a pair with both brackets zero holds, so only pairs in the table can fail
+            # a pair with both brackets zero holds, so only pairs in the table can fail; two odd
+            # elements' rows are equal, and any other pair's rows are entrywise negatives
             for i, j in sorted({(min(key), max(key)) for key in a.table if max(key) < d})
-            if a.bracket_basis(i, j) != a.bracket_basis(j, i).scale(-sign(par[i] * par[j]))
+            for y in [a.bracket_basis(j, i).entries]
+            if a.bracket_basis(i, j).entries != (y if par[i] & par[j] else {k: -s for k, s in y.items()})
         ),
     )
 
     # With anticommutativity established, ordered triples cover all triples.
     # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - (-1)^{p_i p_j} [e_j,[e_i,e_k]] is
-    # accumulated per (i, j, k, m) over nonzero structure constants only, as
-    # Gaussian-integer numerators over the square of one common denominator.
+    # accumulated over nonzero structure constants only, as one packed int per
+    # (i, j, k, m), keyed by the int ((i*s + j)*s + k)*s + m.
     def jacobi_failures():
-        num = iter(numerators([u for v in a.table.values() for u in v.entries.values()]))
-        table = {key: [(m, next(num)) for m in v.entries] for key, v in a.table.items()}
+        rows = [v.entries for v in a.table.values()]
+        s = 1 + max(itertools.chain(map(max, a.table), *rows), default=0)
+        # a key sums at most one product per t < s in each of its three terms
+        (flat,), mod = packed([[u for e in rows for u in e.values()]], 3 * s)
+        s2, s3, num = s * s, s * s * s, iter(flat)
+        table = {key: [(m, next(num)) for m in e] for key, e in zip(a.table, rows)}
         by_first: dict[int, list] = {}
         by_second: dict[int, list] = {}
         for (x, y), v in table.items():
             by_first.setdefault(x, []).append((y, v))
             by_second.setdefault(y, []).append((x, v))
-        acc: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+        acc: dict[int, int] = {}
         for (x, y), v in table.items():
             if x > y:
                 continue
-            for t, (sr, si) in v:
+            inner, swapped, outer = x * s2 + y * s, x * s3 + y * s, x * s3 + y * s2
+            for t, u in v:
                 # inner [e_x,e_y] under an outer e_o, as [e_i,[e_j,e_k]] or [e_j,[e_i,e_k]]
                 for o, w in by_second.get(t, ()):
                     if o > y:
                         continue
-                    for m, (ur, ui) in w:
-                        pr, pi = sr * ur - si * ui, sr * ui + si * ur
+                    odd = par[x] & par[o]
+                    for m, c in w:
+                        p = u * c
                         if o <= x:
-                            r, q = acc.get((o, x, y, m), _ZERO_PAIR)
-                            acc[(o, x, y, m)] = (r + pr, q + pi)
+                            key = o * s3 + inner + m
+                            acc[key] = acc.get(key, 0) + p
                         if x <= o:
-                            r, q = acc.get((x, o, y, m), _ZERO_PAIR)
-                            acc[(x, o, y, m)] = (r + pr, q + pi) if par[x] & par[o] else (r - pr, q - pi)
+                            key = o * s2 + swapped + m
+                            acc[key] = acc.get(key, 0) + (p if odd else -p)
                 # outer [e_x,e_y] under e_k, as [[e_i,e_j],e_k]
                 for k, w in by_first.get(t, ()):
                     if k >= y:
-                        for m, (ur, ui) in w:
-                            r, q = acc.get((x, y, k, m), _ZERO_PAIR)
-                            acc[(x, y, k, m)] = (r - sr * ur + si * ui, q - sr * ui - si * ur)
-        for i, j, k in sorted({key[:3] for key, c in acc.items() if c != _ZERO_PAIR and key[2] < d}):
-            yield f"Jacobi fails at ({lab[i]},{lab[j]},{lab[k]})"
+                        base = k * s + outer
+                        for m, c in w:
+                            acc[base + m] = acc.get(base + m, 0) - u * c
+        for ijk in sorted({key // s for key, c in acc.items() if c % mod and key // s % s < d}):
+            yield f"Jacobi fails at ({lab[ijk // s2]},{lab[ijk // s % s]},{lab[ijk % s]})"
 
     rep.first_failure("super Jacobi identity", jacobi_failures())
 
@@ -311,9 +318,9 @@ def verify_algebra(a: SuperAlgebra) -> Report:
             "form is supersymmetric",
             (
                 f"supersymmetry fails at ({lab[i]},{lab[j]})"
-                for i in range(d)
-                for j in range(i, d)
-                if form.get(i, j) != sign(par[i] * par[j]) * form.get(j, i)
+                # a pair with both entries zero holds, so only pairs with a form entry can fail
+                for i, j in sorted({(min(key), max(key)) for key in form.entries})
+                if form.get(i, j) != (-form.get(j, i) if par[i] & par[j] else form.get(j, i))
             ),
         )
 
@@ -332,28 +339,33 @@ def form_invariance_failures(table, form_entries, d, labels, what):
 
     Both sides are joined from the nonzero bracket entries `table` and the
     nonzero form entries `form_entries` ({(row, col): value}), so only the
-    triples where a side can be nonzero are visited. Each term is a table
-    numerator times a form numerator, over one common denominator.
+    triples where a side can be nonzero are visited. Each term is a packed table
+    value times a packed form value, added into one int per (i, j, k), keyed by
+    the int (i*s + j)*s + k.
     """
-    fnum = numerators(list(form_entries.values()))
+    rows_t = [v.entries for v in table.values()]
+    s = 1 + max(itertools.chain(map(max, table), map(max, form_entries), *rows_t), default=0)
+    # a key sums at most one product per t < s on each side
+    (fnum, tnum), mod = packed([list(form_entries.values()), [u for e in rows_t for u in e.values()]], 2 * s)
+    s2, num = s * s, iter(tnum)
     rows: dict[int, list] = {}
     cols: dict[int, list] = {}
     for (r, c), f in zip(form_entries, fnum):
         rows.setdefault(r, []).append((c, f))
-        cols.setdefault(c, []).append((r, f))
-    num = iter(numerators([s for v in table.values() for s in v.entries.values()]))
-    acc: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for (x, y), v in table.items():
-        for t in v.entries:
-            sr, si = next(num)
-            for k, (fr, fi) in rows.get(t, ()):  # ([e_x,e_y]|e_k)
-                r, q = acc.get((x, y, k), _ZERO_PAIR)
-                acc[(x, y, k)] = (r + sr * fr - si * fi, q + sr * fi + si * fr)
-            for i, (fr, fi) in cols.get(t, ()):  # (e_i|[e_x,e_y])
-                r, q = acc.get((i, x, y), _ZERO_PAIR)
-                acc[(i, x, y)] = (r - sr * fr + si * fi, q - sr * fi - si * fr)
-    for i, j, k in sorted(key for key, c in acc.items() if c != _ZERO_PAIR and max(key) < d):
-        yield f"{what} fails at ({labels[i]},{labels[j]},{labels[k]})"
+        cols.setdefault(c, []).append((r * s2, f))
+    acc: dict[int, int] = {}
+    for (x, y), e in zip(table, rows_t):
+        left, right = x * s2 + y * s, x * s + y
+        for t in e:
+            u = next(num)
+            for k, f in rows.get(t, ()):  # ([e_x,e_y]|e_k)
+                acc[left + k] = acc.get(left + k, 0) + u * f
+            for i, f in cols.get(t, ()):  # (e_i|[e_x,e_y])
+                acc[i + right] = acc.get(i + right, 0) - u * f
+    for key in sorted(key for key, c in acc.items() if c % mod):
+        i, j, k = key // s2, key // s % s, key % s
+        if max(i, j, k) < d:
+            yield f"{what} fails at ({labels[i]},{labels[j]},{labels[k]})"
 
 
 def eigen_failures(a: SuperAlgebra, rd: RootDatum):

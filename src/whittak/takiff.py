@@ -143,15 +143,15 @@ def verify_takiff(t: TakiffAlgebra) -> Report:
         # a pair whose base bracket, form entry and extension brackets are all zero holds
         held = {(i % n, j % n) for i, j in tot.table if max(i, j) < 2 * n}
         held |= t.base.table.keys() | t.base.form.entries.keys()
+        form = t.base.form.entries
         for i, j in sorted(k for k in held if max(k) < n):
-            base_br = t.base.bracket_basis(i, j)
-            if tot.bracket_basis(i, j) != base_br:
+            base_br = t.base.bracket_basis(i, j).entries
+            if tot.bracket_basis(i, j).entries != base_br:
                 yield f"[{lab[i]},{lab[j]}] differs from base"
-            want = SparseVector({n + k: c for k, c in base_br.items()})
-            if tot.bracket_basis(i, n + j) != want:
+            if tot.bracket_basis(i, n + j).entries != {n + k: c for k, c in base_br.items()}:
                 yield f"[{lab[i]},{lab[n + j]}] != bracket (x) theta"
-            want_z = SparseVector({z: sign(t.base.parity[j]) * t.base.form.get(i, j)})
-            if tot.bracket_basis(n + i, n + j) != want_z:
+            f = form.get((i, j))
+            if tot.bracket_basis(n + i, n + j).entries != ({z: -f if t.base.parity[j] else f} if f else {}):
                 yield f"[{lab[n + i]},{lab[n + j]}] != form z-term"
 
     rep.first_failure("generator bracket rules", generator_rule_failures())

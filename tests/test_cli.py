@@ -663,12 +663,21 @@ class TestInputIndices:
              "element coordinate '\u00b2' is not a basis label of gl(1|1)"),
             (["whittaker", "--chi"], {"domain": [5], "values": {"E_12": "1"}},
              "character value key 'E_12' is not a basis index"),
+            # each domain entry is checked before a set or a sort meets it: a list is unhashable, a
+            # string does not sort with an int, and a set would drop True as a duplicate of 1
+            (["whittaker", "--chi"], {"domain": [[]], "values": {}},
+             "character index [] outside 0..8 in the character domain"),
+            (["whittaker", "--chi"], {"domain": ["a", 1], "values": {}},
+             "character index 'a' outside 0..8 in the character domain"),
+            (["whittaker", "--chi"], {"domain": [1, True], "values": {}},
+             "character index True outside 0..8 in the character domain"),
             (["build", "span", "--gens"], {"vectors": 5}, "vectors must be a JSON list, not 5"),
             (["build", "span", "--gens"], 5, "a vectors file must be a JSON object, not 5"),
         ],
         ids=["weight-level-missing", "character-domain-missing", "element-label-unknown",
              "element-label-superscript-digit",
-             "character-value-key-label", "vectors-not-a-list", "vectors-file-not-an-object"],
+             "character-value-key-label", "character-domain-list-entry", "character-domain-string-entry",
+             "character-domain-true-after-one", "vectors-not-a-list", "vectors-file-not-an-object"],
     )
     def test_input_file_errors_name_the_field(self, gl11_tak, tmp_path, capsys, argv, doc, want):
         path = write(tmp_path / "in.json", doc)

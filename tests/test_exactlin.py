@@ -43,6 +43,7 @@ from whittak.exactlin import (
     _rref,
     invert,
     kernel_basis,
+    packed,
     rank,
     solve,
 )
@@ -273,6 +274,44 @@ class TestScalarAgainstOracle:
             return
         back = (a * b) / b
         assert back == a and hash(back) == hash(a)
+
+
+_big = st.integers(-(10**30), 10**30)
+big_scalars = st.builds(lambda a, b, q: Scalar(a, b) / Scalar(q), _big, _big, st.integers(1, 10**6)).filter(bool)
+
+
+class TestPacked:
+    """`packed` against exact Scalar sums of products, one factor from each of two groups."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_zero_exactly_when_the_scalar_sum_is(self, data):
+        us = data.draw(st.lists(big_scalars, min_size=1, max_size=4), label="us")
+        vs = data.draw(st.lists(big_scalars, min_size=1, max_size=4), label="vs")
+        term = st.tuples(st.integers(0, len(us) - 1), st.integers(0, len(vs) - 1), st.sampled_from([1, -1]))
+        terms = data.draw(st.lists(term, max_size=6), label="terms")
+        if data.draw(st.booleans(), label="cancel"):
+            # each term again as (u*c)(v/c) with the other sign: packed values that differ from
+            # the first ones, whose products cancel exactly
+            for i, j, e in list(terms):
+                c = data.draw(big_scalars, label="c")
+                us.append(us[i] * c)
+                vs.append(vs[j] / c)
+                terms.append((len(us) - 1, len(vs) - 1, -e))
+        (pu, pv), mod = packed([us, vs], len(terms))
+        want = sum((us[i] * vs[j] * Scalar(e) for i, j, e in terms), ZERO)
+        got = sum(e * pu[i] * pv[j] for i, j, e in terms)
+        assert (got % mod == 0) == (not want)
+
+    def test_the_bound_counts_the_terms(self):
+        # eight 1*1 and one 1*(-i) sum to 8 - i; a B of 8, from the largest part alone, would send
+        # it to 8 - 8 = 0
+        (us, vs), mod = packed([[ONE], [ONE, -I]], 9)
+        assert (8 * us[0] * vs[0] + us[0] * vs[1]) % mod
+
+    def test_i_times_i_cancels_one(self):
+        (us, vs), mod = packed([[I, ONE], [I, ONE]], 2)
+        assert (us[0] * vs[0] + us[1] * vs[1]) % mod == 0
 
 
 class TestSparseVector:

@@ -598,8 +598,12 @@ def _twisted_gl12(c):
 
 
 _CHECK_LEVELS = {
-    "integer": st.integers(-4, 4).filter(bool).map(Scalar),
-    "fraction": st.fractions(-4, 4, max_denominator=5).filter(lambda q: q.denominator > 1).map(Scalar),
+    # the nonzero integers and the fractions in [-4, 4] whose reduced denominator is 2 to 5, listed
+    # rather than filtered, so that no draw is rejected
+    "integer": st.sampled_from([k for k in range(-4, 5) if k]).map(Scalar),
+    "fraction": st.sampled_from(
+        sorted({Fraction(p, q) for q in range(2, 6) for p in range(-4 * q, 4 * q + 1) if p % q})
+    ).map(Scalar),
     "gaussian": st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3)),
 }
 

@@ -1,7 +1,8 @@
 """Every module of the package, its tests and its scripts reads each name it imports, every
 package name the benchmark traces or expects a call of still exists, every function and class of
 the package is reached from outside the tests, importing the package loads only what its cold
-start needs, `serialize.dumps` is the one JSON writer and `cli.main` the one writer of CLI output."""
+start needs, `serialize.dumps` is the one JSON writer, `cli.main` the one writer of CLI output and
+`exactlin` the one reader of a Scalar's fields."""
 
 import ast
 import importlib
@@ -33,6 +34,19 @@ def test_no_unread_imports():
     modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert len(modules) > 20
     assert [u for p in modules for u in _unread_imports(p)] == []
+
+
+def test_only_exactlin_reads_scalar_fields():
+    """No module of the package but `exactlin` reads a Scalar's `_a`, `_b` or `_d`, so `packed`
+    stays the one reader of them outside the class."""
+    reads = [
+        f"{p.name}:{node.lineno}: .{node.attr}"
+        for p in sorted((ROOT / "src" / "whittak").glob("*.py"))
+        if p.name != "exactlin.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"_a", "_b", "_d"}
+    ]
+    assert reads == []
 
 
 def _benchmark_names() -> list[str]:

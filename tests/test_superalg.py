@@ -141,9 +141,24 @@ class TestBuildGl:
         names = {c.name for c in rep.failures()}
         assert names & {"super Jacobi identity", "form is invariant", "super-anticommutativity"}
 
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper-entry-dropped", "lower-entry-dropped"])
+    def test_form_entry_without_its_partner(self, upper):
+        # one orientation of a pair holds an entry and the other none: supersymmetry fails
+        # whichever orientation is left
+        a, _ = build_gl(1, 1)
+        entries = dict(a.form.entries)
+        del entries[next(k for k in sorted(entries) if k[0] != k[1] and (k[0] < k[1]) == upper)]
+        a.form = SparseMatrix(a.dim, a.dim, entries)
+        rep = verify_algebra(a)
+        assert "form is supersymmetric" in {c.name for c in rep.failures()}
+        assert rep.to_dict() == reference_verify_algebra(a).to_dict()
 
-# denominators 1, 2 and 3 and a non-real value, so the joins' common denominators exceed 2
-EDIT_SCALARS = st.sampled_from([ONE, -ONE, Scalar(2), I, half, Scalar(1, 1) / Scalar(3), ZERO])
+
+# denominators 1, 2, 3 and 11, non-real values and one large numerator, so the joins' common
+# denominators exceed 2 and their packing base B is large
+EDIT_SCALARS = st.sampled_from(
+    [ONE, -ONE, Scalar(2), I, half, Scalar(1, 1) / Scalar(3), Scalar(10**12 + 7, 3) / Scalar(11), ZERO]
+)
 
 
 def edit_table(table, index, data):
